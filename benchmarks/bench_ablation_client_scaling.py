@@ -8,7 +8,8 @@ demand outgrows the serving channels.
 
 from conftest import run_once
 
-from repro.core import run_hotspot_scenario
+from repro.build import WorldBuilder
+from repro.build.presets import hotspot_world
 from repro.metrics import format_table
 
 DURATION_S = 45.0
@@ -18,10 +19,12 @@ CLIENT_COUNTS = (1, 2, 3, 6, 9)
 def run_scaling():
     rows = []
     for n_clients in CLIENT_COUNTS:
-        result = run_hotspot_scenario(
-            n_clients=n_clients,
-            duration_s=DURATION_S,
-        )
+        result = WorldBuilder(
+            hotspot_world(
+                n_clients=n_clients,
+                duration_s=DURATION_S,
+            )
+        ).run()
         underruns = sum(c.qos.underruns for c in result.clients)
         expected_bytes = 128_000 / 8 * DURATION_S * 0.8
         served_fraction = sum(c.bytes_received for c in result.clients) / (

@@ -10,7 +10,8 @@ time (~6 s at 96 kB / 128 kb/s).
 
 from conftest import run_once
 
-from repro.core import run_hotspot_scenario
+from repro.build import WorldBuilder
+from repro.build.presets import hotspot_world
 from repro.metrics import format_table
 
 DURATION_S = 60.0
@@ -20,9 +21,11 @@ EPOCHS_S = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
 def run_epoch_sweep():
     rows = []
     for epoch_s in EPOCHS_S:
-        result = run_hotspot_scenario(
-            n_clients=3, duration_s=DURATION_S, epoch_s=epoch_s
-        )
+        result = WorldBuilder(
+            hotspot_world(
+                n_clients=3, duration_s=DURATION_S, epoch_s=epoch_s
+            )
+        ).run()
         stall = sum(c.qos.underrun_time_s for c in result.clients)
         rows.append(
             {

@@ -13,7 +13,8 @@ schedulers.
 
 from conftest import run_once
 
-from repro.core import run_hotspot_scenario
+from repro.build import WorldBuilder
+from repro.build.presets import hotspot_world
 from repro.core.scheduling import scheduler_names
 from repro.metrics import format_table
 
@@ -23,12 +24,14 @@ DURATION_S = 60.0
 def run_scheduler_sweep():
     rows = []
     for name in scheduler_names():
-        result = run_hotspot_scenario(
-            n_clients=3,
-            duration_s=DURATION_S,
-            scheduler=name,
-            bluetooth_quality_script=[(0.0, 1.0), (45.0, 0.2)],
-        )
+        result = WorldBuilder(
+            hotspot_world(
+                n_clients=3,
+                duration_s=DURATION_S,
+                scheduler=name,
+                bluetooth_quality_script=[(0.0, 1.0), (45.0, 0.2)],
+            )
+        ).run()
         underruns = sum(c.qos.underruns for c in result.clients)
         rows.append(
             {

@@ -12,18 +12,21 @@ a three-client Hotspot run.
 
 from conftest import run_once
 
-from repro.core import run_hotspot_scenario
+from repro.build import WorldBuilder
+from repro.build.presets import hotspot_world
 from repro.metrics import render_schedule_timeline
 
 DURATION_S = 30.0
 
 
 def run_figure1():
-    result = run_hotspot_scenario(
-        n_clients=3,
-        duration_s=DURATION_S,
-        bluetooth_quality_script=[(0.0, 1.0), (20.0, 0.2)],
-    )
+    result = WorldBuilder(
+        hotspot_world(
+            n_clients=3,
+            duration_s=DURATION_S,
+            bluetooth_quality_script=[(0.0, 1.0), (20.0, 0.2)],
+        )
+    ).run()
     # Only the Bluetooth radios carry the first phase; show everything.
     text = render_schedule_timeline(result.radios, 0.0, DURATION_S, columns=96)
     return result, text

@@ -90,21 +90,17 @@ SEEDS = (3, 17, 29)
 
 def run_comparison():
     """Replicated across seeds; Poisson traffic makes single runs noisy."""
-    from repro.metrics import replicate
+    from repro.exp.aggregate import FieldStats
 
-    psm = replicate(
-        lambda seed: {
-            k: v for k, v in run_psm_network(seed).items() if k != "mac"
-        },
-        seeds=SEEDS,
-    )
-    ecmac = replicate(
-        lambda seed: {
-            k: v for k, v in run_ecmac_network(seed).items() if k != "mac"
-        },
-        seeds=SEEDS,
-    )
-    return psm, ecmac
+    def replicate(network):
+        runs = [network(seed) for seed in SEEDS]
+        return {
+            key: FieldStats.of([run[key] for run in runs])
+            for key in runs[0]
+            if key != "mac"
+        }
+
+    return replicate(run_psm_network), replicate(run_ecmac_network)
 
 
 def test_bench_ecmac(benchmark, emit):
@@ -114,8 +110,8 @@ def test_bench_ecmac(benchmark, emit):
         rows.append(
             [
                 label,
-                f"{result['collisions'].mean:.1f} ± {result['collisions'].ci95_half_width:.1f}",
-                f"{result['power_w'].mean:.4f} ± {result['power_w'].ci95_half_width:.4f}",
+                f"{result['collisions'].mean:.1f} ± {result['collisions'].ci95:.1f}",
+                f"{result['power_w'].mean:.4f} ± {result['power_w'].ci95:.4f}",
                 f"{result['delivered'].mean:.0f}",
             ]
         )

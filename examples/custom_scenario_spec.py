@@ -3,8 +3,8 @@
 
 Two WLAN-only clients stream Poisson packet traffic (web-ish, 64 kb/s)
 under the Hotspot resource manager; a third heavyweight client streams
-256 kb/s MP3 over Bluetooth-then-WLAN.  No ``run_*`` function exists for
-this mix: the spec *is* the scenario, and the builder assembles the rest.
+256 kb/s MP3 over Bluetooth-then-WLAN.  No preset exists for this mix:
+the spec *is* the scenario, and the builder assembles the rest.
 
 Run:  python examples/custom_scenario_spec.py
 """

@@ -20,6 +20,11 @@ fi
 echo "== tier-1 test suite =="
 python -m pytest tests/ -q
 
+echo "== e2e benchmark drivers =="
+# The benchmark's public-call drivers (presets, WorldBuilder, campaigns
+# through the scenario registry) on trimmed workloads.
+python -m pytest benchmarks/e2e -q
+
 echo "== trace smoke check =="
 trace_file="$(mktemp /tmp/repro-trace.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file"' EXIT

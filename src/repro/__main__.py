@@ -35,7 +35,13 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import package_version
-from repro.core import run_hotspot_scenario, run_unscheduled_scenario
+from repro.build import WorldBuilder
+from repro.build.presets import (
+    city_grid_world,
+    fleet_hotspot_world,
+    hotspot_world,
+    unscheduled_world,
+)
 from repro.core.scheduling import scheduler_names
 from repro.exp import (
     DEFAULT_FIELDS,
@@ -135,13 +141,14 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     obs = ObsSession.from_args(args)
     if obs is not None:
         obs.begin_run("fig1/hotspot")
-    result = run_hotspot_scenario(
-        n_clients=args.clients,
-        duration_s=args.duration,
-        bluetooth_quality_script=[(0.0, 1.0), (args.duration * 2 / 3, 0.2)],
-        seed=args.seed,
-        obs=obs,
-    )
+    result = WorldBuilder(
+        hotspot_world(
+            n_clients=args.clients,
+            duration_s=args.duration,
+            bluetooth_quality_script=[(0.0, 1.0), (args.duration * 2 / 3, 0.2)],
+            seed=args.seed,
+        )
+    ).run(obs=obs)
     if obs is not None:
         obs.record(result)
     print(render_schedule_timeline(result.radios, 0.0, args.duration, columns=96))
@@ -154,28 +161,33 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     obs = ObsSession.from_args(args)
     if obs is not None:
         obs.begin_run("fig2/unscheduled-wlan")
-    wlan = run_unscheduled_scenario(
-        "wlan", n_clients=args.clients, duration_s=args.duration, seed=args.seed,
-        obs=obs,
-    )
+    wlan = WorldBuilder(
+        unscheduled_world(
+            "wlan", n_clients=args.clients, duration_s=args.duration,
+            seed=args.seed,
+        )
+    ).run(obs=obs)
     if obs is not None:
         obs.record(wlan)
         obs.begin_run("fig2/unscheduled-bluetooth")
-    bt = run_unscheduled_scenario(
-        "bluetooth", n_clients=args.clients, duration_s=args.duration,
-        seed=args.seed, obs=obs,
-    )
+    bt = WorldBuilder(
+        unscheduled_world(
+            "bluetooth", n_clients=args.clients, duration_s=args.duration,
+            seed=args.seed,
+        )
+    ).run(obs=obs)
     if obs is not None:
         obs.record(bt)
         obs.begin_run("fig2/hotspot")
-    hotspot = run_hotspot_scenario(
-        n_clients=args.clients,
-        duration_s=args.duration,
-        scheduler=args.scheduler,
-        bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
-        seed=args.seed,
-        obs=obs,
-    )
+    hotspot = WorldBuilder(
+        hotspot_world(
+            n_clients=args.clients,
+            duration_s=args.duration,
+            scheduler=args.scheduler,
+            bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
+            seed=args.seed,
+        )
+    ).run(obs=obs)
     if obs is not None:
         obs.record(hotspot)
     saving = wnic_power_saving_fraction(
@@ -645,8 +657,6 @@ def _parse_grid(value: str) -> tuple:
 
 
 def _fleet_spec_from_args(args: argparse.Namespace):
-    from repro.build.presets import city_grid_world, fleet_hotspot_world
-
     if args.grid:
         rows, cols = _parse_grid(args.grid)
         return city_grid_world(
@@ -668,32 +678,22 @@ def _fleet_spec_from_args(args: argparse.Namespace):
     )
 
 
-def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
-    from repro.shard import run_sharded_fleet
-
-    spec = _fleet_spec_from_args(args)
-    merged = run_sharded_fleet(
-        spec,
-        shards=args.shards,
-        store_dir=args.store,
-        metrics=bool(args.metrics),
-    )
-    record = merged["record"]
-    if args.json:
-        print(dumps_strict(record, indent=2))
-        return 0
+def _print_fleet_record(record: Dict[str, Any], shards: int) -> None:
+    """The fleet summary record as cell table, handoff and power lines."""
     cell_rows = [
         [name, stats["clients"], stats["adoptions"], stats["load_fraction"],
          stats["bursts_served"], stats["bursts_failed"]]
         for name, stats in record["cells"].items()
     ]
+    heading = "Sharded fleet" if shards else "Fleet"
+    sharding = f", {shards} shard(s)" if shards else ""
     print(
         format_table(
             ["cell", "clients", "adoptions", "load", "bursts", "failed"],
             cell_rows,
-            title=f"Sharded fleet {record['label']} "
+            title=f"{heading} {record['label']} "
             f"({record['n_aps']} APs, {record['n_clients']} clients, "
-            f"{record['duration_s']:.0f}s, {args.shards} shard(s))",
+            f"{record['duration_s']:.0f}s{sharding})",
         )
     )
     print(
@@ -706,75 +706,35 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
         f"mean WNIC power: {record['wnic_power_w']:.4f} W, "
         f"QoS maintained: {record['qos_maintained']}"
     )
-    if args.store:
-        print(f"store: {args.store} (merged.json, shards/, progress.jsonl)")
-    return 0
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run the multi-AP fleet scenario and summarise roaming + energy."""
-    from repro.net import run_city_grid_scenario, run_fleet_hotspot_scenario
-
+    spec = _fleet_spec_from_args(args)
+    obs = None
     if args.shards:
-        return _cmd_fleet_sharded(args)
-    obs = ObsSession.from_args(args)
-    if args.grid:
-        rows, cols = _parse_grid(args.grid)
-        if obs is not None:
-            obs.begin_run("fleet/city-grid")
-        result = run_city_grid_scenario(
-            n_clients=args.clients,
-            grid_rows=rows,
-            grid_cols=cols,
-            duration_s=args.duration,
-            scheduler=args.scheduler,
-            utilisation_cap=args.utilisation_cap,
-            seed=args.seed,
-            obs=obs,
-        )
+        from repro.shard import run_sharded_fleet
+
+        record = run_sharded_fleet(
+            spec,
+            shards=args.shards,
+            store_dir=args.store,
+            metrics=bool(args.metrics),
+        )["record"]
     else:
+        obs = ObsSession.from_args(args)
         if obs is not None:
-            obs.begin_run("fleet/fleet-hotspot")
-        result = run_fleet_hotspot_scenario(
-            n_clients=args.clients,
-            n_aps=args.aps,
-            duration_s=args.duration,
-            scheduler=args.scheduler,
-            utilisation_cap=args.utilisation_cap,
-            seed=args.seed,
-            obs=obs,
-        )
-    if obs is not None:
-        obs.record(result)
-    extras = result.extras
+            obs.begin_run("fleet/city-grid" if args.grid else "fleet/fleet-hotspot")
+        result = WorldBuilder(spec).run(obs=obs)
+        if obs is not None:
+            obs.record(result)
+        record = result.summary_record()
     if args.json:
-        print(dumps_strict(result.summary_record(), indent=2))
-        _finish_obs(obs)
-        return 0
-    cell_rows = [
-        [name, stats["clients"], stats["adoptions"], stats["load_fraction"],
-         stats["bursts_served"], stats["bursts_failed"]]
-        for name, stats in extras["cells"].items()
-    ]
-    print(
-        format_table(
-            ["cell", "clients", "adoptions", "load", "bursts", "failed"],
-            cell_rows,
-            title=f"Fleet {result.label} "
-            f"({extras['n_aps']} APs, {args.clients} clients, "
-            f"{args.duration:.0f}s)",
-        )
-    )
-    print(
-        f"\nhandoffs: {extras['handoffs']} "
-        f"(declined {extras['handoffs_declined']}, "
-        f"suspended {extras['handoff_suspensions']}), "
-        f"association churn: {extras['association_churn']}"
-    )
-    print(
-        f"mean WNIC power: {result.mean_wnic_power_w():.4f} W, "
-        f"QoS maintained: {result.qos_maintained()}"
-    )
+        print(dumps_strict(record, indent=2))
+    else:
+        _print_fleet_record(record, args.shards)
+        if args.shards and args.store:
+            print(f"store: {args.store} (merged.json, shards/, progress.jsonl)")
     _finish_obs(obs)
     return 0
 
@@ -814,14 +774,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     obs.registry_requested = args.metrics
     obs.begin_run("trace/hotspot")
-    result = run_hotspot_scenario(
-        n_clients=args.clients,
-        duration_s=args.duration,
-        scheduler=args.scheduler,
-        bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
-        seed=args.seed,
-        obs=obs,
-    )
+    result = WorldBuilder(
+        hotspot_world(
+            n_clients=args.clients,
+            duration_s=args.duration,
+            scheduler=args.scheduler,
+            bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
+            seed=args.seed,
+        )
+    ).run(obs=obs)
     obs.record(result)
     print(top_kinds_table(obs.registry, top_n=args.top))
     print()

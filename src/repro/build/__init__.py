@@ -13,8 +13,8 @@ code:
   substrate, server or fleet, faults, observability, traffic pumps) from
   a spec, and :class:`World`, the assembled-but-not-yet-run result;
 - :mod:`repro.build.presets` — the registered scenarios expressed as
-  spec factories (``hotspot_world`` & friends); the legacy ``run_*``
-  entry points are thin shims over these.
+  spec factories (``hotspot_world`` & friends), from which the scenario
+  registry (:mod:`repro.exp.scenarios`) derives every runnable.
 
 Adding a scenario is now ~20 lines of spec::
 

@@ -1,11 +1,12 @@
 """Spec factories for the registered scenarios.
 
-Each factory maps one scenario's historical ``run_*`` signature onto a
-:class:`~repro.build.spec.WorldSpec`; the ``run_*`` entry points in
-:mod:`repro.core.scenario` and :mod:`repro.net.scenario` are thin shims
-over these plus :class:`~repro.build.builder.WorldBuilder`.  Validation
-(and its error messages) lives here so declarative callers and legacy
-callers fail identically.
+Each factory maps one scenario's keyword arguments onto a
+:class:`~repro.build.spec.WorldSpec`; run one with
+``WorldBuilder(hotspot_world(...)).run()``.  The scenario registry
+(:mod:`repro.exp.scenarios`) derives every built-in runnable from these
+factories the same way, so campaigns and direct callers build identical
+worlds.  Validation (and its error messages) lives here, so an invalid
+spec fails before anything is simulated.
 
 These are also the reference examples for writing new scenarios as
 specs — a new workload is a ~20-line factory, not a hand-wired runner.

@@ -12,8 +12,10 @@ extended with a *resource manager* that
   transitioning the WNICs between power states
   (:mod:`repro.core.client`, :mod:`repro.core.interfaces`).
 
-:mod:`repro.core.scenario` wires everything into runnable experiments,
-including the unscheduled baselines of the paper's Figure 2.
+:mod:`repro.core.outcome` holds what every run produces
+(:class:`ScenarioResult`); :mod:`repro.build` wires the layers into
+runnable worlds, including the unscheduled baselines of the paper's
+Figure 2.
 """
 
 from repro.core.qos import QoSContract
@@ -36,14 +38,7 @@ from repro.core.scheduling import (
 )
 from repro.core.client import HotspotClient
 from repro.core.server import HotspotServer, InterfaceSelectionPolicy
-from repro.core.scenario import (
-    ScenarioResult,
-    VOLATILE_TIMING_FIELDS,
-    run_faulty_hotspot_scenario,
-    run_hotspot_scenario,
-    run_psm_baseline_scenario,
-    run_unscheduled_scenario,
-)
+from repro.core.outcome import ScenarioResult, VOLATILE_TIMING_FIELDS
 
 __all__ = [
     "BurstRequest",
@@ -64,9 +59,5 @@ __all__ = [
     "bluetooth_interface",
     "gprs_interface",
     "make_scheduler",
-    "run_faulty_hotspot_scenario",
-    "run_hotspot_scenario",
-    "run_psm_baseline_scenario",
-    "run_unscheduled_scenario",
     "wlan_interface",
 ]

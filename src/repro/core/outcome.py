@@ -1,8 +1,7 @@
 """Scenario outcome containers: what every runnable world produces.
 
-Split out of :mod:`repro.core.scenario` so both the legacy ``run_*``
-entry points and the declarative composition layer
-(:mod:`repro.build`) can share them without import cycles:
+Shared by the declarative composition layer (:mod:`repro.build`), the
+sharded runner and the campaign engine without import cycles:
 :class:`ClientOutcome` is everything measured for one client,
 :class:`ScenarioResult` the whole run's output, and
 :meth:`ScenarioResult.summary_record` the JSON-ready scalar record the

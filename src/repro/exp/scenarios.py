@@ -5,15 +5,18 @@ described by JSON-serialisable data (name + params + seed) — that is
 what makes the content hash and the worker-pool handoff possible.  The
 registered callable takes the run's params as keyword arguments plus
 ``seed`` and ``obs``, and returns a
-:class:`repro.core.scenario.ScenarioResult` (anything with a
+:class:`repro.core.outcome.ScenarioResult` (anything with a
 ``summary_record()`` method works).
 
-Entries can additionally carry a *spec factory* — the
-:mod:`repro.build.presets` function mapping the same keyword arguments
-onto a declarative :class:`~repro.build.WorldSpec`.  That is what lets
-``repro scenarios`` introspect every scenario's parameters and defaults
-without running anything, and lets campaign grids sweep structural
-parameters (interface sets, traffic mixes) rather than only scalars.
+Every built-in scenario is a :mod:`repro.build.presets` *spec factory*
+mapping keyword arguments onto a declarative
+:class:`~repro.build.WorldSpec`; its runnable is derived from the
+factory as ``WorldBuilder(factory(**params, seed=seed)).run(obs=obs)``.
+The factory is also what lets ``repro scenarios`` introspect every
+scenario's parameters and defaults without running anything, and lets
+campaign grids sweep structural parameters (interface sets, traffic
+mixes) rather than only scalars.  Adding a scenario takes one preset
+plus one :func:`register_scenario` line.
 """
 
 from __future__ import annotations
@@ -22,17 +25,8 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.scenario import (
-    run_ecmac_scenario,
-    run_faulty_hotspot_scenario,
-    run_hotspot_scenario,
-    run_pamas_scenario,
-    run_psm_baseline_scenario,
-    run_psm_crossval_scenario,
-    run_unap_hotspot_scenario,
-    run_unscheduled_scenario,
-)
-from repro.net.scenario import run_city_grid_scenario, run_fleet_hotspot_scenario
+from repro.build import presets
+from repro.build.builder import WorldBuilder
 
 ScenarioFn = Callable[..., object]
 
@@ -66,13 +60,13 @@ class ScenarioParameter:
 
 @dataclass(frozen=True)
 class ScenarioEntry:
-    """One registered scenario: runnable fn + optional spec metadata."""
+    """One registered scenario: runnable fn + optional spec factory."""
 
     name: str
     fn: ScenarioFn
-    #: The :mod:`repro.build.presets` factory mapping the same kwargs to
-    #: a WorldSpec; introspection prefers it (it has no ``obs`` plumbing
-    #: and is the declarative source of truth for defaults).
+    #: The :mod:`repro.build.presets` factory ``fn`` is derived from;
+    #: introspection reads it (it has no ``obs`` plumbing and is the
+    #: declarative source of truth for defaults).
     spec_factory: Optional[Callable[..., object]] = None
     description: str = ""
     _parameters: List[ScenarioParameter] = field(default_factory=list)
@@ -135,28 +129,46 @@ def _first_doc_line(fn: ScenarioFn) -> str:
 _SCENARIOS: Dict[str, ScenarioEntry] = {}
 
 
+def _preset_runner(spec_factory: Callable[..., object]) -> ScenarioFn:
+    """The runnable a spec factory implies: build its world, run it."""
+
+    def run(seed: int = 0, obs=None, **params: Any) -> object:
+        return WorldBuilder(spec_factory(**params, seed=seed)).run(obs=obs)
+
+    return run
+
+
 def register_scenario(
     name: str,
-    fn: ScenarioFn,
+    fn: Optional[ScenarioFn] = None,
     spec_factory: Optional[Callable[..., object]] = None,
     description: Optional[str] = None,
 ) -> None:
-    """Register ``fn`` under ``name`` (idempotent for the same callable).
+    """Register a scenario under ``name`` (idempotent for the same callables).
 
-    ``spec_factory`` is the optional declarative counterpart (a
-    ``repro.build.presets``-style function returning a WorldSpec) used
-    for parameter introspection; ``description`` defaults to the first
-    line of ``fn``'s docstring.
+    ``spec_factory`` is a :mod:`repro.build.presets`-style function
+    returning a WorldSpec; without an explicit ``fn`` the runnable is
+    derived from it, so a built-in scenario is one preset plus one
+    registration.  ``fn`` alone registers a hand-written runnable.
+    ``description`` defaults to the first docstring line of the factory
+    (or of ``fn`` when there is none).
     """
+    if fn is None and spec_factory is None:
+        raise TypeError(f"scenario {name!r} needs a fn or a spec_factory")
     existing = _SCENARIOS.get(name)
-    if existing is not None and existing.fn is not fn:
+    if existing is not None and not (
+        existing.spec_factory is spec_factory
+        and (fn is None or fn is existing.fn)
+    ):
         raise ValueError(f"scenario {name!r} already registered")
     _SCENARIOS[name] = ScenarioEntry(
         name=name,
-        fn=fn,
+        fn=fn if fn is not None else _preset_runner(spec_factory),
         spec_factory=spec_factory,
         description=(
-            description if description is not None else _first_doc_line(fn)
+            description
+            if description is not None
+            else _first_doc_line(spec_factory or fn)
         ),
     )
 
@@ -183,42 +195,21 @@ def scenario_names() -> List[str]:
 
 
 def _register_builtins() -> None:
-    # Spec factories imported lazily: repro.build imports repro.core and
-    # repro.net, both of which may be mid-import when this module loads.
-    from repro.build.presets import (
-        city_grid_world,
-        ecmac_world,
-        faulty_hotspot_world,
-        fleet_hotspot_world,
-        hotspot_world,
-        pamas_world,
-        psm_baseline_world,
-        psm_crossval_world,
-        unap_hotspot_world,
-        unscheduled_world,
-    )
-
-    register_scenario("hotspot", run_hotspot_scenario, hotspot_world)
-    register_scenario(
-        "faulty-hotspot", run_faulty_hotspot_scenario, faulty_hotspot_world
-    )
-    register_scenario("unscheduled", run_unscheduled_scenario, unscheduled_world)
+    register_scenario("hotspot", spec_factory=presets.hotspot_world)
+    register_scenario("faulty-hotspot", spec_factory=presets.faulty_hotspot_world)
+    register_scenario("unscheduled", spec_factory=presets.unscheduled_world)
     register_scenario(
         "psm-baseline",
-        run_psm_baseline_scenario,
-        psm_baseline_world,
+        spec_factory=presets.psm_baseline_world,
         description=(
             "802.11 PSM on the packet MAC — when a standard beacon/TIM "
             "doze cycle is the right power-saving technique"
         ),
     )
-    register_scenario(
-        "psm-crossval", run_psm_crossval_scenario, psm_crossval_world
-    )
+    register_scenario("psm-crossval", spec_factory=presets.psm_crossval_world)
     register_scenario(
         "unap-hotspot",
-        run_unap_hotspot_scenario,
-        unap_hotspot_world,
+        spec_factory=presets.unap_hotspot_world,
         description=(
             "μNap micro-sleeps through overheard NAV reservations — when "
             "traffic is too chatty for PSM but the air is busy with "
@@ -227,8 +218,7 @@ def _register_builtins() -> None:
     )
     register_scenario(
         "pamas",
-        run_pamas_scenario,
-        pamas_world,
+        spec_factory=presets.pamas_world,
         description=(
             "PAMAS battery-level-driven independent sleep — when node "
             "lifetime matters more than reachability and there is no "
@@ -237,18 +227,15 @@ def _register_builtins() -> None:
     )
     register_scenario(
         "ecmac",
-        run_ecmac_scenario,
-        ecmac_world,
+        spec_factory=presets.ecmac_world,
         description=(
             "EC-MAC centrally scheduled doze windows — when a base "
             "station can broadcast exact transmission times and "
             "contention (and its energy waste) should be designed out"
         ),
     )
-    register_scenario(
-        "fleet-hotspot", run_fleet_hotspot_scenario, fleet_hotspot_world
-    )
-    register_scenario("city-grid", run_city_grid_scenario, city_grid_world)
+    register_scenario("fleet-hotspot", spec_factory=presets.fleet_hotspot_world)
+    register_scenario("city-grid", spec_factory=presets.city_grid_world)
 
 
 _register_builtins()

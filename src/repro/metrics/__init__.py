@@ -14,7 +14,6 @@ from repro.metrics.energy import ClientEnergyReport, EnergyBreakdown
 from repro.metrics.qos import DeadlineTracker, PlayoutBuffer, QosSummary
 from repro.metrics.timeline import render_schedule_timeline
 from repro.metrics.report import ascii_bar_chart, format_table
-from repro.metrics.replication import Replication, replicate
 
 __all__ = [
     "ClientEnergyReport",
@@ -22,9 +21,7 @@ __all__ = [
     "EnergyBreakdown",
     "PlayoutBuffer",
     "QosSummary",
-    "Replication",
     "ascii_bar_chart",
     "format_table",
     "render_schedule_timeline",
-    "replicate",
 ]

@@ -74,36 +74,6 @@ def unap_wlan_constants() -> RadioPowerConstants:
     return RadioPowerConstants.of_model(unap_wlan_card())
 
 
-@dataclass(frozen=True)
-class MicroDwellSummary:
-    """Compressed view of a radio's dwell histogram for μNap evidence.
-
-    A μNap run shows up as a large ``micro_doze_count`` (doze dwells
-    under 10 ms — a single NAV reservation is ~1 ms) that a PSM or CAM
-    run simply cannot produce: PSM doze dwells sit at beacon scale
-    (~100 ms) and CAM never dozes at all.
-    """
-
-    radio: str
-    #: state -> per-bucket dwell counts (see ``phy.radio.DWELL_BUCKETS_S``).
-    histograms: Dict[str, tuple]
-    #: Doze dwells shorter than ten milliseconds (intra-frame naps).
-    micro_doze_count: int
-    #: All completed doze dwells.
-    doze_count: int
-
-    @classmethod
-    def of(cls, radio: Radio) -> "MicroDwellSummary":
-        histograms = radio.dwell_histograms()
-        doze = histograms.get("doze", ())
-        return cls(
-            radio=radio.name,
-            histograms=histograms,
-            micro_doze_count=sum(doze[:3]),
-            doze_count=sum(doze),
-        )
-
-
 @dataclass
 class EnergyBreakdown:
     """Snapshot of one radio's consumption over an observation window."""

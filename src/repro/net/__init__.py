@@ -10,7 +10,7 @@ admissions to the least-loaded covering cell, and the
 :class:`HandoffController` roams clients between cells (with hysteresis
 and seeded, deterministic latencies) without QoS underruns.
 
-:func:`run_fleet_hotspot_scenario` wires it all into the canonical
+:func:`repro.build.presets.fleet_hotspot_world` describes the canonical
 fleet experiment (a corridor of cells, a population of random-waypoint
 walkers), registered as ``fleet-hotspot`` in :mod:`repro.exp.scenarios`.
 """
@@ -18,7 +18,6 @@ walkers), registered as ``fleet-hotspot`` in :mod:`repro.exp.scenarios`.
 from repro.net.association import AssociationManager
 from repro.net.fleet import DEFAULT_CAPACITY_BPS, Cell, FleetCoordinator
 from repro.net.handoff import HandoffController
-from repro.net.scenario import run_city_grid_scenario, run_fleet_hotspot_scenario
 from repro.net.topology import (
     BLUETOOTH_LINK_BUDGET,
     WLAN_LINK_BUDGET,
@@ -42,6 +41,4 @@ __all__ = [
     "WLAN_LINK_BUDGET",
     "grid_deployment",
     "linear_deployment",
-    "run_city_grid_scenario",
-    "run_fleet_hotspot_scenario",
 ]

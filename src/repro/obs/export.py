@@ -282,24 +282,3 @@ def radio_dwell_table(
     return format_table(
         ["radio", "state", "time (s)", "power (W)"], rows, title=title
     )
-
-
-def radio_dwell_histogram_table(
-    radios: Dict[str, Radio], title: str = "Dwell-duration histograms"
-) -> str:
-    """Per-radio, per-state dwell-duration histogram table.
-
-    One row per (radio, state) with a count column per duration bucket —
-    the full μNap-style dwell evidence: μNap runs put their doze dwells
-    in the sub-millisecond buckets, PSM runs in the ~100 ms bucket, and
-    CAM runs have no doze rows at all.
-    """
-    from repro.phy.radio import DWELL_BUCKET_LABELS
-
-    rows: List[List[object]] = []
-    for name, radio in radios.items():
-        for state, histogram in radio.dwell_histograms().items():
-            rows.append([name, state, *histogram, sum(histogram)])
-    return format_table(
-        ["radio", "state", *DWELL_BUCKET_LABELS, "total"], rows, title=title
-    )

@@ -24,7 +24,7 @@ from repro.obs.profiler import KernelProfiler
 from repro.obs.timeseries import TimeseriesRecorder, TimeseriesWriter
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.scenario import ScenarioResult
+    from repro.core.outcome import ScenarioResult
     from repro.sim.core import Simulator
 
 

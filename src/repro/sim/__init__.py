@@ -24,19 +24,13 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.core import Simulator, SimulationError
 from repro.sim.resources import Resource, Store, PriorityStore
-from repro.sim.stats import (
-    Histogram,
-    RunningStat,
-    TimeSeries,
-    TimeWeightedStat,
-)
+from repro.sim.stats import RunningStat, TimeSeries, TimeWeightedStat
 from repro.sim.streams import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Histogram",
     "Interrupt",
     "PriorityStore",
     "Process",

@@ -5,8 +5,11 @@
   by how long each value was held.  This is how average *power* is computed
   from a power-state trace, so it is the numerically sensitive heart of the
   reproduction.
-- :class:`Histogram` — fixed-bin histogram with out-of-range counters.
 - :class:`TimeSeries` — append-only (time, value) trace for timelines.
+
+Distributions are summarised by
+:class:`repro.obs.metrics.StreamingHistogram` (P² quantiles, no fixed
+bins).
 """
 
 from __future__ import annotations
@@ -162,64 +165,6 @@ class TimeWeightedStat:
         """Length of the observation window."""
         end = self._last_time if now is None else float(now)
         return end - self._start
-
-
-class Histogram:
-    """Fixed-width-bin histogram over ``[low, high)``.
-
-    Values outside the range land in ``underflow`` / ``overflow``.
-    """
-
-    def __init__(self, low: float, high: float, bins: int) -> None:
-        if high <= low:
-            raise ValueError(f"need high > low, got [{low}, {high})")
-        if bins < 1:
-            raise ValueError(f"need at least one bin, got {bins}")
-        self.low = float(low)
-        self.high = float(high)
-        self.bins = bins
-        self._width = (self.high - self.low) / bins
-        self.counts = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
-
-    def add(self, value: float) -> None:
-        if value < self.low:
-            self.underflow += 1
-        elif value >= self.high:
-            self.overflow += 1
-        else:
-            index = int((value - self.low) / self._width)
-            # Guard the exact-high edge from float rounding.
-            self.counts[min(index, self.bins - 1)] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def bin_edges(self) -> list[float]:
-        """The ``bins + 1`` edges of the histogram."""
-        return [self.low + i * self._width for i in range(self.bins + 1)]
-
-    def quantile(self, q: float) -> float:
-        """Approximate in-range quantile (bin upper edge); 0 <= q <= 1.
-
-        ``q=0`` is the distribution's floor and always reports ``low``:
-        walking the bins with a ``cumulative >= 0`` test would return the
-        first bin's upper edge even when that bin is empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        in_range = sum(self.counts)
-        target = q * in_range
-        if in_range == 0 or target == 0.0:
-            return self.low
-        cumulative = 0
-        for i, count in enumerate(self.counts):
-            cumulative += count
-            if cumulative >= target:
-                return self.low + (i + 1) * self._width
-        return self.high
 
 
 class TimeSeries:

@@ -14,7 +14,7 @@ from repro.build import (
     uniform_nodes,
 )
 from repro.core.outcome import VOLATILE_TIMING_FIELDS
-from repro.exp import dumps_strict
+from repro.exp import dumps_strict, get_scenario
 from repro.faults import FaultPlan
 
 
@@ -136,9 +136,7 @@ class TestCustomWorlds:
         record = WorldBuilder(spec).run().summary_record()
         assert record["experiment"] == "e1"
 
-    def test_shim_matches_builder_direct(self):
-        from repro.core.scenario import run_hotspot_scenario
-
-        via_shim = run_hotspot_scenario(n_clients=2, duration_s=5.0, seed=3)
+    def test_registry_runner_matches_builder_direct(self):
+        via_registry = get_scenario("hotspot")(n_clients=2, duration_s=5.0, seed=3)
         via_builder = WorldBuilder(_short_hotspot()).run()
-        assert _pinned(via_shim) == _pinned(via_builder)
+        assert _pinned(via_registry) == _pinned(via_builder)

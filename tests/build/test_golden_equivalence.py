@@ -3,8 +3,8 @@
 The files under ``tests/build/golden/`` hold ``dumps_strict``-serialised
 ``summary_record()`` strings captured from the pre-``repro.build``
 scenario runners at pinned parameters and seeds.  These tests re-run
-every registered scenario through the current code path (thin shims →
-``WorldBuilder``) and require the output to match **byte for byte** —
+every registered scenario through the current code path (registry
+runnables derived from the presets → ``WorldBuilder``) and require the output to match **byte for byte** —
 any drift means world assembly changed behaviour, not just shape.
 
 Regenerate intentionally with ``python scripts/make_goldens.py`` only

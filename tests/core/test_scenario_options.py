@@ -2,22 +2,27 @@
 
 import pytest
 
-from repro.core import run_hotspot_scenario, run_unscheduled_scenario
+from repro.build import WorldBuilder
+from repro.build.presets import hotspot_world, unscheduled_world
 from repro.core.scheduling import WeightedFairScheduler
 
 
 def test_scheduler_object_accepted():
-    result = run_hotspot_scenario(
-        n_clients=1, duration_s=15.0, scheduler=WeightedFairScheduler()
-    )
+    result = WorldBuilder(
+        hotspot_world(
+            n_clients=1, duration_s=15.0, scheduler=WeightedFairScheduler()
+        )
+    ).run()
     assert result.label == "hotspot[wfq]"
     assert result.clients[0].bursts > 0
 
 
 def test_wlan_only_configuration():
-    result = run_hotspot_scenario(
-        n_clients=2, duration_s=20.0, interfaces=("wlan",)
-    )
+    result = WorldBuilder(
+        hotspot_world(
+            n_clients=2, duration_s=20.0, interfaces=("wlan",)
+        )
+    ).run()
     assert all(
         name == "wlan"
         for client in result.clients
@@ -27,9 +32,11 @@ def test_wlan_only_configuration():
 
 
 def test_bluetooth_only_configuration():
-    result = run_hotspot_scenario(
-        n_clients=2, duration_s=20.0, interfaces=("bluetooth",)
-    )
+    result = WorldBuilder(
+        hotspot_world(
+            n_clients=2, duration_s=20.0, interfaces=("bluetooth",)
+        )
+    ).run()
     used = {name for c in result.clients for _t, name in c.interface_log}
     assert used == {"bluetooth"}
 
@@ -37,9 +44,11 @@ def test_bluetooth_only_configuration():
 def test_zero_prefetch_still_works():
     """Without proxy prefetch, bursts shrink to the prebuffer scale but
     streaming must still hold together."""
-    result = run_hotspot_scenario(
-        n_clients=1, duration_s=30.0, server_prefetch_s=0.0
-    )
+    result = WorldBuilder(
+        hotspot_world(
+            n_clients=1, duration_s=30.0, server_prefetch_s=0.0
+        )
+    ).run()
     client = result.clients[0]
     assert client.bytes_received > 0
     # Bursts are much smaller without prefetch.
@@ -48,8 +57,8 @@ def test_zero_prefetch_still_works():
 
 
 def test_prefetch_increases_burst_size():
-    small = run_hotspot_scenario(n_clients=1, duration_s=30.0, server_prefetch_s=0.0)
-    large = run_hotspot_scenario(n_clients=1, duration_s=30.0, server_prefetch_s=30.0)
+    small = WorldBuilder(hotspot_world(n_clients=1, duration_s=30.0, server_prefetch_s=0.0)).run()
+    large = WorldBuilder(hotspot_world(n_clients=1, duration_s=30.0, server_prefetch_s=30.0)).run()
 
     def mean_burst(result):
         c = result.clients[0]
@@ -59,24 +68,26 @@ def test_prefetch_increases_burst_size():
 
 
 def test_higher_bitrate_stream():
-    result = run_hotspot_scenario(
-        n_clients=1, duration_s=20.0, bitrate_bps=320_000.0
-    )
+    result = WorldBuilder(
+        hotspot_world(
+            n_clients=1, duration_s=20.0, bitrate_bps=320_000.0
+        )
+    ).run()
     assert result.qos_maintained()
     expected = 320_000 / 8 * 20.0
     assert result.clients[0].bytes_received == pytest.approx(expected, rel=0.25)
 
 
 def test_unscheduled_bluetooth_duty_reflects_rate():
-    low = run_unscheduled_scenario("bluetooth", n_clients=1, duration_s=20.0,
-                                   bitrate_bps=64_000.0)
-    high = run_unscheduled_scenario("bluetooth", n_clients=1, duration_s=20.0,
-                                    bitrate_bps=256_000.0)
+    low = WorldBuilder(unscheduled_world("bluetooth", n_clients=1, duration_s=20.0,
+                                   bitrate_bps=64_000.0)).run()
+    high = WorldBuilder(unscheduled_world("bluetooth", n_clients=1, duration_s=20.0,
+                                    bitrate_bps=256_000.0)).run()
     assert high.mean_wnic_power_w() > low.mean_wnic_power_w()
 
 
 def test_energy_reports_have_all_radios():
-    result = run_hotspot_scenario(n_clients=2, duration_s=15.0)
+    result = WorldBuilder(hotspot_world(n_clients=2, duration_s=15.0)).run()
     for client in result.clients:
         assert len(client.energy.radios) == 2  # bluetooth + wlan
         assert client.energy.total_average_power_w() > 0
@@ -85,6 +96,6 @@ def test_energy_reports_have_all_radios():
 def test_seed_changes_nothing_for_deterministic_workload():
     """CBR MP3 + deterministic scheduling: seeds only touch unused RNG
     streams, so results coincide — documenting the determinism boundary."""
-    a = run_hotspot_scenario(n_clients=1, duration_s=15.0, seed=1)
-    b = run_hotspot_scenario(n_clients=1, duration_s=15.0, seed=2)
+    a = WorldBuilder(hotspot_world(n_clients=1, duration_s=15.0, seed=1)).run()
+    b = WorldBuilder(hotspot_world(n_clients=1, duration_s=15.0, seed=2)).run()
     assert a.mean_wnic_power_w() == b.mean_wnic_power_w()

@@ -8,8 +8,8 @@ figure, and identical seeds give byte-identical results.
 
 import pytest
 
-from repro.core import run_faulty_hotspot_scenario
-from repro.core.scenario import run_unscheduled_scenario
+from repro.build import WorldBuilder
+from repro.build.presets import faulty_hotspot_world, unscheduled_world
 from repro.metrics.energy import wnic_power_saving_fraction
 
 
@@ -22,7 +22,7 @@ def faulty(**overrides):
         seed=0,
     )
     kwargs.update(overrides)
-    return run_faulty_hotspot_scenario(**kwargs)
+    return WorldBuilder(faulty_hotspot_world(**kwargs)).run()
 
 
 class TestFailover:
@@ -47,9 +47,11 @@ class TestFailover:
             assert outcome.qos.underruns == 0
 
     def test_power_saving_within_five_points_of_healthy(self):
-        unsched = run_unscheduled_scenario(
-            "wlan", n_clients=2, duration_s=60.0, seed=0
-        )
+        unsched = WorldBuilder(
+            unscheduled_world(
+                "wlan", n_clients=2, duration_s=60.0, seed=0
+            )
+        ).run()
         # Same WLAN-first configuration, no faults: the comparison
         # isolates what the outage costs, not the interface preference.
         healthy = faulty(outage_duration_s=0.0)

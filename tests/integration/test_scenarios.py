@@ -7,11 +7,8 @@ system and both baselines and assert the *shape* of the paper's results
 
 import pytest
 
-from repro.core import (
-    run_hotspot_scenario,
-    run_psm_baseline_scenario,
-    run_unscheduled_scenario,
-)
+from repro.build import WorldBuilder
+from repro.build.presets import hotspot_world, psm_baseline_world, unscheduled_world
 from repro.metrics import render_schedule_timeline
 from repro.metrics.energy import wnic_power_saving_fraction
 
@@ -20,20 +17,22 @@ DURATION = 60.0
 
 @pytest.fixture(scope="module")
 def unscheduled_wlan():
-    return run_unscheduled_scenario("wlan", duration_s=DURATION)
+    return WorldBuilder(unscheduled_world("wlan", duration_s=DURATION)).run()
 
 
 @pytest.fixture(scope="module")
 def unscheduled_bt():
-    return run_unscheduled_scenario("bluetooth", duration_s=DURATION)
+    return WorldBuilder(unscheduled_world("bluetooth", duration_s=DURATION)).run()
 
 
 @pytest.fixture(scope="module")
 def hotspot():
-    return run_hotspot_scenario(
-        duration_s=DURATION,
-        bluetooth_quality_script=[(0.0, 1.0), (45.0, 0.2)],
-    )
+    return WorldBuilder(
+        hotspot_world(
+            duration_s=DURATION,
+            bluetooth_quality_script=[(0.0, 1.0), (45.0, 0.2)],
+        )
+    ).run()
 
 
 class TestBaselines:
@@ -100,8 +99,8 @@ class TestHotspotHeadline:
         assert max(received) - min(received) < 0.2 * max(received)
 
     def test_deterministic_for_fixed_seed(self):
-        a = run_hotspot_scenario(duration_s=20.0, seed=5)
-        b = run_hotspot_scenario(duration_s=20.0, seed=5)
+        a = WorldBuilder(hotspot_world(duration_s=20.0, seed=5)).run()
+        b = WorldBuilder(hotspot_world(duration_s=20.0, seed=5)).run()
         assert a.mean_wnic_power_w() == b.mean_wnic_power_w()
         assert [c.bursts for c in a.clients] == [c.bursts for c in b.clients]
 
@@ -109,7 +108,7 @@ class TestHotspotHeadline:
 class TestPsmBaseline:
     @pytest.fixture(scope="class")
     def psm(self):
-        return run_psm_baseline_scenario(duration_s=30.0)
+        return WorldBuilder(psm_baseline_world(duration_s=30.0)).run()
 
     def test_psm_sits_between_extremes(self, psm, unscheduled_wlan, hotspot):
         psm_power = psm.mean_wnic_power_w()
@@ -156,10 +155,10 @@ class TestFigure1Timeline:
 class TestScenarioValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            run_hotspot_scenario(n_clients=0)
+            WorldBuilder(hotspot_world(n_clients=0)).run()
         with pytest.raises(ValueError):
-            run_hotspot_scenario(duration_s=0.0)
+            WorldBuilder(hotspot_world(duration_s=0.0)).run()
         with pytest.raises(ValueError):
-            run_unscheduled_scenario("zigbee")
+            WorldBuilder(unscheduled_world("zigbee")).run()
         with pytest.raises(ValueError):
-            run_hotspot_scenario(interfaces=())
+            WorldBuilder(hotspot_world(interfaces=())).run()

@@ -1,73 +1,19 @@
-"""Tests for the replication / confidence-interval helper."""
+"""Seed-replication confidence intervals (``exp.aggregate.FieldStats``)."""
 
 import pytest
 
-from repro.metrics import Replication, replicate
+from repro.exp.aggregate import FieldStats
 
 
 class TestReplication:
-    def test_mean_and_stdev(self):
-        rep = Replication("x", [1.0, 2.0, 3.0, 4.0])
-        assert rep.mean == pytest.approx(2.5)
-        assert rep.stdev == pytest.approx(1.2909944, rel=1e-6)
-        assert rep.n == 4
-
     def test_ci_uses_student_t(self):
-        rep = Replication("x", [1.0, 2.0, 3.0, 4.0])
+        stats = FieldStats.of([1.0, 2.0, 3.0, 4.0])
         # t(3 dof, 95%) = 3.182; half = 3.182 * s / sqrt(4)
-        expected = 3.182 * rep.stdev / 2.0
-        assert rep.ci95_half_width == pytest.approx(expected, rel=1e-4)
-        low, high = rep.interval()
-        assert low < rep.mean < high
-
-    def test_single_sample_has_zero_interval(self):
-        rep = Replication("x", [5.0])
-        assert rep.ci95_half_width == 0.0
-        assert rep.stdev == 0.0
+        expected = 3.182 * stats.stdev / 2.0
+        assert stats.ci95 == pytest.approx(expected, rel=1e-4)
+        assert stats.mean - stats.ci95 < stats.mean < stats.mean + stats.ci95
 
     def test_large_n_uses_normal_approximation(self):
-        rep = Replication("x", [float(i % 5) for i in range(100)])
-        expected = 1.960 * rep.stdev / 10.0
-        assert rep.ci95_half_width == pytest.approx(expected, rel=1e-4)
-
-    def test_str_rendering(self):
-        text = str(Replication("power", [1.0, 1.2]))
-        assert "power" in text and "n=2" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Replication("x", [])
-
-
-class TestReplicate:
-    def test_collates_by_metric(self):
-        results = replicate(
-            lambda seed: {"a": seed, "b": seed * 2.0}, seeds=[1, 2, 3]
-        )
-        assert results["a"].samples == [1.0, 2.0, 3.0]
-        assert results["b"].mean == pytest.approx(4.0)
-
-    def test_mismatched_metric_names_rejected(self):
-        def experiment(seed):
-            return {"a": 1.0} if seed == 0 else {"b": 1.0}
-
-        with pytest.raises(ValueError, match="reported metrics"):
-            replicate(experiment, seeds=[0, 1])
-
-    def test_no_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            replicate(lambda seed: {"a": 1.0}, seeds=[])
-
-    def test_empty_metrics_rejected(self):
-        with pytest.raises(ValueError):
-            replicate(lambda seed: {}, seeds=[1])
-
-    def test_interval_shrinks_with_more_seeds(self):
-        def experiment(seed):
-            import random
-
-            return {"x": random.Random(seed).gauss(10.0, 1.0)}
-
-        few = replicate(experiment, seeds=range(3))["x"]
-        many = replicate(experiment, seeds=range(30))["x"]
-        assert many.ci95_half_width < few.ci95_half_width
+        stats = FieldStats.of([float(i % 5) for i in range(100)])
+        expected = 1.960 * stats.stdev / 10.0
+        assert stats.ci95 == pytest.approx(expected, rel=1e-4)

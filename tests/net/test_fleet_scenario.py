@@ -4,10 +4,16 @@ import json
 
 import pytest
 
-from repro.core import run_hotspot_scenario, run_unscheduled_scenario
+from repro.__main__ import main
+from repro.build import WorldBuilder
+from repro.build.presets import (
+    city_grid_world,
+    fleet_hotspot_world,
+    hotspot_world,
+    unscheduled_world,
+)
 from repro.exp import scenario_names
 from repro.metrics.energy import wnic_power_saving_fraction
-from repro.net import run_city_grid_scenario, run_fleet_hotspot_scenario
 from repro.obs import ObsSession
 
 
@@ -16,13 +22,13 @@ class TestAcceptance:
         # 4 APs, 24 roaming clients, 120 s: zero QoS underruns, and the
         # per-client WNIC saving stays within 5 points of the single-AP
         # hotspot baseline (both measured against unscheduled WLAN).
-        fleet = run_fleet_hotspot_scenario(seed=0)
+        fleet = WorldBuilder(fleet_hotspot_world(seed=0)).run()
         assert fleet.extras["handoffs"] > 0  # clients actually roam
         assert sum(c.qos.underruns for c in fleet.clients) == 0
         assert fleet.qos_maintained()
 
-        wlan = run_unscheduled_scenario("wlan", n_clients=3, duration_s=120.0)
-        single = run_hotspot_scenario(n_clients=3, duration_s=120.0)
+        wlan = WorldBuilder(unscheduled_world("wlan", n_clients=3, duration_s=120.0)).run()
+        single = WorldBuilder(hotspot_world(n_clients=3, duration_s=120.0)).run()
         baseline_saving = wnic_power_saving_fraction(
             wlan.mean_wnic_power_w(), single.mean_wnic_power_w()
         )
@@ -33,10 +39,10 @@ class TestAcceptance:
 
 
 class TestScenarioShape:
-    def run_small(self, **kwargs):
+    def run_small(self, obs=None, **kwargs):
         defaults = dict(n_clients=6, n_aps=2, duration_s=20.0, seed=0)
         defaults.update(kwargs)
-        return run_fleet_hotspot_scenario(**defaults)
+        return WorldBuilder(fleet_hotspot_world(**defaults)).run(obs=obs)
 
     def test_registered_for_campaigns(self):
         assert "fleet-hotspot" in scenario_names()
@@ -86,11 +92,11 @@ class TestScenarioShape:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_fleet_hotspot_scenario(n_clients=0)
+            WorldBuilder(fleet_hotspot_world(n_clients=0)).run()
         with pytest.raises(ValueError):
-            run_fleet_hotspot_scenario(n_aps=0)
+            WorldBuilder(fleet_hotspot_world(n_aps=0)).run()
         with pytest.raises(ValueError):
-            run_fleet_hotspot_scenario(duration_s=0.0)
+            WorldBuilder(fleet_hotspot_world(duration_s=0.0)).run()
 
 
 class TestCityGridScenario:
@@ -99,7 +105,7 @@ class TestCityGridScenario:
             n_clients=12, grid_rows=2, grid_cols=2, duration_s=20.0, seed=0
         )
         defaults.update(kwargs)
-        return run_city_grid_scenario(**defaults)
+        return WorldBuilder(city_grid_world(**defaults)).run()
 
     def test_registered_for_campaigns(self):
         assert "city-grid" in scenario_names()
@@ -124,6 +130,22 @@ class TestCityGridScenario:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_city_grid_scenario(n_clients=0)
+            WorldBuilder(city_grid_world(n_clients=0)).run()
         with pytest.raises(ValueError):
-            run_city_grid_scenario(grid_rows=0)
+            WorldBuilder(city_grid_world(grid_rows=0)).run()
+
+
+class TestFleetCli:
+    def test_classic_and_sharded_runs_print_the_same_rows(self, capsys):
+        argv = ["fleet", "--clients", "8", "--aps", "2", "--duration", "10"]
+        outputs = []
+        for extra in ([], ["--shards", "1"]):
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+        classic, sharded = outputs
+        # The titles name the run mode; every row under them must agree.
+        assert classic[0].startswith("Fleet fleet-hotspot[edf] (2 APs, 8 clients")
+        assert sharded[0].startswith("Sharded fleet fleet-hotspot[edf]")
+        assert classic[1:] == sharded[1:]
+        cells = [line.split()[0] for line in classic if line.startswith("ap")]
+        assert cells == ["ap0", "ap1"]

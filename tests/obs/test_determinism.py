@@ -1,19 +1,21 @@
 """Determinism guarantees: seeded runs produce byte-identical traces."""
 
-from repro.core.scenario import run_hotspot_scenario
+from repro.build import WorldBuilder
+from repro.build.presets import hotspot_world
 from repro.obs import ObsSession, TraceBus
 
 
 def trace_hotspot(path, seed, duration_s=20.0):
     with ObsSession(trace_path=str(path)) as obs:
         obs.begin_run("hotspot")
-        run_hotspot_scenario(
-            n_clients=2,
-            duration_s=duration_s,
-            bluetooth_quality_script=[(0.0, 1.0), (8.0, 0.2)],
-            seed=seed,
-            obs=obs,
-        )
+        WorldBuilder(
+            hotspot_world(
+                n_clients=2,
+                duration_s=duration_s,
+                bluetooth_quality_script=[(0.0, 1.0), (8.0, 0.2)],
+                seed=seed,
+            )
+        ).run(obs=obs)
     return path.read_bytes()
 
 
@@ -36,7 +38,7 @@ class TestDisabledBus:
         bus = TraceBus(enabled=False)
         calls = []
         bus.subscribe(calls.append)
-        run_hotspot_scenario(n_clients=1, duration_s=5.0)
+        WorldBuilder(hotspot_world(n_clients=1, duration_s=5.0)).run()
         # The scenario above never saw the bus; emit directly too.
         bus.emit("phy", "radio", "state")
         assert bus.emitted == 0
@@ -44,6 +46,6 @@ class TestDisabledBus:
         assert calls == []
 
     def test_scenario_without_obs_emits_nothing(self):
-        result = run_hotspot_scenario(n_clients=1, duration_s=5.0)
+        result = WorldBuilder(hotspot_world(n_clients=1, duration_s=5.0)).run()
         for radio in result.radios.values():
             assert not radio.sim.trace.enabled

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.core.scenario import run_hotspot_scenario
+from repro.build import WorldBuilder
+from repro.build.presets import hotspot_world
 from repro.obs import ObsSession, TimeseriesRecorder, TimeseriesWriter, read_timeseries
 from repro.obs.timeseries import KERNEL_COLUMNS
 from repro.sim import Simulator
@@ -120,9 +121,9 @@ class TestScenarioIntegration:
             timeseries_path=str(path), timeseries_interval_s=1.0
         ) as obs:
             obs.begin_run("ts/hotspot")
-            run_hotspot_scenario(
-                n_clients=2, duration_s=10.0, seed=seed, obs=obs
-            )
+            WorldBuilder(
+                hotspot_world(n_clients=2, duration_s=10.0, seed=seed)
+            ).run(obs=obs)
         return path
 
     def test_builder_registers_energy_and_sleep_probes(self, tmp_path):
@@ -164,13 +165,13 @@ class TestScenarioIntegration:
                 if k not in VOLATILE_TIMING_FIELDS and k != "sim_events"
             }
 
-        bare = run_hotspot_scenario(n_clients=2, duration_s=10.0, seed=0)
+        bare = WorldBuilder(hotspot_world(n_clients=2, duration_s=10.0, seed=0)).run()
         with ObsSession(
             timeseries_path=str(tmp_path / "s.jsonl")
         ) as obs:
-            sampled = run_hotspot_scenario(
-                n_clients=2, duration_s=10.0, seed=0, obs=obs
-            )
+            sampled = WorldBuilder(
+                hotspot_world(n_clients=2, duration_s=10.0, seed=0)
+            ).run(obs=obs)
         # Sampling schedules extra kernel events (sim_events moves) but
         # must never perturb scenario physics or QoS.
         assert pinned(bare) == pinned(sampled)

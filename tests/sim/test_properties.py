@@ -4,7 +4,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Histogram, RunningStat, Simulator, TimeWeightedStat
+from repro.sim import RunningStat, Simulator, TimeWeightedStat
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -113,22 +113,6 @@ def test_running_stat_matches_numpy_style_formulae(values):
     assert stat.variance == st_approx(var, rel=1e-6, abs_tol=1e-5)
     assert stat.min == min(values)
     assert stat.max == max(values)
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-10.0, max_value=20.0, allow_nan=False),
-        min_size=1,
-        max_size=300,
-    )
-)
-def test_histogram_conserves_count(values):
-    hist = Histogram(0.0, 10.0, bins=7)
-    for value in values:
-        hist.add(value)
-    assert hist.total == len(values)
-    in_range = sum(1 for v in values if 0.0 <= v < 10.0)
-    assert sum(hist.counts) == in_range
 
 
 @settings(max_examples=25)

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.sim import Histogram, RunningStat, TimeSeries, TimeWeightedStat
+from repro.sim import RunningStat, TimeSeries, TimeWeightedStat
 
 
 class TestRunningStat:
@@ -70,44 +70,6 @@ class TestTimeWeightedStat:
         assert stat.elapsed(now=20.0) == pytest.approx(10.0)
 
 
-class TestHistogram:
-    def test_values_land_in_bins(self):
-        hist = Histogram(0.0, 10.0, bins=10)
-        for value in (0.5, 1.5, 1.6, 9.99):
-            hist.add(value)
-        assert hist.counts[0] == 1
-        assert hist.counts[1] == 2
-        assert hist.counts[9] == 1
-        assert hist.total == 4
-
-    def test_out_of_range_values(self):
-        hist = Histogram(0.0, 1.0, bins=4)
-        hist.add(-0.1)
-        hist.add(1.0)  # high edge is exclusive
-        assert hist.underflow == 1
-        assert hist.overflow == 1
-        assert sum(hist.counts) == 0
-
-    def test_bin_edges(self):
-        hist = Histogram(0.0, 1.0, bins=4)
-        assert hist.bin_edges() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_quantile(self):
-        hist = Histogram(0.0, 100.0, bins=100)
-        for value in range(100):
-            hist.add(value + 0.5)
-        assert hist.quantile(0.5) == pytest.approx(50.0)
-        assert hist.quantile(0.99) == pytest.approx(99.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(1.0, 1.0, bins=4)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, bins=0)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, bins=4).quantile(1.5)
-
-
 class TestTimeSeries:
     def test_append_and_iterate(self):
         series = TimeSeries("power")
@@ -148,33 +110,6 @@ class TestTimeSeries:
     def test_last_on_empty_raises(self):
         with pytest.raises(IndexError):
             TimeSeries().last()
-
-
-class TestEdgeQuantiles:
-    def test_quantile_zero_returns_low(self):
-        hist = Histogram(0.0, 10.0, bins=10)
-        hist.add(5.0)
-        assert hist.quantile(0.0) == 0.0
-
-    def test_quantile_zero_with_leading_empty_bins(self):
-        hist = Histogram(0.0, 10.0, bins=10)
-        hist.add(9.5)
-        # q=0 must not report the (empty) first bin's upper edge.
-        assert hist.quantile(0.0) == 0.0
-
-    def test_quantile_one_returns_last_occupied_edge(self):
-        hist = Histogram(0.0, 10.0, bins=10)
-        hist.add(5.0)
-        assert hist.quantile(1.0) == 6.0
-
-    def test_interior_quantile_skips_leading_empty_bins(self):
-        hist = Histogram(0.0, 10.0, bins=10)
-        hist.add(7.5)
-        hist.add(7.5)
-        assert hist.quantile(0.5) == 8.0
-
-    def test_empty_histogram_quantile_is_low(self):
-        assert Histogram(2.0, 10.0, bins=4).quantile(0.5) == 2.0
 
 
 class TestEmptyRunningStat:
