@@ -421,9 +421,17 @@ class DcfStation:
         and virtual carrier sense (the NAV set by overheard RTS/CTS
         duration fields) must be clear.
 
-        This is the hottest generator in the simulator (one AnyOf race
-        per backoff slot), so everything it touches per slot is bound to
-        a local first and event state is read straight from the slots.
+        Each idle period is one race: a single timer covering the DIFS
+        plus the whole residual backoff against one ``wait_busy``.  When
+        the medium goes busy first, the whole slots that elapsed are
+        subtracted and the countdown freezes until the next idle period.
+
+        The instants match a slot-by-slot countdown exactly: the DIFS
+        ends at ``now + difs_s`` and each slot boundary is the previous
+        one plus ``slot_s`` (repeated float addition, never
+        ``now + n * slot_s``).  A busy edge exactly on the DIFS end
+        restarts the DIFS with every slot left; one exactly on a slot
+        boundary counts that slot as elapsed.
         """
         timing = self.timing
         backoff_slots = self.rng.randint(0, contention_window)
@@ -439,37 +447,30 @@ class DcfStation:
             )
         medium = self.medium
         address = self.address
-        wait_busy = medium.wait_busy
-        is_idle_for = medium.is_idle_for
-        any_of = _AnyOf
-        make_timeout = _Timeout
         slot_s = timing.slot_s
         difs_s = timing.difs_s
         while True:
-            if not is_idle_for(address):
+            if not medium.is_idle_for(address):
                 yield medium.wait_idle(address)
             now = sim._now
             if now < self._nav_until:
-                yield make_timeout(sim, self._nav_until - now)
+                yield _Timeout(sim, self._nav_until - now)
                 continue
-            # The channel must stay idle for a full DIFS.
-            busy = wait_busy(address)
-            difs = make_timeout(sim, difs_s)
-            yield any_of(sim, (difs, busy))
-            if busy._state == 2:  # processed: went busy during DIFS
-                continue
-            # Count the backoff down one slot at a time, freezing on busy.
-            interrupted = False
-            while backoff_slots > 0:
-                busy = wait_busy(address)
-                slot = make_timeout(sim, slot_s)
-                yield any_of(sim, (slot, busy))
-                if busy._state == 2:
-                    interrupted = True
+            difs_end = end = now + difs_s
+            for _ in range(backoff_slots):
+                end += slot_s
+            busy = medium.wait_busy(address)
+            yield _AnyOf(sim, (sim.bulk_timeouts((end,))[0], busy))
+            if busy._state != 2:  # not processed: the timer won
+                return
+            # Subtract the slots whose boundary is at or before the edge.
+            went_busy = sim._now
+            boundary = difs_end
+            while backoff_slots:
+                boundary += slot_s
+                if boundary > went_busy:
                     break
                 backoff_slots -= 1
-            if not interrupted:
-                return
 
     def _on_air(self, frame: Frame):
         """Put a frame on the medium, driving the radio's tx state."""

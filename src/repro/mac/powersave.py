@@ -29,7 +29,7 @@ Determinism rules (pinned by the golden-equivalence tests):
   verbatim event sequence the checked-in goldens pin.
 - Policy dispatch stays off the DCF hot path: a station without a
   policy (``power_policy=None``) takes exactly the pre-seam code path,
-  and the per-slot backoff loop in ``DcfStation._contention`` never
+  and the backoff countdown in ``DcfStation._contention`` never
   consults the policy.
 
 μNap (:class:`MicroNapPolicy`) follows Azcorra et al., *μNap: Practical

@@ -217,7 +217,8 @@ class Condition(Event):
         self._done_count = done
         if done >= self._needed:
             # Inlined succeed() + immediate schedule: this fires once per
-            # AnyOf race, which the MAC contention loop runs per slot.
+            # AnyOf race, which the MAC runs per idle backoff period and
+            # per ACK/CTS wait.
             self._state = _TRIGGERED
             self._value = {
                 e: e._value for e in self._events if e._state == _PROCESSED and e._ok

@@ -1,12 +1,16 @@
 """Tests for the DCF station: contention, ACKs, retries, energy hooks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import wlan_cf_card
-from repro.mac import DcfStation, Medium
-from repro.mac.frames import BROADCAST, Frame, FrameKind
+from repro.mac import DcfConfig, DcfStation, Medium
+from repro.mac.frames import BROADCAST, Dot11Timing, Frame, FrameKind
+from repro.mac.spatial import SpatialMedium
 from repro.phy import Radio
 from repro.sim import RandomStreams, Simulator
+from tests.mac.per_slot_reference import PerSlotDcfStation
 
 
 def make_pair(error_model=None, seed=0):
@@ -251,3 +255,234 @@ def test_dozing_radio_hears_nothing():
     sim.run()
     assert received == []
     assert a.frames_dropped == 1
+
+
+# -- single-timer backoff vs the per-slot reference ---------------------------
+
+TIMING = Dot11Timing()
+
+
+def _boundary(base: float, slots: int) -> float:
+    """Where a countdown started idle at ``base`` ends its DIFS + ``slots``.
+
+    Repeated float addition, exactly as the slot-by-slot chain lands.
+    """
+    instant = base + TIMING.difs_s
+    for _ in range(slots):
+        instant += TIMING.slot_s
+    return instant
+
+
+# An instant is a random float, or exactly on a DIFS/slot boundary of a
+# countdown that started idle at time 0 or at a station arrival
+# (``anchor`` indexes time 0 followed by the arrivals).
+instants = st.one_of(
+    st.tuples(st.just("at"), st.floats(0.0, 4e-3, allow_nan=False)),
+    st.tuples(st.just("on"), st.integers(0, 8), st.integers(0, 40)),
+)
+
+contention_worlds = st.fixed_dictionaries(
+    {
+        "n_stations": st.integers(1, 5),
+        "spatial": st.booleans(),
+        "hidden": st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4))),
+        "rts": st.booleans(),
+        "seed": st.integers(0, 2**16),
+        # (instant, source index, destination index, payload bytes); a
+        # destination index of n_stations or more means broadcast.
+        "arrivals": st.lists(
+            st.tuples(
+                instants,
+                st.integers(0, 4),
+                st.integers(0, 5),
+                st.sampled_from([40, 300, 700, 1500]),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        # Broadcasts put straight on the air by a non-contending
+        # interferer at exact instants, the way no DCF station would.
+        "injections": st.lists(
+            st.tuples(instants, st.sampled_from([40, 300])), max_size=3
+        ),
+    }
+)
+
+
+def _resolve(instant, anchors):
+    if instant[0] == "at":
+        return instant[1]
+    _, anchor, slots = instant
+    return _boundary(anchors[anchor % len(anchors)], slots)
+
+
+def _run_contention_world(station_cls, world):
+    """One small contention world; returns what it did and the reference's
+    counted-through instants (empty for the single-timer station)."""
+    n = world["n_stations"]
+    sim = Simulator()
+    if world["spatial"]:
+        hidden = {frozenset(pair) for pair in world["hidden"]}
+
+        def audible(source, listener):
+            if source == listener or "x" in (source, listener):
+                return True  # the interferer is heard everywhere
+            return frozenset((int(source[1:]), int(listener[1:]))) not in hidden
+
+        medium = SpatialMedium(sim, audibility=audible)
+    else:
+        medium = Medium(sim)
+    streams = RandomStreams(seed=world["seed"])
+    config = DcfConfig(rts_threshold_bytes=500 if world["rts"] else None)
+    stations = [
+        station_cls(
+            sim, medium, f"s{i}", rng=streams.stream(f"s{i}"), config=config
+        )
+        for i in range(n)
+    ]
+    starts = []
+    transmit = medium.transmit
+
+    def recording_transmit(frame):
+        starts.append(
+            (sim.now, frame.source, frame.destination, frame.kind.value,
+             frame.payload_bytes)
+        )
+        return transmit(frame)
+
+    medium.transmit = recording_transmit
+
+    anchors = [0.0]
+    for instant, *_ in world["arrivals"]:
+        anchors.append(_resolve(instant, anchors))
+    arrivals = sorted(zip(anchors[1:], world["arrivals"]), key=lambda a: a[0])
+    injections = sorted(
+        (_resolve(instant, anchors), size) for instant, size in world["injections"]
+    )
+    outcomes = []
+
+    def traffic(sim):
+        timers = sim.bulk_timeouts([when for when, _ in arrivals])
+        for index, (timer, (_when, (_instant, source, destination, size))) in (
+            enumerate(zip(timers, arrivals))
+        ):
+            yield timer
+            sender = stations[source % n]
+            if destination >= n:
+                target = BROADCAST
+            elif destination % n == source % n:
+                target = "ghost"  # unregistered: every attempt goes unacked
+            else:
+                target = f"s{destination % n}"
+            done = sender.send(target, size)
+            done.callbacks.append(
+                lambda event, index=index: outcomes.append(
+                    (sim.now, index, event.value)
+                )
+            )
+
+    def interferer(sim):
+        timers = sim.bulk_timeouts([when for when, _ in injections])
+        for timer, (_when, size) in zip(timers, injections):
+            yield timer
+            medium.transmit(Frame(FrameKind.DATA, "x", BROADCAST, payload_bytes=size))
+
+    sim.process(interferer(sim))
+    sim.process(traffic(sim))
+    sim.run()
+    # Stations that finish their backoff at the same instant may start
+    # in either order (the single timer is armed earlier than the last
+    # per-slot timer would be); they collide either way, so the starts
+    # and completions are compared as sorted lists.  The medium's
+    # busy_time_s is left out: it sums the same airtimes in start order,
+    # so such a swap can move its last bit.
+    observed = {
+        "starts": sorted(starts),
+        "outcomes": sorted(outcomes),
+        "medium": (
+            medium.frames_sent,
+            medium.frames_delivered,
+            medium.frames_collided,
+        ),
+        "stations": [
+            (
+                s.frames_delivered,
+                s.frames_dropped,
+                s.retransmissions,
+                s.bytes_sent,
+                s.bytes_received,
+                s.rts_sent,
+                s.cts_received,
+            )
+            for s in stations
+        ],
+    }
+    counted_through = [
+        instant for s in stations for instant in getattr(s, "counted_through", ())
+    ]
+    return observed, counted_through
+
+
+@given(contention_worlds)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_single_timer_backoff_matches_per_slot_reference(world):
+    reference, counted_through = _run_contention_world(PerSlotDcfStation, world)
+    if counted_through:
+        # The reference counted past a busy edge it had already lost;
+        # the single-timer countdown freezes there instead (pinned by
+        # test_busy_edge_triggered_before_a_slot_end_freezes_the_countdown).
+        return
+    observed, _ = _run_contention_world(DcfStation, world)
+    assert observed == reference
+
+
+class _FixedDraw:
+    """A backoff "stream" that always draws the same slot count."""
+
+    def __init__(self, slots):
+        self.slots = slots
+
+    def randint(self, low, high):
+        return self.slots
+
+
+@pytest.mark.parametrize("station_cls", [DcfStation, PerSlotDcfStation])
+def test_busy_edge_triggered_before_a_slot_end_freezes_the_countdown(station_cls):
+    """A transmission started at a slot end by a timer armed earlier than
+    the station's own slot timer: the busy edge is triggered, but not yet
+    processed, when the station resumes at that slot end."""
+    sim = Simulator()
+    medium = Medium(sim)
+    a = station_cls(sim, medium, "a", rng=_FixedDraw(5))
+    station_cls(sim, medium, "b", rng=_FixedDraw(0))
+    interference = Frame(FrameKind.DATA, "x", BROADCAST, payload_bytes=300)
+    edge = _boundary(0.0, 2)
+    starts = []
+    transmit = medium.transmit
+
+    def recording_transmit(frame):
+        starts.append((sim.now, frame.source))
+        return transmit(frame)
+
+    medium.transmit = recording_transmit
+
+    def interferer(sim):
+        yield sim.bulk_timeouts([edge])[0]
+        yield medium.transmit(interference)
+
+    sim.process(interferer(sim))
+    a.send("b", 100)
+    sim.run()
+    idle_again = edge + interference.airtime_s(TIMING)
+    if station_cls is DcfStation:
+        # Two slots elapsed (the one ending on the edge counts); the
+        # other three run after a fresh DIFS once the air is idle again.
+        assert starts[:2] == [(edge, "x"), (_boundary(idle_again, 3), "a")]
+        assert medium.frames_collided == 0
+    else:
+        # The reference re-arms its busy wait after the medium flushed
+        # the waiter list, counts all five slots through the
+        # interference and collides with it.
+        assert a.counted_through == [edge]
+        assert starts[:2] == [(edge, "x"), (_boundary(0.0, 5), "a")]
+        assert medium.frames_collided == 2
