@@ -35,12 +35,14 @@ DEFAULT_FLOOR_EVENTS_PER_S = 10_000.0
 
 #: Per-scenario floors overriding the default where the workload is
 #: long enough to measure reliably.  psm-baseline dominates the bench
-#: (~0.2 M events per 30 s simulated, 1.3-1.6 s wall) and sustains
-#: ~125-150 k events/s on a 2-vCPU Xeon VM with Python 3.11 (three runs
+#: (~148 k events per 30 s simulated, 1.2-1.3 s wall) and sustains
+#: ~113-124 k events/s on a 2-vCPU Xeon VM with Python 3.11 (three runs
 #: of ``bench_kernel.py``), so even a pessimistic CI box clears 30 k.
-#: Events/s fell from ~180 k when the DCF backoff stopped scheduling
-#: three events per idle slot: each event now does more useful work, and
-#: the same 30 s run takes half the wall time.
+#: Events/s has fallen twice as the same run got cheaper: from ~180 k
+#: when the DCF backoff stopped scheduling three events per idle slot,
+#: and from ~110-145 k (~202 k events, 1.4-1.8 s) when radio
+#: transitions and frame transmissions stopped spawning a process each.
+#: Each remaining event does more useful work.
 SCENARIO_FLOORS = {
     "psm-baseline": 30_000.0,
 }

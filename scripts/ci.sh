@@ -25,6 +25,21 @@ echo "== e2e benchmark drivers =="
 # through the scenario registry) on trimmed workloads.
 python -m pytest benchmarks/e2e -q
 
+echo "== e2e benchmark digest gate =="
+# Full-size psm-downlink and unap-uplink at seed 0: each run's summary
+# must hash to its pinned digest in benchmarks/e2e/expected/.
+digest_line="$(python benchmarks/e2e/run.py --workload psm-downlink \
+  --workload unap-uplink --repeats 1 --trace 0 --seed 0 | tail -n 1)"
+python - "$digest_line" <<'EOF'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"digest gate: expected correct=true, failed=0: {sys.argv[1][:200]}")
+print(f"digests ok: {result['attempted']} runs match benchmarks/e2e/expected")
+EOF
+
 echo "== trace smoke check =="
 trace_file="$(mktemp /tmp/repro-trace.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file"' EXIT

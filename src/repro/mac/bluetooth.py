@@ -109,7 +109,7 @@ class BluetoothLink:
     # -- mode control -------------------------------------------------------------
 
     def set_mode(self, mode: str):
-        """Move the link to ``mode``; yield the returned process to wait.
+        """Move the link to ``mode``; yield the returned event to wait.
 
         Valid targets are the low-power modes plus ``active`` and ``off``.
         """

@@ -9,9 +9,10 @@ A single-channel broadcast medium with carrier sensing and collisions:
   (plugging in :class:`repro.phy.channel.GilbertElliottChannel` or a
   BER-based model).
 
-Stations interact through three primitives: :meth:`Medium.transmit` (a
-process occupying the channel for the frame's airtime), and the carrier-
-sense events :meth:`wait_idle` / :meth:`wait_busy` used by DCF backoff.
+Stations interact through three primitives: :meth:`Medium.transmit` (an
+event that occupies the channel from the call until the frame's airtime
+ends), and the carrier-sense events :meth:`wait_idle` / :meth:`wait_busy`
+used by DCF backoff.
 """
 
 from __future__ import annotations
@@ -35,15 +36,14 @@ class FrameSink(Protocol):
         """Called when a frame addressed to (or broadcast past) us lands."""
 
 
-class _Transmission:
-    """Bookkeeping for one frame currently on the air."""
+class _Transmission(_Timeout):
+    """One frame on the air: a timer firing when its airtime ends."""
 
-    __slots__ = ("frame", "start", "end", "collided")
+    __slots__ = ("frame", "collided")
 
-    def __init__(self, frame: Frame, start: float, end: float) -> None:
+    def __init__(self, sim: "Simulator", frame: Frame, airtime: float) -> None:
+        _Timeout.__init__(self, sim, airtime)
         self.frame = frame
-        self.start = start
-        self.end = end
         self.collided = False
 
 
@@ -74,6 +74,7 @@ class Medium:
         self._active: List[_Transmission] = []
         self._idle_waiters: List[Event] = []
         self._busy_waiters: List[Event] = []
+        self._end_cb = self._end_transmission
         # Statistics.
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -134,19 +135,19 @@ class Medium:
 
     # -- transmission ----------------------------------------------------------
 
-    def transmit(self, frame: Frame):
-        """Put ``frame`` on the air; yield the returned process to wait.
+    def transmit(self, frame: Frame) -> Event:
+        """Put ``frame`` on the air; yield the returned event to wait.
 
-        The process completes when the frame's airtime elapses; the return
-        value is ``True`` if the frame was delivered un-collided and
-        error-free to at least one receiver.
+        The frame goes on the air at the call: collisions are marked and
+        busy waiters fire before this returns.  The returned event fires
+        when the frame's airtime elapses.  Its first callback takes the
+        frame off the air, fires the idle waiters and delivers it, so its
+        value, once a waiter resumes, is ``True`` if the frame was
+        delivered un-collided and error-free to at least one receiver.
         """
-        return self.sim.process(self._transmit_body(frame), name=f"tx#{frame.seq}")
-
-    def _transmit_body(self, frame: Frame):
         airtime = frame.airtime_s(self.timing)
-        start = self.sim._now
-        transmission = _Transmission(frame, start, start + airtime)
+        transmission = _Transmission(self.sim, frame, airtime)
+        transmission.callbacks.append(self._end_cb)
         self.frames_sent += 1
         self.busy_time_s += airtime
         # Any overlap is a collision, corrupting everyone involved.
@@ -169,13 +170,15 @@ class Medium:
             waiters, self._busy_waiters = self._busy_waiters, []
             for event in waiters:
                 event.succeed(frame)
-        yield _Timeout(self.sim, airtime)
+        return transmission
+
+    def _end_transmission(self, transmission: _Transmission) -> None:
         self._active.remove(transmission)
         if not self._active:
             waiters, self._idle_waiters = self._idle_waiters, []
             for event in waiters:
                 event.succeed()
-        return self._complete(transmission)
+        transmission._value = self._complete(transmission)
 
     def _complete(self, transmission: _Transmission) -> bool:
         frame = transmission.frame

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.mac.frames import BROADCAST, Dot11Timing, Frame
 from repro.mac.medium import Medium
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -47,12 +47,14 @@ def audibility_from_groups(*groups: Set[str]) -> Audibility:
     return audible
 
 
-class _SpatialTransmission:
-    __slots__ = ("frame", "end", "overlapping_sources")
+class _SpatialTransmission(Timeout):
+    """One frame on the air: a timer firing when its airtime ends."""
 
-    def __init__(self, frame: Frame, end: float) -> None:
+    __slots__ = ("frame", "overlapping_sources")
+
+    def __init__(self, sim: "Simulator", frame: Frame, airtime: float) -> None:
+        Timeout.__init__(self, sim, airtime)
         self.frame = frame
-        self.end = end
         #: Sources of every transmission that overlapped this one.
         self.overlapping_sources: Set[str] = set()
 
@@ -128,9 +130,10 @@ class SpatialMedium(Medium):
 
     # -- transmission ----------------------------------------------------------
 
-    def _transmit_body(self, frame: Frame):
+    def transmit(self, frame: Frame) -> Event:
         airtime = frame.airtime_s(self.timing)
-        transmission = _SpatialTransmission(frame, self.sim.now + airtime)
+        transmission = _SpatialTransmission(self.sim, frame, airtime)
+        transmission.callbacks.append(self._end_cb)
         self.frames_sent += 1
         self.busy_time_s += airtime
         for other in self._spatial_active:
@@ -138,10 +141,12 @@ class SpatialMedium(Medium):
             transmission.overlapping_sources.add(other.frame.source)
         self._spatial_active.append(transmission)
         self._fire_busy(frame)
-        yield self.sim.timeout(airtime)
+        return transmission
+
+    def _end_transmission(self, transmission: _SpatialTransmission) -> None:
         self._spatial_active.remove(transmission)
         self._fire_idle()
-        return self._complete_spatial(transmission)
+        transmission._value = self._complete_spatial(transmission)
 
     def _corrupted_for(self, transmission: _SpatialTransmission, listener: str) -> bool:
         return any(

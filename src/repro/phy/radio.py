@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from repro.sim.process import Process
+from repro.sim.events import _PROCESSED, Event, Timeout
 from repro.sim.stats import TimeSeries, TimeWeightedStat
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,6 +38,13 @@ DWELL_BUCKET_LABELS: Tuple[str, ...] = (
     "<100ms",
     ">=100ms",
 )
+
+
+def _processed(sim: "Simulator") -> Event:
+    """An event that has already fired: yielding it costs no dispatch."""
+    event = Event(sim)
+    event._state = _PROCESSED
+    return event
 
 
 def dwell_bucket_index(duration_s: float) -> int:
@@ -127,7 +134,13 @@ class RadioPowerModel:
             self.states[state.name] = state
         if not self.states:
             raise ValueError("a radio model needs at least one state")
-        self._transitions: Dict[Tuple[str, str], Transition] = {}
+        # Every (source, target) pair, so transition() is one lookup;
+        # pairs not listed cost nothing.
+        self._transitions: Dict[Tuple[str, str], Transition] = {
+            (source, target): Transition(source, target)
+            for source in self.states
+            for target in self.states
+        }
         for transition in transitions:
             self._require(transition.source)
             self._require(transition.target)
@@ -151,12 +164,12 @@ class RadioPowerModel:
 
     def transition(self, source: str, target: str) -> Transition:
         """Transition cost from ``source`` to ``target`` (zero if unlisted)."""
-        self._require(source)
-        self._require(target)
-        found = self._transitions.get((source, target))
-        if found is not None:
-            return found
-        return Transition(source, target, latency_s=0.0, energy_j=0.0)
+        try:
+            return self._transitions[(source, target)]
+        except KeyError:
+            self._require(source)
+            self._require(target)
+            raise
 
     def state_names(self) -> list[str]:
         return list(self.states)
@@ -205,6 +218,9 @@ class Radio:
         self._last_state_change = sim.now
         self._transition_energy_j = 0.0
         self._transition_count = 0
+        #: The state the current (or last) transition lands in.
+        self._target_state = self._state
+        self._settle_cb = self._settle
 
     # -- state inspection ---------------------------------------------------
 
@@ -232,59 +248,73 @@ class Radio:
 
     # -- state control ----------------------------------------------------------
 
-    def transition_to(self, target: str) -> Process:
-        """Start a transition; yield the returned process to wait for it.
+    def transition_to(self, target: str) -> Event:
+        """Change state to ``target``; yield the returned event to wait.
 
-        A transition to the current state completes immediately and costs
-        nothing.  Starting a transition while another is in progress is an
-        error — the caller (MAC/resource manager) owns serialisation.
+        The change starts at the call: the ``phy.state`` trace, the dwell
+        accounting and the transition count happen before this returns.
+        A transition to the current state, or one with zero latency,
+        completes at the call too and returns an already-processed
+        event, so a process yielding it continues at once.  A transition
+        with latency returns one :class:`~repro.sim.events.Timeout`
+        whose first callback settles the radio in ``target``, before any
+        waiter resumes.
+
+        An unknown ``target`` raises ``KeyError`` and starting a
+        transition while another is in progress raises ``RuntimeError``,
+        both at the call: the caller (MAC/resource manager) owns
+        serialisation.
         """
-        return self.sim.process(
-            self._transition_body(target), name=f"{self.name}->{target}"
-        )
-
-    def _transition_body(self, target: str):
-        self.model._require(target)
+        source = self._state
+        cost = self.model.transition(source, target)
         if self._in_transition:
             raise RuntimeError(
                 f"radio {self.name!r}: transition to {target!r} requested "
-                f"while already transitioning to {self._state!r}"
+                f"while already transitioning to {source!r}"
             )
-        if target == self._state:
-            return
-            yield  # pragma: no cover - generator marker
-        cost = self.model.transition(self._state, target)
-        bus = self.sim.trace
+        sim = self.sim
+        if target == source:
+            return _processed(sim)
+        now = sim._now
+        bus = sim.trace
         if bus.enabled:
             bus.emit(
                 "phy",
                 self.name,
                 "state",
-                source=self._state,
+                source=source,
                 target=target,
-                dwell_s=self.sim.now - self._last_state_change,
+                dwell_s=now - self._last_state_change,
                 latency_s=cost.latency_s,
                 energy_j=cost.energy_j,
             )
         self._account_state_time()
-        self._in_transition = True
         self._transition_count += 1
         self._transition_energy_j += cost.energy_j
+        self._target_state = target
         if cost.latency_s > 0:
             # During the transition the radio draws the transition's
             # average power.
-            transition_power = cost.energy_j / cost.latency_s
-            self._power_trace.record(self.sim.now, transition_power)
-            self.state_series.append(self.sim.now, f"->{target}")
-            yield self.sim.timeout(cost.latency_s)
-        else:
-            # Instantaneous transition: lump the energy as an impulse.
-            self._power_trace.add_impulse(cost.energy_j)
+            self._in_transition = True
+            self._power_trace.record(now, cost.energy_j / cost.latency_s)
+            self.state_series.append(now, f"->{target}")
+            timer = Timeout(sim, cost.latency_s)
+            timer.callbacks.append(self._settle_cb)
+            return timer
+        # Instantaneous transition: lump the energy as an impulse.
+        self._power_trace.add_impulse(cost.energy_j)
+        self._settle()
+        return _processed(sim)
+
+    def _settle(self, _timer: Optional[Event] = None) -> None:
+        """Land in the transition's target (the latency timer's callback)."""
+        now = self.sim._now
+        target = self._target_state
         self._in_transition = False
         self._state = target
-        self._last_state_change = self.sim.now
-        self._power_trace.record(self.sim.now, self.model.power(target))
-        self.state_series.append(self.sim.now, target)
+        self._last_state_change = now
+        self._power_trace.record(now, self.model.power(target))
+        self.state_series.append(now, target)
 
     def _account_state_time(self) -> None:
         held = self.sim.now - self._last_state_change

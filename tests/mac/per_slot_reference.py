@@ -2,17 +2,25 @@
 
 ``DcfStation._contention`` counts the backoff down with one timer per
 idle period.  Before that it raced a fresh slot ``Timeout`` against a
-fresh ``wait_busy`` event for every idle slot.  That loop is kept here,
-unchanged, as the oracle the property tests in ``test_dcf.py`` compare
-the single-timer version against.
+fresh ``wait_busy`` event for every idle slot.  That loop is kept here
+as the oracle the property tests in ``test_dcf.py`` compare the
+single-timer version against.
 
-The one addition is bookkeeping: ``counted_through`` records every
-DIFS or slot end the loop passed, with slots still left, while the busy
-edge it raced was already triggered but not yet processed.  The fresh
-``wait_busy`` armed after such an end joins a waiter list the medium
-has already flushed, so the loop keeps counting through the
-transmission.  The single-timer version freezes at that edge instead,
-so outcomes can only be compared where the list is empty.
+The loop states its tie rules itself instead of inheriting them from
+the order in which same-instant events happen to be dispatched.  When
+a race resumes, a busy edge may be *processed* (the medium went busy
+before the timer ended, or at the same instant) or only *triggered*
+(a transmission started at the timer's own instant, its busy event not
+yet dispatched):
+
+- after the DIFS race, the DIFS restarts when the busy edge is
+  processed, or when it is triggered and slots are left;
+- after a slot race, the slot counts whenever its timer was processed;
+  the countdown then freezes when the busy edge is processed, or when
+  it is triggered and slots are left.
+
+A triggered edge with no slot left loses to the station, which
+transmits into the collision, as a real station would.
 """
 
 from __future__ import annotations
@@ -55,22 +63,19 @@ def per_slot_contention(self, contention_window: int):
         busy = wait_busy(address)
         difs = make_timeout(sim, difs_s)
         yield any_of(sim, (difs, busy))
-        if busy._state == 2:  # processed: went busy during DIFS
+        if busy._state == 2 or (busy._state == 1 and backoff_slots):
             continue
-        if busy._state == 1 and backoff_slots:
-            self.counted_through.append(sim._now)
         # Count the backoff down one slot at a time, freezing on busy.
         interrupted = False
         while backoff_slots > 0:
             busy = wait_busy(address)
             slot = make_timeout(sim, slot_s)
             yield any_of(sim, (slot, busy))
-            if busy._state == 2:
+            if slot._state == 2:
+                backoff_slots -= 1
+            if busy._state == 2 or (busy._state == 1 and backoff_slots):
                 interrupted = True
                 break
-            backoff_slots -= 1
-            if busy._state == 1 and backoff_slots:
-                self.counted_through.append(sim._now)
         if not interrupted:
             return
 
@@ -79,8 +84,3 @@ class PerSlotDcfStation(DcfStation):
     """A :class:`DcfStation` whose backoff is the per-slot reference."""
 
     _contention = per_slot_contention
-
-    def __init__(self, *args, **kwargs) -> None:
-        #: Instants at which the reference counted past a triggered busy edge.
-        self.counted_through = []
-        super().__init__(*args, **kwargs)

@@ -317,8 +317,7 @@ def _resolve(instant, anchors):
 
 
 def _run_contention_world(station_cls, world):
-    """One small contention world; returns what it did and the reference's
-    counted-through instants (empty for the single-timer station)."""
+    """One small contention world; returns what it did."""
     n = world["n_stations"]
     sim = Simulator()
     if world["spatial"]:
@@ -417,23 +416,14 @@ def _run_contention_world(station_cls, world):
             for s in stations
         ],
     }
-    counted_through = [
-        instant for s in stations for instant in getattr(s, "counted_through", ())
-    ]
-    return observed, counted_through
+    return observed
 
 
 @given(contention_worlds)
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_single_timer_backoff_matches_per_slot_reference(world):
-    reference, counted_through = _run_contention_world(PerSlotDcfStation, world)
-    if counted_through:
-        # The reference counted past a busy edge it had already lost;
-        # the single-timer countdown freezes there instead (pinned by
-        # test_busy_edge_triggered_before_a_slot_end_freezes_the_countdown).
-        return
-    observed, _ = _run_contention_world(DcfStation, world)
-    assert observed == reference
+    reference = _run_contention_world(PerSlotDcfStation, world)
+    assert _run_contention_world(DcfStation, world) == reference
 
 
 class _FixedDraw:
@@ -448,9 +438,10 @@ class _FixedDraw:
 
 @pytest.mark.parametrize("station_cls", [DcfStation, PerSlotDcfStation])
 def test_busy_edge_triggered_before_a_slot_end_freezes_the_countdown(station_cls):
-    """A transmission started at a slot end by a timer armed earlier than
-    the station's own slot timer: the busy edge is triggered, but not yet
-    processed, when the station resumes at that slot end."""
+    """A transmission started exactly at a slot end by a timer armed
+    earlier than the station's own slot timer.  Whether its busy edge is
+    already processed or only triggered when the station resumes there,
+    that slot counts and the countdown freezes."""
     sim = Simulator()
     medium = Medium(sim)
     a = station_cls(sim, medium, "a", rng=_FixedDraw(5))
@@ -474,15 +465,7 @@ def test_busy_edge_triggered_before_a_slot_end_freezes_the_countdown(station_cls
     a.send("b", 100)
     sim.run()
     idle_again = edge + interference.airtime_s(TIMING)
-    if station_cls is DcfStation:
-        # Two slots elapsed (the one ending on the edge counts); the
-        # other three run after a fresh DIFS once the air is idle again.
-        assert starts[:2] == [(edge, "x"), (_boundary(idle_again, 3), "a")]
-        assert medium.frames_collided == 0
-    else:
-        # The reference re-arms its busy wait after the medium flushed
-        # the waiter list, counts all five slots through the
-        # interference and collides with it.
-        assert a.counted_through == [edge]
-        assert starts[:2] == [(edge, "x"), (_boundary(0.0, 5), "a")]
-        assert medium.frames_collided == 2
+    # Two slots elapsed (the one ending on the edge counts); the other
+    # three run after a fresh DIFS once the air is idle again.
+    assert starts[:2] == [(edge, "x"), (_boundary(idle_again, 3), "a")]
+    assert medium.frames_collided == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.mac import Dot11Timing, Frame, FrameKind, Medium
 from repro.mac.frames import BROADCAST
+from repro.mac.spatial import SpatialMedium
 from repro.sim import Simulator
 
 
@@ -248,3 +249,39 @@ def test_address_aware_api_on_base_medium_is_global():
     sim.process(sender(sim))
     sim.run()
     assert [tag for tag, _t in fired] == ["busy", "idle"]
+
+
+@pytest.mark.parametrize("medium_cls", [Medium, SpatialMedium])
+def test_transmit_is_one_event_per_frame_valued_with_delivery(medium_cls):
+    """The frame goes on the air at the call; the returned event is its
+    airtime timer and carries the delivered flag when waiters resume."""
+    sim = Simulator()
+    medium = medium_cls(sim)
+    receiver = RecordingSink("rx")
+    medium.register(receiver)
+    airtime = data_frame("tx", "rx").airtime_s(medium.timing)
+    seen = []
+
+    def controller(sim):
+        before = sim.events_scheduled
+        clean = medium.transmit(data_frame("tx", "rx"))
+        assert not medium.is_idle
+        delivered = yield clean
+        seen.append((sim.now, delivered, len(receiver.frames), medium.is_idle))
+        # Two frames overlapping from the same instant: one event each.
+        first = medium.transmit(data_frame("a", "rx"))
+        second = medium.transmit(data_frame("b", "rx"))
+        seen.append((yield first))
+        seen.append((yield second))
+        seen.append((sim.now, len(receiver.frames), medium.is_idle))
+        seen.append(sim.events_scheduled - before)
+
+    sim.process(controller(sim))
+    sim.run()
+    assert seen == [
+        (airtime, True, 1, True),
+        False,
+        False,
+        (2 * airtime, 1, True),
+        3,
+    ]

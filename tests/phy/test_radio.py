@@ -43,6 +43,16 @@ class TestRadioPowerModel:
         assert transition.latency_s == 0.0
         assert transition.energy_j == 0.0
 
+    def test_transition_is_a_table_lookup(self):
+        model = two_state_model()
+        assert model.transition("on", "sleep").energy_j == 0.25
+        # Unlisted pairs, the diagonal included, are built once at init.
+        assert model.transition("on", "on") is model.transition("on", "on")
+        assert model.transition("on", "on") == Transition("on", "on")
+        for source, target in (("ghost", "on"), ("on", "ghost")):
+            with pytest.raises(KeyError, match="unknown state 'ghost'"):
+                model.transition(source, target)
+
     def test_power_lookup(self):
         model = two_state_model()
         assert model.power("on") == 1.0
@@ -330,3 +340,64 @@ class TestDwellHistograms:
         radio = Radio(sim, two_state_model())
         with pytest.raises(KeyError):
             radio.dwell_histogram("ghost")
+
+
+class TestTransitionEventContract:
+    """transition_to does its work at the call and returns one event."""
+
+    def test_instant_and_noop_transitions_schedule_nothing(self):
+        sim = Simulator()
+        radio = Radio(sim, two_state_model())
+        seen = []
+
+        def controller(sim, radio):
+            yield sim.timeout(1.0)
+            before = sim.events_scheduled
+            done = radio.transition_to("sleep")  # zero latency
+            assert done.processed and radio.state == "sleep"
+            yield done
+            yield radio.transition_to("sleep")  # no-op
+            seen.append((sim.now, sim.events_scheduled - before))
+
+        sim.process(controller(sim, radio))
+        sim.run()
+        assert seen == [(1.0, 0)]
+        assert radio.transition_count == 1
+
+    def test_latent_transition_is_one_event_settled_before_waiters(self):
+        sim = Simulator()
+        radio = Radio(sim, two_state_model())
+        seen = []
+
+        def waiter(sim, transition):
+            yield transition
+            seen.append(("waiter", radio.state, radio.in_transition))
+
+        def controller(sim, radio):
+            yield radio.transition_to("sleep")
+            before = sim.events_scheduled
+            transition = radio.transition_to("on")  # 0.5 s wake
+            assert sim.events_scheduled == before + 1
+            assert radio.in_transition
+            sim.process(waiter(sim, transition))
+            yield transition
+            seen.append(("controller", radio.state, radio.in_transition))
+            assert list(radio.state_series)[-1] == (0.5, "on")
+            assert radio.time_in_state("on") == 0.0
+
+        sim.process(controller(sim, radio))
+        sim.run()
+        assert seen == [("controller", "on", False), ("waiter", "on", False)]
+        assert sim.now == 0.5
+
+    def test_errors_raise_at_the_call(self):
+        sim = Simulator()
+        radio = Radio(sim, two_state_model())
+        with pytest.raises(KeyError, match="ghost"):
+            radio.transition_to("ghost")
+        radio.transition_to("sleep")
+        radio.transition_to("on")  # 0.5 s wake, not waited for
+        with pytest.raises(RuntimeError, match="already transitioning"):
+            radio.transition_to("sleep")
+        sim.run()
+        assert radio.state == "on"
