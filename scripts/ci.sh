@@ -43,14 +43,18 @@ EOF
 echo "== trace smoke check =="
 trace_file="$(mktemp /tmp/repro-trace.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file"' EXIT
-python -m repro fig2 --duration 10 --trace "$trace_file" > /dev/null
+# With --profile as well, the profiler wraps step() on the traced
+# simulators, so its step count must equal the trace's dispatch records.
+profile_out="$(python -m repro fig2 --duration 10 --trace "$trace_file" --profile)"
 
-python - "$trace_file" <<'EOF'
+python - "$trace_file" "$profile_out" <<'EOF'
 import json
+import re
 import sys
 
 required = ("time_s", "layer", "entity", "kind")
 count = 0
+dispatches = 0
 layers = set()
 with open(sys.argv[1], encoding="utf-8") as stream:
     for number, line in enumerate(stream, start=1):
@@ -59,10 +63,15 @@ with open(sys.argv[1], encoding="utf-8") as stream:
             if key not in record:
                 sys.exit(f"line {number}: missing {key!r}: {record}")
         layers.add(record["layer"])
+        dispatches += record["kind"] == "dispatch"
         count += 1
 if count == 0:
     sys.exit("trace smoke check produced an empty trace")
+steps = [int(n) for n in re.findall(r"^steps: (\d+)", sys.argv[2], re.MULTILINE)]
+if len(steps) != 1 or steps[0] != dispatches:
+    sys.exit(f"profiler steps {steps} != {dispatches} traced dispatches")
 print(f"trace ok: {count} events across layers {sorted(layers)}")
+print(f"profile ok: {steps[0]} profiled steps == {dispatches} traced dispatches")
 EOF
 
 echo "== scenario registry smoke check =="

@@ -67,16 +67,14 @@ class KernelProfiler:
         self.queue_depth = RunningStat()
         self.queue_depth_hist = StreamingHistogram("kernel.queue_depth")
         self._queue_sample_every = queue_sample_every
-        # (simulator, shadowed instance step or None) — uninstall must
-        # restore a pre-existing shadow (e.g. a traced step) untouched.
-        self._sims: List[tuple] = []
+        self._sims: List["Simulator"] = []
 
     # -- installation --------------------------------------------------------
 
     def install(self, sim: "Simulator") -> None:
         """Shadow ``sim.step`` with the profiled wrapper."""
-        if any(entry[0] is sim for entry in self._sims):
-            raise RuntimeError("profiler already installed on this simulator")
+        if "step" in sim.__dict__:
+            raise RuntimeError("a profiler is already installed on this simulator")
         original_step = sim.step
         clock = time.perf_counter
 
@@ -97,24 +95,20 @@ class KernelProfiler:
                 self.queue_depth.add(depth)
                 self.queue_depth_hist.add(depth)
 
-        shadowed = sim.__dict__.get("step")
         sim.step = profiled_step  # type: ignore[method-assign]
-        self._sims.append((sim, shadowed))
+        self._sims.append(sim)
 
     def uninstall(self, sim: "Simulator") -> None:
-        """Restore the ``step`` that was in place before :meth:`install`."""
-        for index, (installed, shadowed) in enumerate(self._sims):
+        """Remove the wrapper, restoring the class's ``step``."""
+        for index, installed in enumerate(self._sims):
             if installed is sim:
-                if shadowed is None:
-                    del sim.__dict__["step"]
-                else:
-                    sim.step = shadowed  # type: ignore[method-assign]
+                del sim.__dict__["step"]
                 del self._sims[index]
                 return
         raise RuntimeError("profiler is not installed on this simulator")
 
     def uninstall_all(self) -> None:
-        for sim, _shadowed in list(self._sims):
+        for sim in list(self._sims):
             self.uninstall(sim)
 
     # -- reporting -----------------------------------------------------------

@@ -26,6 +26,10 @@ nothing).  Total order is preserved exactly because the bucket index
 compares strictly greater on time than every entry in ``_current``, and
 entries with equal time always share a bucket, where the heap breaks
 ties by ``(priority, seq)`` as before.
+
+Every entry enters the calendar through :meth:`Simulator._push` and
+leaves it through :meth:`Simulator.step`; there is no other insert or
+dispatch path.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Iterable, List, Optional, Sequence
 
-from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import _INF, NORMAL, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: Default calendar bucket width in seconds.  Chosen so that typical MAC
@@ -108,18 +112,9 @@ class Simulator:
             self.attach_trace(trace)
 
     def attach_trace(self, bus: Any) -> None:
-        """Bind a TraceBus: its clock becomes this simulator's clock.
-
-        Kernel dispatch tracing is installed by shadowing ``step`` with
-        :meth:`_traced_step` (an instance attribute), so an untraced
-        simulator's hot loop carries no instrumentation at all.  Attach
-        the trace before installing a profiler, so the profiler wraps
-        the traced step.
-        """
+        """Bind a TraceBus: its clock becomes this simulator's clock."""
         bus.bind_clock(lambda: self._now)
         self.trace = bus
-        if "step" not in self.__dict__:
-            self.step = self._traced_step  # type: ignore[method-assign]
 
     # -- time ----------------------------------------------------------------
 
@@ -164,37 +159,37 @@ class Simulator:
         Equivalent to ``[self.timeout(t - self.now) for t in times]``
         except that each event fires at exactly its requested absolute
         time (no ``now + (t - now)`` round-trip through float
-        subtraction) and per-call dispatch overhead is paid once for the
-        whole batch.  ``times`` must be non-decreasing and must not
-        precede the current time.  Sequence numbers are assigned in
-        list order, preserving the deterministic same-instant tie-break.
+        subtraction).  ``times`` must be finite, non-decreasing and must
+        not precede the current time; the whole batch is checked before
+        anything is queued.  Sequence numbers are assigned in list order,
+        preserving the deterministic same-instant tie-break.
 
         Parameters
         ----------
         times:
-            Absolute fire times, non-decreasing, each ``>= self.now``.
+            Absolute fire times, finite, non-decreasing, each ``>= self.now``.
         values:
             Optional per-timeout values (same length as ``times``).
         """
-        now = self._now
-        scale = self._scale
-        cur_idx = self._cur_idx
-        current = self._current
-        seq = self._seq
-        created: List[Timeout] = []
-        append = created.append
-        previous = now
         if values is None:
             values = [None] * len(times)
         elif len(values) != len(times):
             raise ValueError("values must match times in length")
-        for when, value in zip(times, values):
+        previous = self._now
+        for when in times:
             if when < previous:
                 raise SimulationError(
                     f"bulk_timeouts times must be non-decreasing and >= now "
                     f"(got {when!r} after {previous!r})"
                 )
+            if not when < _INF:
+                raise ValueError(f"bulk_timeouts times must be finite (got {when!r})")
             previous = when
+        now = self._now
+        push = self._push
+        created: List[Timeout] = []
+        append = created.append
+        for when, value in zip(times, values):
             event = Timeout.__new__(Timeout)
             event.sim = self
             event.callbacks = []
@@ -202,13 +197,8 @@ class Simulator:
             event._state = 1  # _TRIGGERED: fire time fixed at creation
             event._ok = True
             event._value = value
-            seq += 1
-            if int(when * scale) <= cur_idx:
-                heappush(current, (when, NORMAL, seq, event))
-            else:
-                self._enqueue_future(when, NORMAL, seq, event)
+            push(when, NORMAL, event)
             append(event)
-        self._seq = seq
         return created
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
@@ -226,25 +216,26 @@ class Simulator:
     # -- scheduling (kernel use) -----------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        when = self._now + delay
-        seq = self._seq + 1
-        self._seq = seq
-        if int(when * self._scale) <= self._cur_idx:
-            heappush(self._current, (when, priority, seq, event))
-        else:
-            self._enqueue_future(when, priority, seq, event)
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(
+                f"delay must be finite and non-negative (delay={delay!r})"
+            )
+        self._push(self._now + delay, priority, event)
 
-    def _enqueue_future(self, when: float, priority: int, seq: int, event: Event) -> None:
-        """Insert an entry into its future calendar bucket.
+    def _push(self, when: float, priority: int, event: Event) -> None:
+        """Insert an entry into the calendar: the kernel's only insert.
 
-        Shared slow half of the insert; the fast half (current-bucket
-        heappush) is inlined at each schedule site — ``_schedule`` here
-        plus ``Timeout.__init__`` / ``succeed`` / the Condition fire path
-        in ``events.py``, which must stay in lockstep.
+        Entries in the current bucket go onto the ``_current`` heap, later
+        ones onto their (created on first use) future bucket.  Callers
+        validate ``when``; the bucket index is computed before any state
+        changes, so a failing insert leaves the kernel untouched.
         """
         idx = int(when * self._scale)
+        seq = self._seq + 1
+        self._seq = seq
+        if idx <= self._cur_idx:
+            heappush(self._current, (when, priority, seq, event))
+            return
         bucket = self._buckets.get(idx)
         if bucket is None:
             self._buckets[idx] = bucket = []
@@ -276,7 +267,7 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if not self._current and not self._advance():
-            return float("inf")
+            return _INF
         return self._current[0][0]
 
     def _peek_event(self) -> Optional[Event]:
@@ -288,6 +279,10 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one event.
 
+        With a trace attached, a ``sim/kernel/dispatch`` record is emitted
+        after the pop (so the bus clock reads the event's time) and before
+        the callbacks run (so layer events nest under their dispatch).
+
         Raises
         ------
         SimulationError
@@ -297,6 +292,14 @@ class Simulator:
             raise SimulationError("step() on an empty event queue")
         when, _priority, _seq, event = heappop(self._current)
         self._now = when
+        if self.trace.enabled:
+            self.trace.emit(
+                "sim",
+                "kernel",
+                "dispatch",
+                event=type(event).__name__,
+                queued=len(self._current) + self._future_count,
+            )
         callbacks = event.callbacks
         event.callbacks = []  # further appends would never run
         event._state = 2  # _PROCESSED
@@ -306,92 +309,24 @@ class Simulator:
             # A failure nobody waited for must not pass silently.
             raise event._value
 
-    def _traced_step(self) -> None:
-        """:meth:`step` variant emitting a kernel dispatch trace event.
-
-        Duplicates the ``step`` body rather than wrapping it: the emit
-        must land after the pop (so the bus clock reads the event's
-        time) but before the callbacks run (so layer events nest under
-        their dispatch).  Installed over ``step`` by
-        :meth:`attach_trace`.
-        """
-        if not self._current and not self._advance():
-            raise SimulationError("step() on an empty event queue")
-        when, _priority, _seq, event = heappop(self._current)
-        self._now = when
-        trace = self.trace
-        if trace.enabled:
-            trace.emit(
-                "sim",
-                "kernel",
-                "dispatch",
-                event=type(event).__name__,
-                queued=len(self._current) + self._future_count,
-            )
-        callbacks = event.callbacks
-        event.callbacks = []
-        event._state = 2  # _PROCESSED
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not callbacks:
-            raise event._value
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulation time reaches ``until``.
 
         When ``until`` is given, time is advanced to exactly ``until`` even
         if the queue drains earlier, so time-weighted statistics close
-        consistently.
+        consistently.  Each event is dispatched by one ``self.step()``
+        call, so a profiler that wraps ``step`` sees every event.
         """
         if until is not None and until < self._now:
             raise SimulationError(
                 f"run(until={until!r}) is in the past (now={self._now!r})"
             )
-        if "step" in self.__dict__:
-            # A traced or profiled step shadows the method; preserve the
-            # one-call-per-event contract those wrappers rely on.
-            step = self.step
-            if until is not None:
-                while True:
-                    if not self._current and not self._advance():
-                        break
-                    if self._current[0][0] > until:
-                        break
-                    step()
-                self._now = float(until)
-            else:
-                while self._current or self._advance():
-                    step()
-            return
-        # Fast path: the step body is inlined so the per-event cost is
-        # one heappop plus the callback fan-out — no method dispatch,
-        # no property descriptors.  Mirrors step() exactly.
-        bound = float("inf") if until is None else until
-        current = self._current
-        pop = heappop
-        while True:
-            if not current:
-                if not self._advance():
-                    break
-                continue
-            entry = pop(current)
-            when = entry[0]
-            if when > bound:
-                # Crossed the horizon: the entry stays pending.
-                heappush(current, entry)
-                break
-            event = entry[3]
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = []
-            event._state = 2  # _PROCESSED
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-                if not callbacks and not event._ok:
-                    raise event._value
+        bound = _INF if until is None else until
+        current = self._current  # _advance refills this same list
+        advance = self._advance
+        step = self.step
+        while (current or advance()) and current[0][0] <= bound:
+            step()
         if until is not None:
             self._now = float(until)
 

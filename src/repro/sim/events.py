@@ -8,21 +8,15 @@ run).  Events may succeed with a value or fail with an exception.
 :class:`Timeout` is an event that triggers after a fixed delay.
 :class:`AnyOf` / :class:`AllOf` combine several events into one.
 
-Hot-path note
--------------
-``Timeout.__init__``, ``Event.succeed`` and the :class:`Condition` fire
-path inline the simulator's calendar-queue insert instead of calling
-``Simulator._schedule``: together they account for nearly every event
-the kernel schedules, and the call overhead is measurable at the 1M
-events/s target.  The insert logic must stay in lockstep with
-``Simulator._schedule`` (see ``core.py``); the kernel-ordering property
-tests in ``tests/sim/test_kernel_order.py`` pin the equivalence.
+Every trigger queues its event through ``Simulator._push``, the kernel's
+one calendar insert.  Delays are checked before any state changes: a
+negative or non-finite delay raises and leaves both the event and the
+simulator as they were.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.core import Simulator
@@ -35,6 +29,8 @@ URGENT = 0
 _PENDING = 0
 _TRIGGERED = 1
 _PROCESSED = 2
+
+_INF = float("inf")
 
 
 class Event:
@@ -86,23 +82,14 @@ class Event:
         """Trigger the event successfully with ``value`` after ``delay``."""
         if self._state != _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
+        sim = self.sim
+        if delay:
+            sim._schedule(self, delay, NORMAL)
+        else:
+            sim._push(sim._now, NORMAL, self)
         self._state = _TRIGGERED
         self._ok = True
         self._value = value
-        if delay:
-            self.sim._schedule(self, delay, NORMAL)
-            return self
-        # Inlined immediate schedule (mirrors Simulator._schedule).
-        sim = self.sim
-        when = sim._now
-        seq = sim._seq + 1
-        sim._seq = seq
-        if int(when * sim._scale) <= sim._cur_idx:
-            heappush(sim._current, (when, NORMAL, seq, self))
-        else:
-            # run(until) moved the clock past the current bucket; take
-            # the generic path rather than duplicating bucket creation.
-            sim._enqueue_future(when, NORMAL, seq, self)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -111,16 +98,11 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.sim._schedule(self, delay, NORMAL)
         self._state = _TRIGGERED
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, delay, NORMAL)
         return self
-
-    # -- kernel hooks ------------------------------------------------------
-
-    def _mark_processed(self) -> None:
-        self._state = _PROCESSED
 
     def __repr__(self) -> str:
         state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
@@ -133,23 +115,17 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        # Inlined Event.__init__ + calendar insert: timeouts are the
-        # kernel's hottest allocation and the call overhead is real.
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        # Inlined Event.__init__: timeouts are the kernel's hottest
+        # allocation.
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and non-negative: {delay!r}")
         self.sim = sim
         self.callbacks = []
         self.delay = delay
         self._state = _TRIGGERED  # the firing time is fixed at creation
         self._ok = True
         self._value = value
-        when = sim._now + delay
-        seq = sim._seq + 1
-        sim._seq = seq
-        if int(when * sim._scale) <= sim._cur_idx:
-            heappush(sim._current, (when, NORMAL, seq, self))
-        else:
-            sim._enqueue_future(when, NORMAL, seq, self)
+        sim._push(sim._now + delay, NORMAL, self)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
@@ -203,9 +179,6 @@ class Condition(Event):
             else:
                 event.callbacks.append(cb)
 
-    def _threshold(self) -> int:
-        return len(self._events) if self._NEEDS_ALL else 1
-
     def _on_sub_event(self, event: Event) -> None:
         if self._state:  # already triggered
             return
@@ -216,21 +189,7 @@ class Condition(Event):
         done = self._done_count + 1
         self._done_count = done
         if done >= self._needed:
-            # Inlined succeed() + immediate schedule: this fires once per
-            # AnyOf race, which the MAC runs per idle backoff period and
-            # per ACK/CTS wait.
-            self._state = _TRIGGERED
-            self._value = {
-                e: e._value for e in self._events if e._state == _PROCESSED and e._ok
-            }
-            sim = self.sim
-            when = sim._now
-            seq = sim._seq + 1
-            sim._seq = seq
-            if int(when * sim._scale) <= sim._cur_idx:
-                heappush(sim._current, (when, NORMAL, seq, self))
-            else:
-                sim._enqueue_future(when, NORMAL, seq, self)
+            self.succeed(self._collect())
             self._detach()
 
     def _detach(self) -> None:
@@ -262,8 +221,3 @@ class AllOf(Condition):
 
     __slots__ = ()
     _NEEDS_ALL = True
-
-
-def _describe(event: Optional[Event]) -> str:
-    """Human-readable description of an event for error messages."""
-    return repr(event) if event is not None else "<no event>"

@@ -57,6 +57,47 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+_NON_FINITE_TRIGGERS = {
+    "timeout": lambda sim, event, x: sim.timeout(x),
+    "_schedule": lambda sim, event, x: sim._schedule(event, x),
+    "succeed": lambda sim, event, x: event.succeed(delay=x),
+    "fail": lambda sim, event, x: event.fail(RuntimeError("boom"), delay=x),
+    "bulk_timeouts": lambda sim, event, x: sim.bulk_timeouts([sim.now + 1.0, x]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value, error",
+    [
+        *[("timeout", x, ValueError) for x in (NAN, INF, -INF)],
+        *[(name, x, SimulationError) for name in ("_schedule", "succeed", "fail")
+          for x in (NAN, INF, -INF)],
+        ("bulk_timeouts", NAN, ValueError),
+        ("bulk_timeouts", INF, ValueError),
+        ("bulk_timeouts", -INF, SimulationError),  # precedes now
+    ],
+)
+def test_non_finite_delay_rejected_before_any_state_changes(entry, value, error):
+    sim = Simulator()
+    sim.timeout(0.5)
+    sim.timeout(5.0)  # a future calendar bucket
+    event = sim.event()
+    scheduled, depth = sim.events_scheduled, sim.queue_depth
+    with pytest.raises(error):
+        _NON_FINITE_TRIGGERS[entry](sim, event, value)
+    assert sim.events_scheduled == scheduled
+    assert sim.queue_depth == depth
+    assert not event.triggered
+    # The kernel is still usable: the event can be triggered and every
+    # queued entry dispatches.
+    event.succeed("late")
+    sim.run()
+    assert event.processed and event.value == "late"
+    assert sim.events_scheduled == scheduled + 1
+
+
 def test_same_time_events_fire_in_schedule_order():
     sim = Simulator()
     order = []

@@ -1,10 +1,10 @@
 """Kernel-ordering property tests: calendar queue vs a reference heap.
 
-The calendar-queue scheduler in ``Simulator`` (and the inlined inserts in
-``events.py``) must dispatch in *exactly* the total order a single global
-heap over ``(time, priority, seq)`` would produce — the scenario goldens
-byte-pin this, and these tests pin it at the kernel level with random
-schedules, cascading (run-time) schedules and bulk timeouts.
+The calendar-queue scheduler in ``Simulator`` must dispatch in *exactly*
+the total order a single global heap over ``(time, priority, seq)`` would
+produce — the scenario goldens byte-pin this, and these tests pin it at
+the kernel level with random schedules, cascading (run-time) schedules
+and bulk timeouts, with and without a trace and a profiler attached.
 """
 
 import heapq
@@ -13,6 +13,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import KernelProfiler, TraceBus
 from repro.sim import Simulator
 from repro.sim.core import Simulator as CoreSimulator
 from repro.sim.events import NORMAL, URGENT, Event
@@ -109,7 +110,11 @@ def test_flat_schedule_matches_reference_heap(entries, width):
 )
 @settings(max_examples=60)
 def test_cascading_schedule_matches_reference_heap(roots, spawn_lists, width):
-    """Events scheduled *while running* (crossing buckets) keep the order."""
+    """Events scheduled *while running* (crossing buckets) keep the order.
+
+    Each schedule runs plain, traced, profiled and traced+profiled:
+    tracing and profiling observe dispatch, neither may reorder it.
+    """
     # program: tag -> children spawned when the tag fires.  Child tags are
     # fresh so the cascade terminates after one generation.
     program = {}
@@ -125,15 +130,23 @@ def test_cascading_schedule_matches_reference_heap(roots, spawn_lists, width):
         (tag, delay, priority) for tag, (delay, priority) in enumerate(roots)
     ]
 
-    sim = CoreSimulator(bucket_width_s=width)
-    fired = _run_program(sim, initial, program)
-
     reference = ReferenceKernel()
     for tag, delay, priority in initial:
         reference.schedule(tag, delay, priority)
     reference.run(program)
 
-    assert fired == reference.fired
+    for traced, profiled in itertools.product((False, True), repeat=2):
+        bus = TraceBus() if traced else None
+        sim = CoreSimulator(bucket_width_s=width, trace=bus)
+        profiler = KernelProfiler()
+        if profiled:
+            profiler.install(sim)
+        fired = _run_program(sim, initial, program)
+        assert fired == reference.fired, (traced, profiled)
+        if traced:
+            assert len(bus.events(layer="sim", kind="dispatch")) == len(fired)
+        if profiled:
+            assert profiler.steps == len(fired)
 
 
 @given(
