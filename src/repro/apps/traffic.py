@@ -1,18 +1,21 @@
 """Application traffic generators.
 
 All sources share one shape: :meth:`arrivals` lazily yields
-``(time_s, nbytes, kind)`` tuples with non-decreasing times, which both
-the analytical benches and the DES pump (:meth:`TrafficSource.start`)
-consume.  The MP3 model matches the paper's evaluation workload
-("high-quality MP3 audio"): MPEG-1 Layer III frames carry 1152 samples,
-so at 44.1 kHz a frame lands every ~26.12 ms and carries
-``bitrate × 0.02612 / 8`` bytes.
+``(time_s, nbytes, kind)`` tuples with non-decreasing times, which the
+analytical benches, the DES pump (:meth:`TrafficSource.start`) and the
+lazy :class:`ArrivalFeed` consume.  The MP3 model matches the paper's
+evaluation workload ("high-quality MP3 audio"): MPEG-1 Layer III frames
+carry 1152 samples, so at 44.1 kHz a frame lands every ~26.12 ms and
+carries ``bitrate × 0.02612 / 8`` bytes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
+from repro.sim.events import NORMAL
 from repro.sim.streams import Random
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,6 +92,103 @@ class TrafficSource:
                 yield from drain(chunk)
 
         return sim.process(pump(), name=f"{type(self).__name__}-pump")
+
+
+class ArrivalFeed:
+    """A source's arrivals, credited only when their total is read.
+
+    The lazy twin of :meth:`TrafficSource.start` for a sink that only
+    adds bytes up (the Hotspot proxy's per-client backlog).  The feed
+    draws arrivals in the pump's chunks, at the pump's instants, and
+    gives each arrival the calendar entry ``(fire, NORMAL, seq)`` of the
+    pump dispatch that would have sunk it.  It queues only the pump's
+    bootstrap and, per chunk, the timeout at the chunk's last fire
+    instant (where the pump draws the next chunk); the other sequence
+    numbers, and the pump process's completion once the source runs
+    dry, are reserved but never queued.  ``events_scheduled`` and every
+    tie-break therefore match the pump's, at a fraction of its dispatches.
+
+    :meth:`settle` credits the arrivals whose entry sorts at or before
+    the simulator's dispatching entry — outside :meth:`Simulator.run`,
+    those with ``fire <= now`` — which are exactly those the pump would
+    have sunk by then.
+    """
+
+    def __init__(self, source: TrafficSource, sim: "Simulator", until_s: float) -> None:
+        self.sim = sim
+        self._arrivals = source.arrivals(until_s)
+        #: Fire instant and sequence number of each pending arrival in
+        #: the current chunk; ``_sums[i]`` is the bytes of its first i.
+        self._fires: List[float] = []
+        self._seqs: List[int] = []
+        self._sums: List[int] = [0]
+        #: Arrivals of the current chunk credited so far.
+        self._credited = 0
+        #: Bytes already landed but not yet returned by :meth:`settle`.
+        self._landed = 0
+        sim.timeout(0.0).callbacks.append(self._pull)
+
+    def _pull(self, _event) -> None:
+        """Draw chunks as the pump would at this dispatch, up to the next
+        one that sleeps (or the end of the source)."""
+        sim = self.sim
+        # Every arrival drawn so far sorts before this dispatch.
+        self._landed += self._sums[-1] - self._sums[self._credited]
+        now = sim._now
+        while True:
+            fires: List[float] = []
+            seqs: List[int] = []
+            sums = [0]
+            first = seq = sim._seq
+            drawn = 0
+            for time_s, nbytes, _kind in islice(self._arrivals, _PUMP_CHUNK):
+                drawn += 1
+                if nbytes <= 0:
+                    raise ValueError("ingest size must be positive")
+                if time_s > now:
+                    now = now + (time_s - now)  # mirrors Timeout's fire time
+                    seq += 1
+                if seq == first:
+                    # Due before the chunk's first sleep: sunk right now.
+                    self._landed += nbytes
+                else:
+                    fires.append(now)
+                    seqs.append(seq)
+                    sums.append(sums[-1] + nbytes)
+            if seq > first:
+                # Reserve every sleep's number but the last, which the
+                # chunk's closing timeout takes.
+                sim._seq = seq - 1
+                sim.bulk_timeouts([now])[0].callbacks.append(self._pull)
+                break
+            if drawn < _PUMP_CHUNK:
+                sim._seq += 1  # the drained pump process's completion
+                break
+        self._fires, self._seqs, self._sums = fires, seqs, sums
+        self._credited = 0
+
+    def settle(self) -> int:
+        """Bytes arrived since the previous call."""
+        sim = self.sim
+        fires = self._fires
+        start = self._credited
+        entry = sim._dispatching
+        if entry is None:
+            end = bisect_right(fires, sim._now, start)
+        else:
+            when = entry[0]
+            end = bisect_left(fires, when, start)
+            seqs = self._seqs
+            # A 3-tuple equal to the 4-tuple entry's head sorts before it,
+            # so the dispatching entry's own arrivals count too.
+            while end < len(fires) and fires[end] == when and (
+                when, NORMAL, seqs[end]
+            ) < entry:
+                end += 1
+        landed = self._landed + self._sums[end] - self._sums[start]
+        self._landed = 0
+        self._credited = end
+        return landed
 
 
 class Mp3Stream(TrafficSource):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.apps.traffic import build_source
+from repro.apps.traffic import ArrivalFeed, TrafficSource, build_source
 from repro.build.spec import InterfaceSpec, NodeSpec, WorldSpec
 from repro.core.client import HotspotClient
 from repro.core.interfaces import (
@@ -40,7 +40,7 @@ from repro.core.outcome import (
     ScenarioResult,
     make_stream_contract,
 )
-from repro.core.server import HotspotServer
+from repro.core.server import ClientSession, HotspotServer
 from repro.devices import ipaq_3970, wlan_cf_card
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.energy import ClientEnergyReport, EnergyBreakdown
@@ -272,15 +272,26 @@ def register_radios(world: World, client: HotspotClient) -> None:
         world.radios[interface.radio.name] = interface.radio
 
 
-def start_traffic(world: World, node: NodeSpec, sink) -> None:
-    """Build the node's source and pump it into ``sink`` until the end."""
-    source = build_source(
+def _node_source(world: World, node: NodeSpec) -> TrafficSource:
+    return build_source(
         node.traffic.kind,
         bitrate_bps=node.traffic.bitrate_bps,
         rng=world.streams.stream(f"traffic/{node.name}"),
         options=node.traffic.option_dict,
     )
-    source.start(world.sim, sink, until_s=world.spec.duration_s)
+
+
+def start_traffic(world: World, node: NodeSpec, sink) -> None:
+    """Build the node's source and pump it into ``sink`` until the end."""
+    _node_source(world, node).start(world.sim, sink, until_s=world.spec.duration_s)
+
+
+def feed_traffic(world: World, node: NodeSpec, session: ClientSession) -> None:
+    """Build the node's source and credit it to ``session``'s backlog
+    whenever the backlog is read (see :class:`ArrivalFeed`)."""
+    session.feed = ArrivalFeed(
+        _node_source(world, node), world.sim, until_s=world.spec.duration_s
+    )
 
 
 def _resolve_fault_plan(world: World) -> Optional[FaultPlan]:
@@ -372,7 +383,7 @@ class _HotspotMode(_DeliveryMode):
                     node.name,
                     int(node.prefetch_s * node.contract_rate_bps / 8.0),
                 )
-            start_traffic(world, node, world.server.sink_for(node.name))
+            feed_traffic(world, node, world.server.sessions[node.name])
 
     def start(self, world: World) -> None:
         world.server.start()
@@ -753,7 +764,7 @@ class _FleetMode(_DeliveryMode):
                     node.name,
                     int(node.prefetch_s * node.contract_rate_bps / 8.0),
                 )
-            start_traffic(world, node, world.fleet.sink_for(node.name))
+            feed_traffic(world, node, world.fleet.session_of(node.name))
 
     def _roaming_quality(self, world: World, mobility) -> QualityResolver:
         """Quality signals that follow the client's *current* cell.

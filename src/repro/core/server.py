@@ -30,6 +30,7 @@ from repro.core.client import HotspotClient
 from repro.core.scheduling import BurstRequest, BurstScheduler, make_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps.traffic import ArrivalFeed
     from repro.sim.core import Simulator
 
 
@@ -122,6 +123,30 @@ class ClientSession:
     #: Bursts that delivered nothing because the interface was dead.
     bursts_failed: int = 0
     interface_log: List[tuple[float, str]] = field(default_factory=list)
+    #: Proxy stream arrivals not yet credited; every backlog read
+    #: settles it.  None when a pump ingests each arrival eagerly.
+    feed: Optional["ArrivalFeed"] = field(default=None, repr=False, compare=False)
+
+
+def _read_backlog(session: ClientSession) -> int:
+    feed = session.feed
+    if feed is not None:
+        session._backlog += feed.settle()
+    return session._backlog
+
+
+def _write_backlog(session: ClientSession, nbytes: int) -> None:
+    feed = session.feed
+    if feed is not None:
+        feed.settle()  # an absolute write supersedes what has landed so far
+    session._backlog = nbytes
+
+
+# Installed over the dataclass field after decoration, so the generated
+# ``__init__`` (and its ``backlog_bytes=`` argument) assigns through it.
+ClientSession.backlog_bytes = property(
+    _read_backlog, _write_backlog, doc="Proxy bytes queued for the client."
+)
 
 
 class HotspotServer:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exp.grid import expand_grid
@@ -99,8 +100,10 @@ class RunSpec:
     def kwargs(self) -> Dict[str, Any]:
         return dict(self.params)
 
-    @property
+    @cached_property
     def key(self) -> str:
+        # Hashed once per spec: the runner reads it at the cache lookup,
+        # the store write and the progress heartbeat.
         return run_key(
             self.scenario,
             dict(self.params),

@@ -288,14 +288,6 @@ class FleetCoordinator:
             raise KeyError(f"unknown client {client_name!r}")
         session.backlog_bytes += nbytes
 
-    def sink_for(self, client_name: str):
-        """A TrafficSource-compatible sink bound to one client."""
-
-        def sink(nbytes: int, kind: str) -> None:
-            self.ingest(client_name, nbytes, kind)
-
-        return sink
-
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:

@@ -30,6 +30,20 @@ ties by ``(priority, seq)`` as before.
 Every entry enters the calendar through :meth:`Simulator._push` and
 leaves it through :meth:`Simulator.step`; there is no other insert or
 dispatch path.
+
+The dispatching entry
+---------------------
+``Simulator._dispatching`` publishes the calendar entry
+``(time, priority, sequence, event)`` of the latest non-urgent dispatch;
+:meth:`Simulator.run` resets it to ``None`` when it returns.  Consumers that settle
+deferred work lazily (:class:`repro.apps.traffic.ArrivalFeed`) compare
+their own would-be entries against it: anything sorting at or before it
+has been dispatched.  Urgent entries are never published — an urgent
+wakeup sorts before normal entries of its own instant that already ran,
+so publishing it would hide them; the last normal entry stays the
+high-water mark instead.  Sequence numbers may be *reserved* (``_seq``
+advanced without a push) for entries a consumer settles arithmetically,
+which keeps every later tie-break and ``events_scheduled`` unchanged.
 """
 
 from __future__ import annotations
@@ -106,6 +120,8 @@ class Simulator:
         #: Pending entries in future buckets (current tier uses ``len``).
         self._future_count = 0
         self._seq = 0
+        #: Entry of the latest non-urgent dispatch; run() resets it to None.
+        self._dispatching: Optional[tuple] = None
         self._active_process: Optional[Process] = None
         self.trace: Any = _NULL_TRACE
         if trace is not None:
@@ -290,8 +306,11 @@ class Simulator:
         """
         if not self._current and not self._advance():
             raise SimulationError("step() on an empty event queue")
-        when, _priority, _seq, event = heappop(self._current)
+        entry = heappop(self._current)
+        when, priority, _seq, event = entry
         self._now = when
+        if priority:
+            self._dispatching = entry
         if self.trace.enabled:
             self.trace.emit(
                 "sim",
@@ -315,7 +334,8 @@ class Simulator:
         When ``until`` is given, time is advanced to exactly ``until`` even
         if the queue drains earlier, so time-weighted statistics close
         consistently.  Each event is dispatched by one ``self.step()``
-        call, so a profiler that wraps ``step`` sees every event.
+        call, so a profiler that wraps ``step`` sees every event.  On
+        exit the published dispatching entry resets to ``None``.
         """
         if until is not None and until < self._now:
             raise SimulationError(
@@ -325,8 +345,11 @@ class Simulator:
         current = self._current  # _advance refills this same list
         advance = self._advance
         step = self.step
-        while (current or advance()) and current[0][0] <= bound:
-            step()
+        try:
+            while (current or advance()) and current[0][0] <= bound:
+                step()
+        finally:
+            self._dispatching = None
         if until is not None:
             self._now = float(until)
 

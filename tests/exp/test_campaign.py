@@ -113,6 +113,24 @@ class TestCacheAndResume:
         assert (report.cached, report.executed) == (0, 6)
         assert len(CALLS) == 6
 
+    def test_each_run_is_hashed_once(self, tmp_path, monkeypatch):
+        import repro.exp.spec as spec_module
+
+        hashed = []
+        real_run_key = spec_module.run_key
+
+        def counting_run_key(*args):
+            hashed.append(args)
+            return real_run_key(*args)
+
+        monkeypatch.setattr(spec_module, "run_key", counting_run_key)
+        for phase, cached in (("cold", 0), ("warm", 6)):
+            hashed.clear()
+            with ResultStore(tmp_path / "s") as store:
+                report = run_campaign(fake_spec(), store=store, jobs=1)
+            assert report.cached == cached, phase
+            assert len(hashed) == report.total == 6, phase
+
     def test_no_store_always_executes(self):
         CALLS.clear()
         run_campaign(fake_spec())

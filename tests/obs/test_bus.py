@@ -174,5 +174,6 @@ class TestSimulatorIntegration:
     def test_untraced_simulator_has_no_step_shadow(self):
         sim = Simulator()
         assert "step" not in sim.__dict__
-        Simulator(trace=TraceBus())  # attaching shadows only that instance
+        # A trace is read inside step(); attaching one shadows nothing.
+        assert "step" not in Simulator(trace=TraceBus()).__dict__
         assert "step" not in Simulator().__dict__
