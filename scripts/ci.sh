@@ -115,21 +115,25 @@ serial_dir="$(mktemp -d /tmp/repro-campaign-serial.XXXXXX)"
 trap 'rm -f "$trace_file"; rm -rf "$campaign_dir" "$serial_dir"' EXIT
 campaign_args=(campaign --scenario hotspot
   --param burst_bytes=20000,40000 --param n_clients=1,2
-  --set duration_s=5 --seeds 1 --name ci-smoke --json)
+  --set duration_s=5 --seeds 8 --name ci-smoke --json)
 
-# 2x2 grid through the worker pool, then the same grid serially into a
-# fresh store: parallel and serial artifacts must be byte-identical.
+# 2x2 grid x 8 seeds (32 runs, so the pool ships chunks of 4 runs per
+# task) through the worker pool, then the same grid serially into a
+# fresh store: parallel and serial artifacts and stores must be
+# byte-identical.
 python -m repro "${campaign_args[@]}" --jobs 2 --store "$campaign_dir" \
   > "$campaign_dir/parallel.json" 2> "$campaign_dir/parallel.err"
 python -m repro "${campaign_args[@]}" --jobs 1 --store "$serial_dir" \
   > "$serial_dir/serial.json" 2> "$serial_dir/serial.err"
 diff "$campaign_dir/parallel.json" "$serial_dir/serial.json" \
   || { echo "campaign smoke: parallel vs serial output differs"; exit 1; }
+cmp "$campaign_dir/results.jsonl" "$serial_dir/results.jsonl" \
+  || { echo "campaign smoke: parallel vs serial store differs"; exit 1; }
 
 # Resume from the populated store: zero scenario re-executions.
 python -m repro "${campaign_args[@]}" --jobs 2 --store "$campaign_dir" \
   > "$campaign_dir/resumed.json" 2> "$campaign_dir/resumed.err"
-grep -q "4 cached, 0 executed" "$campaign_dir/resumed.err" \
+grep -q "32 cached, 0 executed" "$campaign_dir/resumed.err" \
   || { echo "campaign smoke: resume was not fully cached:"; \
        cat "$campaign_dir/resumed.err"; exit 1; }
 diff "$campaign_dir/parallel.json" "$campaign_dir/resumed.json" \

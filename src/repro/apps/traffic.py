@@ -139,6 +139,8 @@ class ArrivalFeed:
             fires: List[float] = []
             seqs: List[int] = []
             sums = [0]
+            add_fire, add_seq, add_sum = fires.append, seqs.append, sums.append
+            total = 0
             first = seq = sim._seq
             drawn = 0
             for time_s, nbytes, _kind in islice(self._arrivals, _PUMP_CHUNK):
@@ -152,9 +154,10 @@ class ArrivalFeed:
                     # Due before the chunk's first sleep: sunk right now.
                     self._landed += nbytes
                 else:
-                    fires.append(now)
-                    seqs.append(seq)
-                    sums.append(sums[-1] + nbytes)
+                    add_fire(now)
+                    add_seq(seq)
+                    total += nbytes
+                    add_sum(total)
             if seq > first:
                 # Reserve every sleep's number but the last, which the
                 # chunk's closing timeout takes.
@@ -227,11 +230,13 @@ class Mp3Stream(TrafficSource):
         return max(int(self.bitrate_bps * MP3_FRAME_INTERVAL_S / 8.0), 1)
 
     def arrivals(self, until_s: float) -> Iterator[Arrival]:
+        frame_bytes = self.frame_bytes
+        vbr = self.vbr_fraction
         time_s = 0.0
         while time_s < until_s:
-            nbytes = self.frame_bytes
-            if self.vbr_fraction > 0:
-                scale = 1.0 + self.rng.uniform(-self.vbr_fraction, self.vbr_fraction)
+            nbytes = frame_bytes
+            if vbr > 0:
+                scale = 1.0 + self.rng.uniform(-vbr, vbr)
                 nbytes = max(int(nbytes * scale), 1)
             yield (time_s, nbytes, "audio")
             time_s += MP3_FRAME_INTERVAL_S

@@ -18,11 +18,16 @@ power shape.  Sources:
 
 The numbers matter only insofar as the *ratios* and transition costs set
 where scheduling pays off; EXPERIMENTS.md records the resulting figures.
+
+Each factory returns one shared instance per process: profiles and power
+models are immutable, so every radio can use the same one instead of
+rebuilding its all-pairs transition table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from repro.phy.radio import PowerState, RadioPowerModel, Transition
 
@@ -56,6 +61,7 @@ class DeviceProfile:
             )
 
 
+@cache
 def ipaq_3970() -> DeviceProfile:
     """The iPAQ 3970 PDA platform used in the paper's Figure 2."""
     return DeviceProfile(
@@ -78,6 +84,7 @@ WLAN_RATES_BPS = {
 BLUETOOTH_ACL_RATE_BPS = 723_200
 
 
+@cache
 def wlan_cf_card() -> RadioPowerModel:
     """802.11b CompactFlash WLAN card power model.
 
@@ -108,6 +115,7 @@ def wlan_cf_card() -> RadioPowerModel:
     )
 
 
+@cache
 def unap_wlan_card() -> RadioPowerModel:
     """802.11 WLAN card with μNap-grade fast doze transitions.
 
@@ -147,6 +155,7 @@ def unap_wlan_card() -> RadioPowerModel:
     )
 
 
+@cache
 def bluetooth_module() -> RadioPowerModel:
     """Bluetooth 1.1 module power model (CSR BlueCore class).
 
@@ -183,6 +192,7 @@ def bluetooth_module() -> RadioPowerModel:
     )
 
 
+@cache
 def gprs_modem() -> RadioPowerModel:
     """GPRS modem power model, for heterogeneous-interface studies.
 

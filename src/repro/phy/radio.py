@@ -17,6 +17,7 @@ model without wake-up costs would overstate the benefit of naive sleeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.sim.events import _PROCESSED, Event, Timeout
@@ -106,6 +107,12 @@ class Transition:
 class RadioPowerModel:
     """An immutable catalogue of power states and transition costs.
 
+    The model is read-only once built: :attr:`states` and
+    :attr:`transitions` are read-only mappings and rebinding an
+    attribute raises ``AttributeError``.  One instance can therefore be
+    shared by every radio built from it (the
+    :mod:`repro.devices.profiles` factories return one per process).
+
     Parameters
     ----------
     name:
@@ -126,29 +133,51 @@ class RadioPowerModel:
         transitions: Iterable[Transition] = (),
         initial_state: Optional[str] = None,
     ) -> None:
-        self.name = name
-        self.states: Dict[str, PowerState] = {}
+        by_name: Dict[str, PowerState] = {}
         for state in states:
-            if state.name in self.states:
+            if state.name in by_name:
                 raise ValueError(f"duplicate state name {state.name!r}")
-            self.states[state.name] = state
-        if not self.states:
+            by_name[state.name] = state
+        if not by_name:
             raise ValueError("a radio model needs at least one state")
         # Every (source, target) pair, so transition() is one lookup;
         # pairs not listed cost nothing.
-        self._transitions: Dict[Tuple[str, str], Transition] = {
+        table: Dict[Tuple[str, str], Transition] = {
             (source, target): Transition(source, target)
-            for source in self.states
-            for target in self.states
+            for source in by_name
+            for target in by_name
         }
+        _set = object.__setattr__
+        _set(self, "name", name)
+        _set(self, "states", MappingProxyType(by_name))
         for transition in transitions:
             self._require(transition.source)
             self._require(transition.target)
-            self._transitions[(transition.source, transition.target)] = transition
+            table[(transition.source, transition.target)] = transition
+        _set(self, "transitions", MappingProxyType(table))
         if initial_state is None:
-            initial_state = next(iter(self.states))
+            initial_state = next(iter(by_name))
         self._require(initial_state)
-        self.initial_state = initial_state
+        _set(self, "initial_state", initial_state)
+
+    def __setattr__(self, attr: str, _value: object) -> None:
+        raise AttributeError(f"RadioPowerModel is read-only; cannot set {attr!r}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"RadioPowerModel is read-only; cannot delete {attr!r}")
+
+    def __reduce__(self):
+        # The read-only mapping views do not pickle; rebuild from the
+        # full table instead.
+        return (
+            type(self),
+            (
+                self.name,
+                tuple(self.states.values()),
+                tuple(self.transitions.values()),
+                self.initial_state,
+            ),
+        )
 
     def _require(self, state_name: str) -> None:
         if state_name not in self.states:
@@ -165,7 +194,7 @@ class RadioPowerModel:
     def transition(self, source: str, target: str) -> Transition:
         """Transition cost from ``source`` to ``target`` (zero if unlisted)."""
         try:
-            return self._transitions[(source, target)]
+            return self.transitions[(source, target)]
         except KeyError:
             self._require(source)
             self._require(target)

@@ -1,12 +1,16 @@
 """Sanity checks on the calibrated device profiles."""
 
+import pickle
 
+from repro.core.outcome import VOLATILE_TIMING_FIELDS
 from repro.devices import bluetooth_module, gprs_modem, ipaq_3970, wlan_cf_card
 from repro.devices.profiles import (
     BLUETOOTH_ACL_RATE_BPS,
     GPRS_RATE_BPS,
     WLAN_RATES_BPS,
+    unap_wlan_card,
 )
+from repro.exp.scenarios import get_scenario
 from repro.phy import Radio
 from repro.sim import Simulator
 
@@ -95,3 +99,49 @@ def test_communication_flags():
     assert wlan.states["idle"].can_communicate
     assert not wlan.states["doze"].can_communicate
     assert not wlan.states["off"].can_communicate
+
+
+FACTORIES = (wlan_cf_card, unap_wlan_card, bluetooth_module, gprs_modem, ipaq_3970)
+
+
+def clear_factory_caches():
+    for factory in FACTORIES:
+        factory.cache_clear()
+
+
+def test_each_factory_returns_one_shared_instance():
+    for factory in FACTORIES:
+        assert factory() is factory()
+
+
+def test_shared_models_survive_a_pickle_round_trip():
+    for factory in (wlan_cf_card, unap_wlan_card, bluetooth_module, gprs_modem):
+        model = factory()
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy is not model
+        assert (copy.name, copy.initial_state) == (model.name, model.initial_state)
+        assert dict(copy.states) == dict(model.states)
+        assert dict(copy.transitions) == dict(model.transitions)
+    assert pickle.loads(pickle.dumps(ipaq_3970())) == ipaq_3970()
+
+
+def hotspot_record(**params):
+    record = get_scenario("hotspot")(duration_s=3.0, n_clients=2, **params)
+    record = record.summary_record()
+    for field in VOLATILE_TIMING_FIELDS:
+        record.pop(field, None)
+    return record
+
+
+def test_back_to_back_worlds_match_each_run_alone():
+    """Worlds sharing the cached models behave as in a fresh process."""
+    first = {"seed": 3, "scheduler": "edf"}
+    second = {"seed": 4, "scheduler": "round-robin", "burst_bytes": 20_000}
+    clear_factory_caches()
+    alone_first = hotspot_record(**first)
+    clear_factory_caches()
+    alone_second = hotspot_record(**second)
+    clear_factory_caches()
+    assert hotspot_record(**first) == alone_first
+    assert hotspot_record(**second) == alone_second
+    assert hotspot_record(**first) == alone_first

@@ -7,6 +7,7 @@ just for these tests.
 """
 
 import json
+import os
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.exp import (
     run_campaign,
     scenario_names,
 )
+from repro.exp.runner import _chunksize
 
 CALLS = []
 
@@ -43,6 +45,16 @@ def fake_scenario(gain=1, seed=0, obs=None):
 
 
 register_scenario("test-fake", fake_scenario)
+
+
+def chunk_scenario(gain=1, seed=0, obs=None):
+    """Healthy except for one run: gain 2 at seed 5 raises."""
+    if (gain, seed) == (2, 5):
+        raise ValueError("one bad run")
+    return _FakeResult(gain, seed)
+
+
+register_scenario("test-chunk", chunk_scenario)
 
 
 def fake_spec(**overrides):
@@ -194,6 +206,78 @@ class TestParallelDeterminism:
             assert result.record["metrics"]
         merged = aggregate(report.results)[0].metrics
         assert merged  # snapshots merged per grid point
+
+
+def chunked_hotspot_spec():
+    """24 short hotspot runs: chunks of 3 runs per task at jobs=2."""
+    return CampaignSpec(
+        name="chunked",
+        scenario="hotspot",
+        base={"duration_s": 1.0, "n_clients": 1},
+        grid={"burst_bytes": [20_000, 40_000], "scheduler": ["edf", "round-robin"]},
+        seeds=list(range(6)),
+    )
+
+
+def run_into_store(spec, directory, jobs):
+    order = []
+    with ResultStore(directory) as store:
+        report = run_campaign(
+            spec, store=store, jobs=jobs,
+            on_run=lambda run, cached: order.append((run.index, cached)),
+        )
+        path = store.path
+    with open(path, "rb") as stream:
+        return report, stream.read(), order
+
+
+class TestChunkedDispatch:
+    def test_chunk_rule(self):
+        assert _chunksize(4, 2) == 1
+        assert _chunksize(24, 2) == 3
+        assert _chunksize(1152, 2) == 8
+        assert _chunksize(1, 1) == 1
+
+    def test_jobs2_chunks_match_jobs1_exactly(self, tmp_path):
+        spec = chunked_hotspot_spec()
+        assert len(spec.runs()) == 24 and _chunksize(24, 2) > 1
+        serial, serial_bytes, serial_order = run_into_store(spec, tmp_path / "a", 1)
+        parallel, parallel_bytes, parallel_order = run_into_store(
+            spec, tmp_path / "b", 2
+        )
+        assert parallel.failed == 0 and parallel.executed == 24
+        assert serial.records() == parallel.records()
+        assert serial_bytes == parallel_bytes
+        assert serial_order == parallel_order == [(i, False) for i in range(24)]
+
+    def test_one_run_heartbeat_per_run_in_expansion_order(self, tmp_path):
+        spec = chunked_hotspot_spec()
+        run_into_store(spec, tmp_path / "s", 2)
+        with open(os.path.join(tmp_path / "s", "progress.jsonl")) as stream:
+            beats = [json.loads(line) for line in stream]
+        runs = [beat for beat in beats if beat["kind"] == "run"]
+        assert [beat["index"] for beat in runs] == list(range(24))
+        assert [beat["key"] for beat in runs] == [run.key for run in spec.runs()]
+        assert all(beat["outcome"] == "ok" for beat in runs)
+
+    def test_raising_run_is_quarantined_alone(self, tmp_path):
+        spec = CampaignSpec(
+            name="chunk-failure",
+            scenario="test-chunk",
+            grid={"gain": [1, 2]},
+            seeds=list(range(12)),
+        )
+        assert _chunksize(24, 2) > 1
+        with ResultStore(tmp_path / "s") as store:
+            report = run_campaign(spec, store=store, jobs=2)
+        assert (report.executed, report.failed) == (24, 1)
+        (failure,) = report.failures()
+        assert (failure.params, failure.seed) == ({"gain": 2}, 5)
+        assert failure.error["message"] == "one bad run"
+        assert all(r.record for r in report.results if r is not failure)
+        with ResultStore(tmp_path / "s") as store:
+            retried = run_campaign(spec, store=store, jobs=2)
+        assert (retried.cached, retried.executed, retried.quarantined) == (23, 1, 1)
 
 
 class TestCampaignCli:

@@ -1,5 +1,7 @@
 """Tests for the radio power-state machine and its energy accounting."""
 
+import pickle
+
 import pytest
 
 from repro.phy import PowerState, Radio, RadioPowerModel, Transition
@@ -69,6 +71,55 @@ class TestRadioPowerModel:
             Transition("a", "b", latency_s=-1.0)
         with pytest.raises(ValueError):
             Transition("a", "b", energy_j=-1.0)
+
+
+class TestReadOnlyModel:
+    """Profile factories share one model per process, so it must not change."""
+
+    def test_states_and_transition_table_reject_item_assignment(self):
+        model = two_state_model()
+        with pytest.raises(TypeError):
+            model.states["on"] = PowerState("on", power_w=9.0)
+        with pytest.raises(TypeError):
+            model.transitions[("on", "sleep")] = Transition("on", "sleep")
+        assert model.power("on") == 1.0
+        assert model.transition("on", "sleep").energy_j == 0.25
+
+    def test_transition_table_lists_every_pair(self):
+        model = two_state_model()
+        assert len(model.transitions) == 4
+        assert model.transitions[("sleep", "on")] is model.transition("sleep", "on")
+
+    def test_rebinding_or_deleting_an_attribute_raises(self):
+        model = two_state_model()
+        with pytest.raises(AttributeError):
+            model.initial_state = "sleep"
+        with pytest.raises(AttributeError):
+            model.states = {}
+        with pytest.raises(AttributeError):
+            del model.name
+        assert model.initial_state == "on"
+
+    def test_pickle_round_trip_gives_an_equal_working_model(self):
+        model = two_state_model()
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy is not model
+        assert (copy.name, copy.initial_state) == (model.name, model.initial_state)
+        assert dict(copy.states) == dict(model.states)
+        assert dict(copy.transitions) == dict(model.transitions)
+        with pytest.raises(AttributeError):
+            copy.initial_state = "sleep"
+
+        sim = Simulator()
+        radio = Radio(sim, copy)
+
+        def driver(sim, radio):
+            yield sim.timeout(4.0)
+            yield radio.transition_to("sleep")
+
+        sim.process(driver(sim, radio))
+        sim.run(until=10.0)
+        assert radio.energy_j() == pytest.approx(4.0 + 0.25 + 0.6)
 
 
 class TestRadio:
