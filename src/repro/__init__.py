@@ -19,9 +19,9 @@ The package is organised by protocol layer, mirroring the paper's survey:
   report rendering.
 """
 
-__version__ = "1.0.0"
+from repro._namespace import lazy_namespace
 
-from repro.sim import Simulator
+__version__ = "1.0.0"
 
 
 def package_version() -> str:
@@ -31,14 +31,14 @@ def package_version() -> str:
     can be traced back to the code that produced it; ``repro --version``
     prints it.
     """
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-    except ImportError:  # pragma: no cover - Python < 3.8
-        return __version__
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
         return version("repro")
     except PackageNotFoundError:
         return __version__
 
 
-__all__ = ["Simulator", "__version__", "package_version"]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__, {"sim": ("Simulator",)}, eager=("__version__", "package_version")
+)

@@ -11,24 +11,19 @@
   performance needs"*.
 """
 
-from repro.apps.traffic import (
-    Mp3Stream,
-    OnOffTraffic,
-    PoissonTraffic,
-    TraceTraffic,
-    VideoStream,
-)
-from repro.apps.proxy import MediaProxy, TranscodingProxy
-from repro.apps.partitioning import PipelinePartitioner, Stage
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "MediaProxy",
-    "Mp3Stream",
-    "OnOffTraffic",
-    "PipelinePartitioner",
-    "PoissonTraffic",
-    "Stage",
-    "TraceTraffic",
-    "TranscodingProxy",
-    "VideoStream",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "traffic": (
+            "Mp3Stream",
+            "OnOffTraffic",
+            "PoissonTraffic",
+            "TraceTraffic",
+            "VideoStream",
+        ),
+        "proxy": ("MediaProxy", "TranscodingProxy"),
+        "partitioning": ("PipelinePartitioner", "Stage"),
+    },
+)

@@ -43,52 +43,36 @@ Determinism contract: same spec + seed ⇒ same world ⇒ byte-identical
 ``summary_record()`` (pinned by the golden-equivalence tests).
 """
 
-from repro.build.spec import (
-    DELIVERY_MODES,
-    INTERFACE_KINDS,
-    FleetSpec,
-    InterfaceSpec,
-    NodeSpec,
-    TrafficSpec,
-    WorldSpec,
-    uniform_nodes,
-)
-from repro.build.presets import (
-    ecmac_world,
-    faulty_hotspot_world,
-    fleet_hotspot_world,
-    hotspot_world,
-    pamas_world,
-    psm_baseline_world,
-    unap_hotspot_world,
-    unscheduled_world,
-)
-from repro.build.builder import (
-    World,
-    WorldBuilder,
-    build_managed_client,
-    scripted_quality,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "DELIVERY_MODES",
-    "FleetSpec",
-    "INTERFACE_KINDS",
-    "InterfaceSpec",
-    "NodeSpec",
-    "TrafficSpec",
-    "World",
-    "WorldBuilder",
-    "WorldSpec",
-    "build_managed_client",
-    "ecmac_world",
-    "faulty_hotspot_world",
-    "fleet_hotspot_world",
-    "hotspot_world",
-    "pamas_world",
-    "psm_baseline_world",
-    "scripted_quality",
-    "unap_hotspot_world",
-    "uniform_nodes",
-    "unscheduled_world",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "spec": (
+            "DELIVERY_MODES",
+            "INTERFACE_KINDS",
+            "FleetSpec",
+            "InterfaceSpec",
+            "NodeSpec",
+            "TrafficSpec",
+            "WorldSpec",
+            "uniform_nodes",
+        ),
+        "presets": (
+            "ecmac_world",
+            "faulty_hotspot_world",
+            "fleet_hotspot_world",
+            "hotspot_world",
+            "pamas_world",
+            "psm_baseline_world",
+            "unap_hotspot_world",
+            "unscheduled_world",
+        ),
+        "builder": (
+            "World",
+            "WorldBuilder",
+            "build_managed_client",
+            "scripted_quality",
+        ),
+    },
+)

@@ -18,46 +18,31 @@ runnable worlds, including the unscheduled baselines of the paper's
 Figure 2.
 """
 
-from repro.core.qos import QoSContract
-from repro.core.interfaces import (
-    ManagedInterface,
-    bluetooth_interface,
-    gprs_interface,
-    wlan_interface,
-)
-from repro.core.scheduling import (
-    BurstRequest,
-    EdfScheduler,
-    FifoScheduler,
-    LowBatteryFirstScheduler,
-    RateMonotonicScheduler,
-    RoundRobinScheduler,
-    WeightedFairScheduler,
-    WeightedRoundRobinScheduler,
-    make_scheduler,
-)
-from repro.core.client import HotspotClient
-from repro.core.server import HotspotServer, InterfaceSelectionPolicy
-from repro.core.outcome import ScenarioResult, VOLATILE_TIMING_FIELDS
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "BurstRequest",
-    "EdfScheduler",
-    "FifoScheduler",
-    "HotspotClient",
-    "HotspotServer",
-    "InterfaceSelectionPolicy",
-    "LowBatteryFirstScheduler",
-    "ManagedInterface",
-    "QoSContract",
-    "RateMonotonicScheduler",
-    "RoundRobinScheduler",
-    "ScenarioResult",
-    "VOLATILE_TIMING_FIELDS",
-    "WeightedFairScheduler",
-    "WeightedRoundRobinScheduler",
-    "bluetooth_interface",
-    "gprs_interface",
-    "make_scheduler",
-    "wlan_interface",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "qos": ("QoSContract",),
+        "interfaces": (
+            "ManagedInterface",
+            "bluetooth_interface",
+            "gprs_interface",
+            "wlan_interface",
+        ),
+        "scheduling": (
+            "BurstRequest",
+            "EdfScheduler",
+            "FifoScheduler",
+            "LowBatteryFirstScheduler",
+            "RateMonotonicScheduler",
+            "RoundRobinScheduler",
+            "WeightedFairScheduler",
+            "WeightedRoundRobinScheduler",
+            "make_scheduler",
+        ),
+        "client": ("HotspotClient",),
+        "server": ("HotspotServer", "InterfaceSelectionPolicy"),
+        "outcome": ("ScenarioResult", "VOLATILE_TIMING_FIELDS"),
+    },
+)

@@ -11,12 +11,14 @@ campaign engine hashes, caches and aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.qos import QoSContract
-from repro.metrics.energy import ClientEnergyReport
-from repro.metrics.qos import QosSummary
-from repro.phy import Radio
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.metrics.energy import ClientEnergyReport
+    from repro.metrics.qos import QosSummary
+    from repro.phy import Radio
 
 #: MP3 decode keeps the platform busy a modest fraction of the time.
 MP3_DECODE_BUSY_FRACTION = 0.15

@@ -7,18 +7,17 @@ are drawn from the authors' companion papers (WMASH'04, MMCN'05) and
 vendor datasheets; see each factory's docstring for the provenance.
 """
 
-from repro.devices.profiles import (
-    DeviceProfile,
-    bluetooth_module,
-    gprs_modem,
-    ipaq_3970,
-    wlan_cf_card,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "DeviceProfile",
-    "bluetooth_module",
-    "gprs_modem",
-    "ipaq_3970",
-    "wlan_cf_card",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "profiles": (
+            "DeviceProfile",
+            "bluetooth_module",
+            "gprs_modem",
+            "ipaq_3970",
+            "wlan_cf_card",
+        ),
+    },
+)

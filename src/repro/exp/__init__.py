@@ -33,94 +33,58 @@ Quick programmatic use::
         print(point.params, point.stats["wnic_power_w"].render())
 """
 
-from repro.exp.aggregate import (
-    DEFAULT_FIELDS,
-    FieldStats,
-    GridPointSummary,
-    aggregate,
-    campaign_payload,
-    dump_json,
-    merge_metric_snapshots,
-    summary_rows,
-    summary_table,
-    t_critical_95,
-    write_csv,
-)
-from repro.exp.grid import expand_grid, grid_size
-from repro.exp.jsonio import dumps_strict, sanitize_nonfinite
-from repro.exp.progress import (
-    CampaignProgress,
-    ProgressLog,
-    StderrProgress,
-    read_progress,
-)
-from repro.exp.runner import (
-    CampaignReport,
-    RunResult,
-    RunTimeoutError,
-    error_envelope,
-    execute_run,
-    execute_run_guarded,
-    guarded_call,
-    run_campaign,
-)
-from repro.exp.scenarios import (
-    ScenarioEntry,
-    ScenarioParameter,
-    get_scenario,
-    register_scenario,
-    scenario_entries,
-    scenario_entry,
-    scenario_names,
-)
-from repro.exp.spec import (
-    CampaignSpec,
-    RunSpec,
-    canonical_json,
-    canonical_params,
-    run_key,
-)
-from repro.exp.store import ResultStore
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "DEFAULT_FIELDS",
-    "CampaignProgress",
-    "CampaignReport",
-    "CampaignSpec",
-    "ProgressLog",
-    "StderrProgress",
-    "FieldStats",
-    "GridPointSummary",
-    "ResultStore",
-    "RunResult",
-    "RunSpec",
-    "RunTimeoutError",
-    "ScenarioEntry",
-    "ScenarioParameter",
-    "aggregate",
-    "campaign_payload",
-    "canonical_json",
-    "canonical_params",
-    "dump_json",
-    "dumps_strict",
-    "error_envelope",
-    "execute_run",
-    "execute_run_guarded",
-    "expand_grid",
-    "guarded_call",
-    "sanitize_nonfinite",
-    "get_scenario",
-    "grid_size",
-    "merge_metric_snapshots",
-    "read_progress",
-    "register_scenario",
-    "run_campaign",
-    "run_key",
-    "scenario_entries",
-    "scenario_entry",
-    "scenario_names",
-    "summary_rows",
-    "summary_table",
-    "t_critical_95",
-    "write_csv",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "aggregate": (
+            "DEFAULT_FIELDS",
+            "FieldStats",
+            "GridPointSummary",
+            "aggregate",
+            "campaign_payload",
+            "dump_json",
+            "merge_metric_snapshots",
+            "summary_rows",
+            "summary_table",
+            "t_critical_95",
+            "write_csv",
+        ),
+        "grid": ("expand_grid", "grid_size"),
+        "jsonio": ("dumps_strict", "sanitize_nonfinite"),
+        "progress": (
+            "CampaignProgress",
+            "ProgressLog",
+            "StderrProgress",
+            "read_progress",
+        ),
+        "runner": (
+            "CampaignReport",
+            "RunResult",
+            "RunTimeoutError",
+            "error_envelope",
+            "execute_run",
+            "execute_run_guarded",
+            "guarded_call",
+            "run_campaign",
+        ),
+        "scenarios": (
+            "ScenarioEntry",
+            "ScenarioParameter",
+            "get_scenario",
+            "register_scenario",
+            "scenario_entries",
+            "scenario_entry",
+            "scenario_names",
+        ),
+        "spec": (
+            "CampaignSpec",
+            "RunSpec",
+            "canonical_json",
+            "canonical_params",
+            "run_key",
+        ),
+        "store": ("ResultStore",),
+    },
+)

@@ -13,6 +13,11 @@ Interrupted campaigns resume for free: completed runs were flushed to
 the store line-by-line, so the next invocation executes only what is
 missing.
 
+The scenario registry (and with it the whole simulator) and
+``multiprocessing`` are imported only where a run executes or a pool
+starts.  A campaign served from its store never loads them, and a
+parallel campaign's parent leaves the simulator to its workers.
+
 Failure semantics
 -----------------
 A raising run no longer aborts the campaign.  Each run executes behind
@@ -30,7 +35,7 @@ exponential backoff handle hangs and transient faults.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -38,12 +43,9 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import os
-
 from repro import package_version
 from repro.core.outcome import VOLATILE_TIMING_FIELDS
 from repro.exp.progress import CampaignProgress, ProgressLog, StderrProgress
-from repro.exp.scenarios import get_scenario
 from repro.exp.spec import CampaignSpec, RunSpec, canonical_params
 from repro.exp.store import ResultStore
 
@@ -155,6 +157,8 @@ def execute_run(item: _WorkItem) -> Dict[str, Any]:
     ts_interval = item[4] if len(item) > 4 else None
     ts_path = item[5] if len(item) > 5 else None
     label = item[6] if len(item) > 6 else None
+    from repro.exp.scenarios import get_scenario
+
     fn = get_scenario(scenario)
     obs = None
     if collect_metrics or ts_path:
@@ -270,6 +274,8 @@ def execute_run_guarded(guarded: _GuardedItem) -> Dict[str, Any]:
         backoff_s=backoff_s,
     )
     outcome["wall_time_s"] = time.perf_counter() - started
+    import multiprocessing
+
     outcome["worker"] = multiprocessing.current_process().name
     return outcome
 
@@ -464,6 +470,8 @@ def run_campaign(
                 for run in pending:
                     if obs is not None:
                         def shared_obs_run(run: RunSpec = run) -> Dict[str, Any]:
+                            from repro.exp.scenarios import get_scenario
+
                             obs.begin_run(run.label)
                             try:
                                 fn = get_scenario(run.scenario)
@@ -487,6 +495,8 @@ def run_campaign(
                         ))
                     absorb(run, outcome)
             else:
+                import multiprocessing
+
                 items: List[_GuardedItem] = [
                     (work_item(run), run_timeout_s, retries, retry_backoff_s)
                     for run in pending

@@ -17,20 +17,18 @@ resource manager skips dead interfaces, fails clients over between WLAN
 and Bluetooth, and re-schedules bursts the outage swallowed.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    BeaconOutage,
-    ClientChurn,
-    FaultPlan,
-    InterferenceBurst,
-    RadioOutage,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "BeaconOutage",
-    "ClientChurn",
-    "FaultInjector",
-    "FaultPlan",
-    "InterferenceBurst",
-    "RadioOutage",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "injector": ("FaultInjector",),
+        "plan": (
+            "BeaconOutage",
+            "ClientChurn",
+            "FaultPlan",
+            "InterferenceBurst",
+            "RadioOutage",
+        ),
+    },
+)

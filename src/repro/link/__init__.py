@@ -13,45 +13,31 @@ Implements the survey's link-layer techniques:
 - :mod:`repro.link.routing` — energy-efficient ad-hoc routing policies.
 """
 
-from repro.link.arq import (
-    ArqStats,
-    BitPipe,
-    GoBackNArq,
-    SelectiveRepeatArq,
-    StopAndWaitArq,
-)
-from repro.link.fec import FecCode, HybridArqFec, fec_energy_per_good_bit
-from repro.link.adaptive import AdaptiveErrorControl, ErrorControlScheme
-from repro.link.prediction import (
-    EwmaPredictor,
-    LastStatePredictor,
-    MarkovPredictor,
-    evaluate_predictor,
-)
-from repro.link.routing import (
-    AdHocNetwork,
-    max_lifetime_route,
-    min_energy_route,
-    min_hop_route,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "AdHocNetwork",
-    "AdaptiveErrorControl",
-    "ArqStats",
-    "BitPipe",
-    "ErrorControlScheme",
-    "EwmaPredictor",
-    "FecCode",
-    "GoBackNArq",
-    "HybridArqFec",
-    "LastStatePredictor",
-    "MarkovPredictor",
-    "SelectiveRepeatArq",
-    "StopAndWaitArq",
-    "evaluate_predictor",
-    "fec_energy_per_good_bit",
-    "max_lifetime_route",
-    "min_energy_route",
-    "min_hop_route",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "arq": (
+            "ArqStats",
+            "BitPipe",
+            "GoBackNArq",
+            "SelectiveRepeatArq",
+            "StopAndWaitArq",
+        ),
+        "fec": ("FecCode", "HybridArqFec", "fec_energy_per_good_bit"),
+        "adaptive": ("AdaptiveErrorControl", "ErrorControlScheme"),
+        "prediction": (
+            "EwmaPredictor",
+            "LastStatePredictor",
+            "MarkovPredictor",
+            "evaluate_predictor",
+        ),
+        "routing": (
+            "AdHocNetwork",
+            "max_lifetime_route",
+            "min_energy_route",
+            "min_hop_route",
+        ),
+    },
+)

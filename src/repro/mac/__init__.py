@@ -20,63 +20,40 @@ Implements every MAC-level technique the paper's survey names:
   active/sniff/hold/park low-power modes the Hotspot client uses.
 """
 
-from repro.mac.frames import Dot11Timing, Frame, FrameKind
-from repro.mac.medium import Medium
-from repro.mac.dcf import DcfConfig, DcfStation
-from repro.mac.powersave import (
-    CamPolicy,
-    MicroNapPolicy,
-    PowerPolicy,
-    StaticPsmPolicy,
-    make_power_policy,
-    power_policy_description,
-    power_policy_names,
-    register_power_policy,
-)
-from repro.mac.psm import AccessPoint, PsmConfig, PsmStation
-from repro.mac.ecmac import EcMacConfig, EcMacCoordinator, EcMacStation, ScheduleEntry
-from repro.mac.aggregation import AggregatorStats, PacketAggregator
-from repro.mac.pamas import (
-    PamasNode,
-    PamasStats,
-    aggressive_sleep_policy,
-    linear_sleep_policy,
-)
-from repro.mac.bluetooth import BluetoothLink
-from repro.mac.rate_adaptation import AarfRateController, ArfRateController
-from repro.mac.spatial import SpatialMedium, audibility_from_groups
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "AarfRateController",
-    "AccessPoint",
-    "AggregatorStats",
-    "ArfRateController",
-    "BluetoothLink",
-    "CamPolicy",
-    "DcfConfig",
-    "DcfStation",
-    "Dot11Timing",
-    "EcMacConfig",
-    "EcMacCoordinator",
-    "EcMacStation",
-    "Frame",
-    "FrameKind",
-    "Medium",
-    "MicroNapPolicy",
-    "PacketAggregator",
-    "PamasNode",
-    "PamasStats",
-    "PowerPolicy",
-    "PsmConfig",
-    "PsmStation",
-    "ScheduleEntry",
-    "SpatialMedium",
-    "StaticPsmPolicy",
-    "aggressive_sleep_policy",
-    "audibility_from_groups",
-    "linear_sleep_policy",
-    "make_power_policy",
-    "power_policy_description",
-    "power_policy_names",
-    "register_power_policy",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "frames": ("Dot11Timing", "Frame", "FrameKind"),
+        "medium": ("Medium",),
+        "dcf": ("DcfConfig", "DcfStation"),
+        "powersave": (
+            "CamPolicy",
+            "MicroNapPolicy",
+            "PowerPolicy",
+            "StaticPsmPolicy",
+            "make_power_policy",
+            "power_policy_description",
+            "power_policy_names",
+            "register_power_policy",
+        ),
+        "psm": ("AccessPoint", "PsmConfig", "PsmStation"),
+        "ecmac": (
+            "EcMacConfig",
+            "EcMacCoordinator",
+            "EcMacStation",
+            "ScheduleEntry",
+        ),
+        "aggregation": ("AggregatorStats", "PacketAggregator"),
+        "pamas": (
+            "PamasNode",
+            "PamasStats",
+            "aggressive_sleep_policy",
+            "linear_sleep_policy",
+        ),
+        "bluetooth": ("BluetoothLink",),
+        "rate_adaptation": ("AarfRateController", "ArfRateController"),
+        "spatial": ("SpatialMedium", "audibility_from_groups"),
+    },
+)

@@ -10,18 +10,14 @@
   for benchmark output.
 """
 
-from repro.metrics.energy import ClientEnergyReport, EnergyBreakdown
-from repro.metrics.qos import DeadlineTracker, PlayoutBuffer, QosSummary
-from repro.metrics.timeline import render_schedule_timeline
-from repro.metrics.report import ascii_bar_chart, format_table
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "ClientEnergyReport",
-    "DeadlineTracker",
-    "EnergyBreakdown",
-    "PlayoutBuffer",
-    "QosSummary",
-    "ascii_bar_chart",
-    "format_table",
-    "render_schedule_timeline",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "energy": ("ClientEnergyReport", "EnergyBreakdown"),
+        "qos": ("DeadlineTracker", "PlayoutBuffer", "QosSummary"),
+        "timeline": ("render_schedule_timeline",),
+        "report": ("ascii_bar_chart", "format_table"),
+    },
+)

@@ -15,30 +15,22 @@ fleet experiment (a corridor of cells, a population of random-waypoint
 walkers), registered as ``fleet-hotspot`` in :mod:`repro.exp.scenarios`.
 """
 
-from repro.net.association import AssociationManager
-from repro.net.fleet import DEFAULT_CAPACITY_BPS, Cell, FleetCoordinator
-from repro.net.handoff import HandoffController
-from repro.net.topology import (
-    BLUETOOTH_LINK_BUDGET,
-    WLAN_LINK_BUDGET,
-    AccessPointSite,
-    LinkBudget,
-    Topology,
-    grid_deployment,
-    linear_deployment,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "AccessPointSite",
-    "AssociationManager",
-    "BLUETOOTH_LINK_BUDGET",
-    "Cell",
-    "DEFAULT_CAPACITY_BPS",
-    "FleetCoordinator",
-    "HandoffController",
-    "LinkBudget",
-    "Topology",
-    "WLAN_LINK_BUDGET",
-    "grid_deployment",
-    "linear_deployment",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "association": ("AssociationManager",),
+        "fleet": ("DEFAULT_CAPACITY_BPS", "Cell", "FleetCoordinator"),
+        "handoff": ("HandoffController",),
+        "topology": (
+            "BLUETOOTH_LINK_BUDGET",
+            "WLAN_LINK_BUDGET",
+            "AccessPointSite",
+            "LinkBudget",
+            "Topology",
+            "grid_deployment",
+            "linear_deployment",
+        ),
+    },
+)

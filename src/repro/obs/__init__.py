@@ -16,48 +16,33 @@ The debugging/measurement substrate every layer emits through:
 - :mod:`repro.obs.session` — the CLI-facing bundle of all of the above.
 """
 
-from repro.obs.bus import NULL_BUS, TraceBus, TraceEvent
-from repro.obs.export import (
-    JsonlTraceWriter,
-    MetricsCollector,
-    chrome_trace_events,
-    radio_dwell_table,
-    top_kinds_table,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    P2Quantile,
-    StreamingHistogram,
-)
-from repro.obs.profiler import KernelProfiler
-from repro.obs.session import ObsSession
-from repro.obs.timeseries import (
-    TimeseriesRecorder,
-    TimeseriesWriter,
-    read_timeseries,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "NULL_BUS",
-    "TraceBus",
-    "TraceEvent",
-    "JsonlTraceWriter",
-    "MetricsCollector",
-    "chrome_trace_events",
-    "radio_dwell_table",
-    "top_kinds_table",
-    "write_chrome_trace",
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "P2Quantile",
-    "StreamingHistogram",
-    "KernelProfiler",
-    "ObsSession",
-    "TimeseriesRecorder",
-    "TimeseriesWriter",
-    "read_timeseries",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "bus": ("NULL_BUS", "TraceBus", "TraceEvent"),
+        "export": (
+            "JsonlTraceWriter",
+            "MetricsCollector",
+            "chrome_trace_events",
+            "radio_dwell_table",
+            "top_kinds_table",
+            "write_chrome_trace",
+        ),
+        "metrics": (
+            "Counter",
+            "Gauge",
+            "MetricsRegistry",
+            "P2Quantile",
+            "StreamingHistogram",
+        ),
+        "profiler": ("KernelProfiler",),
+        "session": ("ObsSession",),
+        "timeseries": (
+            "TimeseriesRecorder",
+            "TimeseriesWriter",
+            "read_timeseries",
+        ),
+    },
+)

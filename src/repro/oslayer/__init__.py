@@ -14,32 +14,25 @@ the quality of the predictive techniques."*
   schedulability constraint.
 """
 
-from repro.oslayer.shutdown import (
-    AdaptiveTimeoutPolicy,
-    AlwaysOnPolicy,
-    DevicePowerManager,
-    FixedTimeoutPolicy,
-    OraclePolicy,
-    PredictiveEwmaPolicy,
-    break_even_time_s,
-)
-from repro.oslayer.dvs import (
-    CpuFrequency,
-    DvsSchedule,
-    PeriodicTask,
-    select_lowest_feasible_frequency,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "AdaptiveTimeoutPolicy",
-    "AlwaysOnPolicy",
-    "CpuFrequency",
-    "DevicePowerManager",
-    "DvsSchedule",
-    "FixedTimeoutPolicy",
-    "OraclePolicy",
-    "PeriodicTask",
-    "PredictiveEwmaPolicy",
-    "break_even_time_s",
-    "select_lowest_feasible_frequency",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "shutdown": (
+            "AdaptiveTimeoutPolicy",
+            "AlwaysOnPolicy",
+            "DevicePowerManager",
+            "FixedTimeoutPolicy",
+            "OraclePolicy",
+            "PredictiveEwmaPolicy",
+            "break_even_time_s",
+        ),
+        "dvs": (
+            "CpuFrequency",
+            "DvsSchedule",
+            "PeriodicTask",
+            "select_lowest_feasible_frequency",
+        ),
+    },
+)

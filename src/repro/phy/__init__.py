@@ -9,51 +9,33 @@ adaptation decisions (:mod:`repro.phy.channel`), and battery models for
 lifetime studies (:mod:`repro.phy.battery`).
 """
 
-from repro.phy.radio import PowerState, Radio, RadioPowerModel, Transition
-from repro.phy.channel import (
-    FreeSpacePathLoss,
-    GilbertElliottChannel,
-    InterferenceSchedule,
-    LogDistancePathLoss,
-    LogNormalShadowing,
-    Modulation,
-    RayleighBlockFading,
-    ScriptedLinkQuality,
-    ber,
-    ber_cache_stats,
-    configure_ber_cache,
-    packet_error_rate,
-    snr_db_from_link_budget,
-)
-from repro.phy.battery import Battery
-from repro.phy.mobility import (
-    LinearMobility,
-    RandomWaypoint,
-    WaypointMobility,
-    quality_from_mobility,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "Battery",
-    "FreeSpacePathLoss",
-    "GilbertElliottChannel",
-    "InterferenceSchedule",
-    "LinearMobility",
-    "LogDistancePathLoss",
-    "LogNormalShadowing",
-    "Modulation",
-    "PowerState",
-    "Radio",
-    "RandomWaypoint",
-    "RayleighBlockFading",
-    "RadioPowerModel",
-    "ScriptedLinkQuality",
-    "Transition",
-    "WaypointMobility",
-    "ber",
-    "ber_cache_stats",
-    "configure_ber_cache",
-    "packet_error_rate",
-    "quality_from_mobility",
-    "snr_db_from_link_budget",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "radio": ("PowerState", "Radio", "RadioPowerModel", "Transition"),
+        "channel": (
+            "FreeSpacePathLoss",
+            "GilbertElliottChannel",
+            "InterferenceSchedule",
+            "LogDistancePathLoss",
+            "LogNormalShadowing",
+            "Modulation",
+            "RayleighBlockFading",
+            "ScriptedLinkQuality",
+            "ber",
+            "ber_cache_stats",
+            "configure_ber_cache",
+            "packet_error_rate",
+            "snr_db_from_link_budget",
+        ),
+        "battery": ("Battery",),
+        "mobility": (
+            "LinearMobility",
+            "RandomWaypoint",
+            "WaypointMobility",
+            "quality_from_mobility",
+        ),
+    },
+)

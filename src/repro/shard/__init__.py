@@ -23,15 +23,13 @@ Entry points: :func:`run_sharded_fleet` (the runner, behind
 :func:`partition_cells` (the pure planning functions).
 """
 
-from repro.shard.plan import AdmissionProbe, partition_cells, placement_plan
-from repro.shard.runner import merge_partials, run_sharded_fleet
-from repro.shard.world import CellWorld
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "AdmissionProbe",
-    "CellWorld",
-    "merge_partials",
-    "partition_cells",
-    "placement_plan",
-    "run_sharded_fleet",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "plan": ("AdmissionProbe", "partition_cells", "placement_plan"),
+        "runner": ("merge_partials", "run_sharded_fleet"),
+        "world": ("CellWorld",),
+    },
+)

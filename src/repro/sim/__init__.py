@@ -20,27 +20,16 @@ Quick example::
     sim.run(until=5.0)
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Interrupt, Process
-from repro.sim.core import Simulator, SimulationError
-from repro.sim.resources import Resource, Store, PriorityStore
-from repro.sim.stats import RunningStat, TimeSeries, TimeWeightedStat
-from repro.sim.streams import RandomStreams
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Event",
-    "Interrupt",
-    "PriorityStore",
-    "Process",
-    "RandomStreams",
-    "Resource",
-    "RunningStat",
-    "SimulationError",
-    "Simulator",
-    "Store",
-    "TimeSeries",
-    "TimeWeightedStat",
-    "Timeout",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "events": ("AllOf", "AnyOf", "Event", "Timeout"),
+        "process": ("Interrupt", "Process"),
+        "core": ("Simulator", "SimulationError"),
+        "resources": ("Resource", "Store", "PriorityStore"),
+        "stats": ("RunningStat", "TimeSeries", "TimeWeightedStat"),
+        "streams": ("RandomStreams",),
+    },
+)

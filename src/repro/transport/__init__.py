@@ -18,19 +18,14 @@ completely new end-to-end protocols."*
   snoop (Berkeley style) agents at the base station.
 """
 
-from repro.transport.path import NetworkPath, Segment
-from repro.transport.udp import UdpFlow, UdpSink
-from repro.transport.tcp import TcpReceiver, TcpSender, TcpStats
-from repro.transport.mitigation import SnoopAgent, run_split_connection
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "NetworkPath",
-    "Segment",
-    "SnoopAgent",
-    "TcpReceiver",
-    "TcpSender",
-    "TcpStats",
-    "UdpFlow",
-    "UdpSink",
-    "run_split_connection",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "path": ("NetworkPath", "Segment"),
+        "udp": ("UdpFlow", "UdpSink"),
+        "tcp": ("TcpReceiver", "TcpSender", "TcpStats"),
+        "mitigation": ("SnoopAgent", "run_split_connection"),
+    },
+)
