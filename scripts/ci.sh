@@ -28,11 +28,13 @@ python -m pytest benchmarks/e2e -q
 echo "== e2e benchmark digest gate =="
 # Full-size psm-downlink, unap-uplink, campaign-cold (hotspot proxy
 # feeds), campaign-warm (the cache-hit path, which never loads the
-# simulator) and city-grid-1k (fleet proxy feeds) at seed 0: each run's
+# simulator), city-grid-1k (fleet proxy feeds) and city-grid-1k-shards2
+# (the sharded fleet's cell worlds and migrations) at seed 0: each run's
 # summary must hash to its pinned digest in benchmarks/e2e/expected/.
 digest_line="$(python benchmarks/e2e/run.py --workload psm-downlink \
   --workload unap-uplink --workload campaign-cold --workload campaign-warm \
-  --workload city-grid-1k --repeats 1 --trace 0 --seed 0 | tail -n 1)"
+  --workload city-grid-1k --workload city-grid-1k-shards2 \
+  --repeats 1 --trace 0 --seed 0 | tail -n 1)"
 python - "$digest_line" <<'EOF'
 import json
 import sys

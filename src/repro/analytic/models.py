@@ -10,7 +10,9 @@ grid evaluates in microseconds and can pre-screen campaign grids
 (:mod:`repro.analytic.crossval`).
 
 The constants are shared with the simulator, not copied: MAC timing
-comes from :class:`repro.mac.frames.Dot11Timing` and radio power from
+comes from :class:`repro.mac.frames.Dot11Timing`, the beacon size and
+the ``PsmConfig`` wake-guard and poll-timeout defaults from
+:mod:`repro.mac.frames`, and radio power from
 :func:`repro.metrics.energy.wlan_cf_constants`, which reads the same
 :class:`~repro.phy.radio.RadioPowerModel` the simulator charges.
 
@@ -49,7 +51,12 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
-from repro.mac.frames import Dot11Timing
+from repro.mac.frames import (
+    BEACON_BASE_BYTES,
+    PSM_POLL_DATA_TIMEOUT_S,
+    PSM_WAKE_GUARD_S,
+    Dot11Timing,
+)
 from repro.metrics.energy import (
     RadioPowerConstants,
     unap_wlan_constants,
@@ -72,14 +79,9 @@ __all__ = [
     "bianchi_fixed_point",
 ]
 
-#: Beacon body bytes before TIM entries (mirrors ``repro.mac.psm``).
-BEACON_BASE_BYTES = 50
-
-#: Default PSM wake guard (mirrors ``PsmConfig.wake_guard_s``).
-DEFAULT_WAKE_GUARD_S = 0.004
-
-#: Default poll-data timeout (mirrors ``PsmConfig.poll_data_timeout_s``).
-DEFAULT_POLL_TIMEOUT_S = 0.050
+#: The ``PsmConfig`` defaults the simulator's stations use.
+DEFAULT_WAKE_GUARD_S = PSM_WAKE_GUARD_S
+DEFAULT_POLL_TIMEOUT_S = PSM_POLL_DATA_TIMEOUT_S
 
 #: How often, per completed drain round at two-station saturation, the
 #: two stations' re-polls end up contending in the same backoff window

@@ -88,6 +88,7 @@ class World:
         self.fault_plan: Optional[FaultPlan] = None
         # Fleet layers (delivery="fleet").
         self.topology = None
+        self.arena = None
         self.association = None
         self.fleet = None
         self.handoff = None
@@ -272,7 +273,8 @@ def register_radios(world: World, client: HotspotClient) -> None:
         world.radios[interface.radio.name] = interface.radio
 
 
-def _node_source(world: World, node: NodeSpec) -> TrafficSource:
+def node_source(world: World, node: NodeSpec) -> TrafficSource:
+    """The node's traffic source, drawing on its ``traffic/<name>`` substream."""
     return build_source(
         node.traffic.kind,
         bitrate_bps=node.traffic.bitrate_bps,
@@ -283,14 +285,14 @@ def _node_source(world: World, node: NodeSpec) -> TrafficSource:
 
 def start_traffic(world: World, node: NodeSpec, sink) -> None:
     """Build the node's source and pump it into ``sink`` until the end."""
-    _node_source(world, node).start(world.sim, sink, until_s=world.spec.duration_s)
+    node_source(world, node).start(world.sim, sink, until_s=world.spec.duration_s)
 
 
 def feed_traffic(world: World, node: NodeSpec, session: ClientSession) -> None:
     """Build the node's source and credit it to ``session``'s backlog
     whenever the backlog is read (see :class:`ArrivalFeed`)."""
     session.feed = ArrivalFeed(
-        _node_source(world, node), world.sim, until_s=world.spec.duration_s
+        node_source(world, node), world.sim, until_s=world.spec.duration_s
     )
 
 
@@ -301,16 +303,20 @@ def _resolve_fault_plan(world: World) -> Optional[FaultPlan]:
     return plan
 
 
-def _scheduler_label(scheduler) -> str:
-    return scheduler if isinstance(scheduler, str) else scheduler.name
+def fleet_label(spec: WorldSpec) -> str:
+    """A fleet run's record label: the spec's own, else one naming the
+    scheduler (shared by the fleet delivery mode and the shard merge)."""
+    scheduler = spec.scheduler
+    name = scheduler if isinstance(scheduler, str) else scheduler.name
+    return spec.label or f"fleet-hotspot[{name}]"
 
 
 def fleet_floor_plan(fleet_spec):
     """The deployment's topology and arena rectangle, from the spec alone.
 
-    Shared by the fleet delivery mode and the shard planner
-    (:mod:`repro.shard`), which must agree byte-for-byte on site
-    placement for cell ownership to be a pure function of the spec.
+    Shared by :func:`assemble_fleet` and the shard runner's cell
+    partition (:mod:`repro.shard`), which must agree byte-for-byte on
+    site placement for cell ownership to be a pure function of the spec.
     """
     from repro.net.topology import grid_deployment, linear_deployment
 
@@ -338,6 +344,105 @@ def fleet_floor_plan(fleet_spec):
             (fleet_spec.n_aps * fleet_spec.ap_spacing_m, fleet_spec.arena_depth_m),
         )
     return topology, arena
+
+
+def assemble_fleet(world: World, owned_sites: Optional[List[str]] = None) -> None:
+    """Wire a fleet world's roaming layers onto ``world``.
+
+    Sets ``topology`` and ``arena`` (:func:`fleet_floor_plan`), the
+    association registry, the :class:`~repro.net.fleet.FleetCoordinator`
+    and the :class:`~repro.net.handoff.HandoffController`.  The fleet
+    delivery mode owns every site; a shard's
+    :class:`~repro.shard.world.CellWorld` owns one, and the shard
+    planner runs a throwaway copy to replay admission steering.
+    """
+    from repro.net.association import AssociationManager
+    from repro.net.fleet import FleetCoordinator
+    from repro.net.handoff import HandoffController
+
+    spec = world.spec
+    fleet_spec = spec.fleet
+    sim = world.sim
+    world.topology, world.arena = fleet_floor_plan(fleet_spec)
+    world.association = AssociationManager(sim, world.topology)
+    world.fleet = FleetCoordinator(
+        sim,
+        world.topology,
+        world.association,
+        coverage_threshold=fleet_spec.coverage_threshold,
+        gauge_interval_s=fleet_spec.gauge_interval_s,
+        owned_sites=owned_sites,
+        scheduler=spec.scheduler,
+        epoch_s=spec.epoch_s,
+        min_burst_bytes=spec.min_burst_bytes,
+        utilisation_cap=spec.utilisation_cap,
+        load_aware_selection=fleet_spec.load_aware_selection,
+    )
+    world.handoff = HandoffController(
+        sim,
+        world.fleet,
+        world.streams,
+        check_interval_s=fleet_spec.handoff_check_interval_s,
+        hysteresis_margin=fleet_spec.hysteresis_margin,
+        min_dwell_s=fleet_spec.min_dwell_s,
+        latency_range_s=fleet_spec.handoff_latency_range_s,
+    )
+
+
+def roaming_walker(world: World, name: str):
+    """Client ``name``'s random-waypoint walk over the fleet arena.
+
+    The walk draws lazily from the ``mobility/<name>`` substream, so a
+    world must build one per client and keep it.
+    """
+    from repro.phy.mobility import RandomWaypoint
+
+    fleet_spec = world.spec.fleet
+    return RandomWaypoint(
+        world.streams,
+        name,
+        area=world.arena,
+        speed_range_m_s=fleet_spec.speed_range_m_s,
+        pause_range_s=fleet_spec.pause_range_s,
+    )
+
+
+def build_roaming_client(world: World, node: NodeSpec, mobility) -> HotspotClient:
+    """A managed client whose link quality follows its *current* cell.
+
+    Re-pointing the association (admission or handoff) instantly
+    flips the signal to the new site's link budget — the
+    interface-selection policy inside the cell never knows roaming
+    exists.
+    """
+
+    def quality_for(node: NodeSpec, ispec: InterfaceSpec):
+        def quality(time_s: float) -> float:
+            site = world.association.site_of(node.name)
+            if site is None:
+                return 0.0
+            return world.topology.quality(
+                site, ispec.kind, mobility.position(time_s)
+            )
+
+        return quality
+
+    return build_managed_client(world, node, quality_for=quality_for)
+
+
+def attach_roaming_client(
+    world: World, node: NodeSpec, client: HotspotClient, mobility
+) -> None:
+    """Finish a client the fleet just gave a cell: follow its walk,
+    expose its radios, queue its proxy prefetch and feed its stream."""
+    world.handoff.track(node.name, mobility)
+    register_radios(world, client)
+    if node.prefetch_s > 0:
+        world.fleet.ingest(
+            node.name,
+            int(node.prefetch_s * node.contract_rate_bps / 8.0),
+        )
+    feed_traffic(world, node, world.fleet.session_of(node.name))
 
 
 # -- delivery modes ------------------------------------------------------------
@@ -713,80 +818,13 @@ class _FleetMode(_DeliveryMode):
     between cells as they move."""
 
     def assemble(self, world: World) -> None:
-        from repro.net.association import AssociationManager
-        from repro.net.fleet import FleetCoordinator
-        from repro.net.handoff import HandoffController
-        from repro.phy.mobility import RandomWaypoint
-
-        spec = world.spec
-        fleet_spec = spec.fleet
-        sim = world.sim
-        world.topology, arena = fleet_floor_plan(fleet_spec)
-        world.association = AssociationManager(sim, world.topology)
-        world.fleet = FleetCoordinator(
-            sim,
-            world.topology,
-            world.association,
-            coverage_threshold=fleet_spec.coverage_threshold,
-            gauge_interval_s=fleet_spec.gauge_interval_s,
-            scheduler=spec.scheduler,
-            epoch_s=spec.epoch_s,
-            min_burst_bytes=spec.min_burst_bytes,
-            utilisation_cap=spec.utilisation_cap,
-            load_aware_selection=fleet_spec.load_aware_selection,
-        )
-        world.handoff = HandoffController(
-            sim,
-            world.fleet,
-            world.streams,
-            check_interval_s=fleet_spec.handoff_check_interval_s,
-            hysteresis_margin=fleet_spec.hysteresis_margin,
-            min_dwell_s=fleet_spec.min_dwell_s,
-            latency_range_s=fleet_spec.handoff_latency_range_s,
-        )
-        for node in spec.clients:
-            mobility = RandomWaypoint(
-                world.streams,
-                node.name,
-                area=arena,
-                speed_range_m_s=fleet_spec.speed_range_m_s,
-                pause_range_s=fleet_spec.pause_range_s,
-            )
-            client = build_managed_client(
-                world, node, quality_for=self._roaming_quality(world, mobility)
-            )
+        assemble_fleet(world)
+        for node in world.spec.clients:
+            mobility = roaming_walker(world, node.name)
+            client = build_roaming_client(world, node, mobility)
             world.fleet.admit(client, mobility.position(0.0))
-            world.handoff.track(node.name, mobility)
             world.clients.append(client)
-            register_radios(world, client)
-            if node.prefetch_s > 0:
-                world.fleet.ingest(
-                    node.name,
-                    int(node.prefetch_s * node.contract_rate_bps / 8.0),
-                )
-            feed_traffic(world, node, world.fleet.session_of(node.name))
-
-    def _roaming_quality(self, world: World, mobility) -> QualityResolver:
-        """Quality signals that follow the client's *current* cell.
-
-        Re-pointing the association (admission or handoff) instantly
-        flips the signal to the new site's link budget — the
-        interface-selection policy inside the cell never knows roaming
-        exists.
-        """
-
-        def quality_for(node: NodeSpec, ispec: InterfaceSpec):
-            def quality(time_s: float) -> float:
-                site = world.association.site_of(node.name)
-                if site is None:
-                    return 0.0
-                return world.topology.quality(
-                    site, ispec.kind, mobility.position(time_s)
-                )
-
-            return quality
-
-        return quality_for
+            attach_roaming_client(world, node, client, mobility)
 
     def start(self, world: World) -> None:
         world.fleet.start()
@@ -820,8 +858,7 @@ class _FleetMode(_DeliveryMode):
         }
         extras.update(world.spec.extras)
         return ScenarioResult(
-            label=world.spec.label
-            or f"fleet-hotspot[{_scheduler_label(world.spec.scheduler)}]",
+            label=fleet_label(world.spec),
             duration_s=world.spec.duration_s,
             clients=outcomes,
             radios=world.radios,

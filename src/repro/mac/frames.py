@@ -16,6 +16,18 @@ from typing import Any
 #: Broadcast address understood by :class:`repro.mac.medium.Medium`.
 BROADCAST = "*"
 
+#: Approximate beacon body length in bytes before the TIM entries
+#: (header + fixed fields); each TIM entry adds one byte.
+BEACON_BASE_BYTES = 50
+
+#: Default PSM wake guard: how long before the expected beacon a dozing
+#: station starts waking its radio.
+PSM_WAKE_GUARD_S = 0.004
+
+#: Default PSM poll-data timeout: how long a station waits for polled
+#: data before it re-polls.
+PSM_POLL_DATA_TIMEOUT_S = 0.050
+
 
 class FrameKind(enum.Enum):
     """The frame types the simulation distinguishes."""

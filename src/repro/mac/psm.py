@@ -28,7 +28,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.mac.dcf import DcfConfig, DcfStation
-from repro.mac.frames import BROADCAST, Frame, FrameKind
+from repro.mac.frames import (
+    BEACON_BASE_BYTES,
+    BROADCAST,
+    PSM_POLL_DATA_TIMEOUT_S,
+    PSM_WAKE_GUARD_S,
+    Frame,
+    FrameKind,
+)
 from repro.mac.medium import Medium
 from repro.mac.powersave import StaticPsmPolicy
 from repro.sim.events import AnyOf as _AnyOf
@@ -41,9 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.radio import Radio
     from repro.sim.core import Simulator
 
-#: Approximate beacon body length in bytes (header + TIM element).
-_BEACON_BASE_BYTES = 50
-
 
 @dataclass
 class PsmConfig:
@@ -52,11 +56,11 @@ class PsmConfig:
     #: Wake every n-th beacon (1 = every beacon).
     listen_interval: int = 1
     #: How much before the expected beacon to start waking the radio.
-    wake_guard_s: float = 0.004
+    wake_guard_s: float = PSM_WAKE_GUARD_S
     #: Give up waiting for a beacon after this long and doze again.
     beacon_timeout_s: float = 0.050
     #: Give up waiting for polled data after this long and re-poll.
-    poll_data_timeout_s: float = 0.050
+    poll_data_timeout_s: float = PSM_POLL_DATA_TIMEOUT_S
     #: Maximum consecutive re-polls before dozing until the next beacon.
     max_poll_retries: int = 3
 
@@ -184,7 +188,7 @@ class AccessPoint(DcfStation):
                 kind=FrameKind.BEACON,
                 source=self.address,
                 destination=BROADCAST,
-                payload_bytes=_BEACON_BASE_BYTES + len(tim),
+                payload_bytes=BEACON_BASE_BYTES + len(tim),
                 rate_bps=self.timing.basic_rate_bps,
                 payload=tim,
             )

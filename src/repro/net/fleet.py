@@ -219,10 +219,7 @@ class FleetCoordinator:
                 f"no covering cell can admit client {client.name!r} at "
                 f"{position!r}"
             )
-        session = cell.server.register(client)
-        self._sessions[client.name] = session
-        self._clients[client.name] = client
-        self.association.associate(client.name, cell.name)
+        self._track(client, cell.server.register(client), cell)
         bus = self.sim.trace
         if bus.enabled:
             bus.emit(
@@ -245,11 +242,7 @@ class FleetCoordinator:
         :meth:`admit` minus the admission decision.
         """
         cell = self.cell(cell_name)
-        session = cell.server.register(client)
-        self._sessions[client.name] = session
-        self._clients[client.name] = client
-        self.association.associate(client.name, cell.name)
-        return cell
+        return self._track(client, cell.server.register(client), cell)
 
     def adopt_migrant(
         self, client: "HotspotClient", session: ClientSession, cell_name: str
@@ -260,7 +253,12 @@ class FleetCoordinator:
         from the restore instant; the cell server's ``adopt_session``
         happens separately once the reassociation latency has elapsed.
         """
-        cell = self.cell(cell_name)
+        return self._track(client, session, self.cell(cell_name))
+
+    def _track(
+        self, client: "HotspotClient", session: ClientSession, cell: Cell
+    ) -> Cell:
+        """Record the shared session and the association fleet-side."""
         self._sessions[client.name] = session
         self._clients[client.name] = client
         self.association.associate(client.name, cell.name)

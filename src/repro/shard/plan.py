@@ -1,28 +1,25 @@
 """Pure planning: cell partitioning and the initial placement plan.
 
 Both functions here are deterministic functions of the spec alone — no
-simulator, no side effects.  That is what lets every cell-world (and the
-parent runner) compute the same answers independently instead of
-negotiating them at runtime:
+shared simulator, no side effects.  That is what lets every cell-world
+(and the parent runner) compute the same answers independently instead
+of negotiating them at runtime:
 
 - :func:`partition_cells` deals the sorted cell names into contiguous,
   balanced shard groups;
-- :func:`placement_plan` mirrors the non-sharded fleet's admission
-  steering at t=0 — same candidate ranking, same admission arithmetic,
-  same tie-breaks — so each world knows exactly which clients are its
-  residents without ever seeing the other worlds' servers.
+- :func:`placement_plan` runs the non-sharded fleet's own admission
+  steering at t=0 on a throwaway fleet, so each world knows exactly
+  which clients are its residents without ever seeing the other
+  worlds' servers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.build.spec import NodeSpec, WorldSpec
 from repro.core.outcome import make_stream_contract
-from repro.core.server import AdmissionError
 from repro.net.fleet import DEFAULT_CAPACITY_BPS
-from repro.phy.mobility import RandomWaypoint
-from repro.sim.streams import RandomStreams
 
 __all__ = ["AdmissionProbe", "partition_cells", "placement_plan"]
 
@@ -87,74 +84,36 @@ class AdmissionProbe:
             )
             self.interfaces[ispec.kind] = _ProbeInterface(rate)
 
+    def initialise(self) -> None:
+        """No radios to park (``HotspotServer.register`` calls this)."""
+
 
 def placement_plan(spec: WorldSpec) -> Dict[str, str]:
-    """Each client's home cell at t=0, mirroring fleet steering.
+    """Each client's home cell at t=0, by the fleet's own steering.
 
-    Replays :meth:`~repro.net.fleet.FleetCoordinator.select_cell` over
-    the spec's clients in order: rank covering sites, drop those whose
-    bandwidth check fails, pick the least-loaded (quality, then site
-    name, breaking ties), then commit the client's contracted rate to
-    the winner — exactly the state the real coordinator would be in
-    after the same admission.  Positions come from a throwaway
-    :class:`RandomStreams` with the spec's seed, so they equal every
-    world's t=0 mobility draws.
+    Assembles the spec's fleet on a throwaway simulator and admits an
+    :class:`AdmissionProbe` per client, in spec order, through
+    :meth:`~repro.net.fleet.FleetCoordinator.admit` — the same ranking,
+    admission arithmetic and tie-breaks as the non-sharded fleet, which
+    admits real clients in the same order.  Positions come from the
+    spec's seeded streams, so they equal every world's t=0 mobility
+    draws.
 
-    Raises :class:`AdmissionError` when a client fits nowhere, like the
-    non-sharded fleet would at assembly time.
+    Raises :class:`~repro.core.server.AdmissionError` when a client fits
+    nowhere, like the non-sharded fleet would at assembly time.
     """
-    from repro.build.builder import fleet_floor_plan
+    from repro.build.builder import World, assemble_fleet, roaming_walker
+    from repro.sim.core import Simulator
+    from repro.sim.streams import RandomStreams
 
-    fleet_spec = spec.fleet
-    if fleet_spec is None:
+    if spec.fleet is None:
         raise ValueError("placement_plan needs a fleet spec")
-    topology, arena = fleet_floor_plan(fleet_spec)
-    streams = RandomStreams(seed=spec.seed)
-    capacity = dict(DEFAULT_CAPACITY_BPS)
-    committed: Dict[str, Dict[str, float]] = {
-        site.name: {} for site in topology
+    world = World(spec, Simulator(), RandomStreams(seed=spec.seed), None)
+    assemble_fleet(world)
+    return {
+        node.name: world.fleet.admit(
+            AdmissionProbe(node),
+            roaming_walker(world, node.name).position(0.0),
+        ).name
+        for node in spec.clients
     }
-    cap = spec.utilisation_cap
-    plan: Dict[str, str] = {}
-    for node in spec.clients:
-        mobility = RandomWaypoint(
-            streams,
-            node.name,
-            area=arena,
-            speed_range_m_s=fleet_spec.speed_range_m_s,
-            pause_range_s=fleet_spec.pause_range_s,
-        )
-        position = mobility.position(0.0)
-        probe = AdmissionProbe(node)
-        rate = probe.contract.stream_rate_bps
-        admissible: List[Tuple[float, float, str]] = []
-        for site, quality in topology.ranked_sites(position):
-            if quality < fleet_spec.coverage_threshold:
-                continue
-            loads = committed[site.name]
-            if not any(
-                loads.get(kind, 0.0) + rate <= iface.effective_rate_bps * cap
-                for kind, iface in probe.interfaces.items()
-            ):
-                continue
-            fractions = [
-                loads.get(kind, 0.0) / capacity[kind]
-                for kind in site.radios
-                if capacity.get(kind)
-            ]
-            load_fraction = max(fractions) if fractions else 0.0
-            admissible.append((load_fraction, -quality, site.name))
-        if not admissible:
-            raise AdmissionError(
-                f"no covering cell can admit client {node.name!r} at "
-                f"{position!r}"
-            )
-        cell_name = min(admissible)[2]
-        plan[node.name] = cell_name
-        loads = committed[cell_name]
-        # Sessions start with no pinned interface, so the real server
-        # projects the contracted rate onto *every* interface the client
-        # offers; commit the same way.
-        for kind in probe.interfaces:
-            loads[kind] = loads.get(kind, 0.0) + rate
-    return plan

@@ -31,6 +31,7 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.build.builder import fleet_floor_plan, fleet_label
 from repro.build.spec import WorldSpec
 from repro.shard.plan import partition_cells, placement_plan
 from repro.shard.world import CellWorld
@@ -102,6 +103,20 @@ class _ShardHost:
     def collect(self) -> List[dict]:
         return [world.collect() for world in self.worlds]
 
+    def handle(self, message: tuple) -> tuple:
+        """Run one parent command and return the reply to send back."""
+        kind = message[0]
+        if kind == "step":
+            _, until_s, inbox, final = message
+            out, stats = self.step(until_s, inbox, final)
+            return ("out", out, stats)
+        if kind == "flush":
+            self.flush(message[1])
+            return ("flushed",)
+        if kind == "collect":
+            return ("result", self.collect())
+        raise ValueError(f"unknown shard command {kind!r}")
+
 
 class _InlineShard:
     """Same stepping surface as a worker process, in-process."""
@@ -113,17 +128,7 @@ class _InlineShard:
         self._pending = message
 
     def receive(self):
-        kind = self._pending[0]
-        if kind == "step":
-            _, until_s, inbox, final = self._pending
-            out, stats = self._host.step(until_s, inbox, final)
-            return ("out", out, stats)
-        if kind == "flush":
-            self._host.flush(self._pending[1])
-            return ("flushed",)
-        if kind == "collect":
-            return ("result", self._host.collect())
-        raise ValueError(f"unknown shard command {kind!r}")
+        return self._host.handle(self._pending)
 
     def close(self) -> None:
         pass
@@ -135,19 +140,9 @@ def _shard_worker(conn, spec, cells, plan, metrics) -> None:
         host = _ShardHost(spec, cells, plan, metrics)
         while True:
             message = conn.recv()
-            kind = message[0]
-            if kind == "step":
-                _, until_s, inbox, final = message
-                out, stats = host.step(until_s, inbox, final)
-                conn.send(("out", out, stats))
-            elif kind == "flush":
-                host.flush(message[1])
-                conn.send(("flushed",))
-            elif kind == "collect":
-                conn.send(("result", host.collect()))
+            conn.send(host.handle(message))
+            if message[0] == "collect":
                 return
-            else:
-                raise ValueError(f"unknown shard command {kind!r}")
     except Exception as error:  # surface in the parent, not a hang
         import traceback
 
@@ -183,10 +178,6 @@ class _ProcessShard:
         self._process.join(timeout=10.0)
         if self._process.is_alive():  # pragma: no cover - defensive
             self._process.terminate()
-
-
-def _scheduler_label(scheduler) -> str:
-    return scheduler if isinstance(scheduler, str) else scheduler.name
 
 
 def merge_partials(
@@ -226,8 +217,7 @@ def merge_partials(
         key=lambda row: (row[0], row[1], row[2], row[3]),
     )
     record: Dict[str, object] = {
-        "label": spec.label
-        or f"fleet-hotspot[{_scheduler_label(spec.scheduler)}]",
+        "label": fleet_label(spec),
         "duration_s": spec.duration_s,
         "n_clients": n,
         "wnic_power_w": sum(c["wnic_power_w"] for c in clients) / n,
@@ -277,8 +267,6 @@ def run_sharded_fleet(
         raise ValueError("run_sharded_fleet needs a fleet world spec")
     if shards < 1:
         raise ValueError("shard count must be >= 1")
-    from repro.build.builder import fleet_floor_plan
-
     topology, _arena = fleet_floor_plan(spec.fleet)
     cell_names = [site.name for site in topology]
     plan = placement_plan(spec)
@@ -286,7 +274,7 @@ def run_sharded_fleet(
     cell_to_shard = {
         cell: index for index, group in enumerate(groups) for cell in group
     }
-    label = spec.label or f"fleet-hotspot[{_scheduler_label(spec.scheduler)}]"
+    label = fleet_label(spec)
 
     progress = None
     if store_dir is not None:

@@ -11,37 +11,42 @@ cross-shard departure — the local handoff path never runs — which makes
 the world count, and therefore the merged result, independent of how
 worlds are dealt across processes.
 
-The delicate part is traffic during migration.  A client's source pump
-lives in its *home* world for the whole run (stopping and replaying a
+The delicate part is traffic during migration.  Proxy bytes reach a
+session through an :class:`~repro.apps.traffic.ArrivalFeed`, which
+credits arrivals whenever the backlog is read.  A world keeps one feed
+per client it has ever hosted, for the whole run (replaying a
 half-consumed arrival generator deterministically would be fragile), so:
 
-- while the client is away, the home world's sink is *guarded*: bytes
-  are counted in a ``missed`` accumulator instead of being ingested into
-  a session that left;
-- the world the client lands in starts its own pump from the barrier
+- on departure, the snapshot's backlog read settles the feed; later
+  arrivals stay uncredited in it while the client is away;
+- the world the client lands in starts its own feed from the barrier
   time, skipping arrivals the client already received elsewhere (the
   substream is identical, so the skipped prefix is exactly what the
-  previous worlds pumped);
-- a *declined* migration bounces: the origin restores its stashed live
-  objects, folds the missed bytes into the backlog (nobody delivered
-  them), and backs the client off before it retries the full cell.
+  previous worlds credited);
+- a client coming *home* finds its feed still running: settling it
+  discards the bytes the visited worlds delivered before it is
+  reattached to the restored session;
+- a *declined* migration bounces: the origin restores its stashed
+  session, whose first backlog read credits what arrived while the move
+  was in flight (nobody delivered those bytes), and backs the client off
+  before it retries the full cell.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
+from repro.apps.traffic import ArrivalFeed, TrafficSource
 from repro.build.builder import (
-    build_managed_client,
-    fleet_floor_plan,
+    assemble_fleet,
+    attach_roaming_client,
+    build_roaming_client,
+    node_source,
     register_radios,
+    roaming_walker,
 )
-from repro.build.spec import InterfaceSpec, NodeSpec, WorldSpec
-from repro.apps.traffic import TrafficSource, build_source
+from repro.build.spec import NodeSpec, WorldSpec
 from repro.core.outcome import MP3_DECODE_BUSY_FRACTION
-from repro.net.association import AssociationManager
-from repro.net.fleet import FleetCoordinator
-from repro.net.handoff import HandoffController
 from repro.phy.mobility import RandomWaypoint
 from repro.shard.messages import (
     restore_client_state,
@@ -60,9 +65,9 @@ class _ResumedSource(TrafficSource):
 
     The underlying source is rebuilt from the same seeded substream the
     previous worlds used, so arrivals at or before the resume point are
-    exactly the bytes already pumped elsewhere.  They must be filtered
-    *before* :meth:`TrafficSource.start` sees them — the pump sinks
-    past-due arrivals immediately, which would double-deliver them.
+    exactly the bytes already credited elsewhere.  They must be filtered
+    *before* the :class:`ArrivalFeed` sees them — it credits past-due
+    arrivals immediately, which would double-deliver them.
     """
 
     def __init__(self, inner: TrafficSource, resume_after_s: float) -> None:
@@ -78,9 +83,9 @@ class _ResumedSource(TrafficSource):
 class CellWorld:
     """One owned cell, full topology knowledge, own kernel.
 
-    Duck-types the builder's ``World`` where the shared assembly helpers
-    (:func:`build_managed_client`, :func:`register_radios`) need it:
-    ``sim``, ``streams``, ``platform``, ``spec``, ``radios``.
+    Duck-types the builder's ``World`` where the shared fleet assembly
+    functions need it: ``sim``, ``streams``, ``platform``, ``spec``,
+    ``radios`` and the fleet layers :func:`assemble_fleet` sets.
 
     Parameters
     ----------
@@ -117,31 +122,7 @@ class CellWorld:
 
         self.platform = spec.platform or ipaq_3970()
         self.radios: Dict[str, object] = {}
-        fleet_spec = spec.fleet
-        self.topology, self.arena = fleet_floor_plan(fleet_spec)
-        self.association = AssociationManager(self.sim, self.topology)
-        self.fleet = FleetCoordinator(
-            self.sim,
-            self.topology,
-            self.association,
-            coverage_threshold=fleet_spec.coverage_threshold,
-            gauge_interval_s=fleet_spec.gauge_interval_s,
-            owned_sites=[cell_name],
-            scheduler=spec.scheduler,
-            epoch_s=spec.epoch_s,
-            min_burst_bytes=spec.min_burst_bytes,
-            utilisation_cap=spec.utilisation_cap,
-            load_aware_selection=fleet_spec.load_aware_selection,
-        )
-        self.handoff = HandoffController(
-            self.sim,
-            self.fleet,
-            self.streams,
-            check_interval_s=fleet_spec.handoff_check_interval_s,
-            hysteresis_margin=fleet_spec.hysteresis_margin,
-            min_dwell_s=fleet_spec.min_dwell_s,
-            latency_range_s=fleet_spec.handoff_latency_range_s,
-        )
+        assemble_fleet(self, owned_sites=[cell_name])
         # The QoS guard must bridge reassociation latency *plus* the
         # wait until the owning world picks the migration up at the next
         # barrier — one epoch of lookahead.
@@ -154,12 +135,8 @@ class CellWorld:
         #: and strictly in order, so a second model on the same substream
         #: would walk a different path.
         self._mobility: Dict[str, RandomWaypoint] = {}
-        #: Former residents whose pump still runs here (guarded sinks).
-        self._away: Set[str] = set()
-        #: Bytes the guarded sink swallowed per away client.
-        self._missed: Dict[str, int] = {}
-        #: Clients whose traffic pump lives in this world.
-        self._pumping: Set[str] = set()
+        #: The arrival feed of every client this world has hosted.
+        self._feeds: Dict[str, ArrivalFeed] = {}
         #: Departed (client, session, departure-record) awaiting a reply.
         self._stash: Dict[str, Tuple[object, object, dict]] = {}
         #: Grant/decline messages produced by ingress, drained next.
@@ -176,77 +153,15 @@ class CellWorld:
     def _mobility_for(self, name: str) -> RandomWaypoint:
         model = self._mobility.get(name)
         if model is None:
-            fleet_spec = self.spec.fleet
-            model = RandomWaypoint(
-                self.streams,
-                name,
-                area=self.arena,
-                speed_range_m_s=fleet_spec.speed_range_m_s,
-                pause_range_s=fleet_spec.pause_range_s,
-            )
-            self._mobility[name] = model
+            model = self._mobility[name] = roaming_walker(self, name)
         return model
-
-    def _roaming_quality(self, mobility):
-        """Quality signals that follow the client's current association
-        (mirrors the fleet delivery mode's resolver)."""
-
-        def quality_for(node: NodeSpec, ispec: InterfaceSpec):
-            def quality(time_s: float) -> float:
-                site = self.association.site_of(node.name)
-                if site is None:
-                    return 0.0
-                return self.topology.quality(
-                    site, ispec.kind, mobility.position(time_s)
-                )
-
-            return quality
-
-        return quality_for
 
     def _install_resident(self, node: NodeSpec) -> None:
         mobility = self._mobility_for(node.name)
-        client = build_managed_client(
-            self, node, quality_for=self._roaming_quality(mobility)
-        )
+        client = build_roaming_client(self, node, mobility)
         self.fleet.place(client, self.cell_name)
-        self.handoff.track(node.name, mobility)
-        register_radios(self, client)
-        if node.prefetch_s > 0:
-            self.fleet.ingest(
-                node.name,
-                int(node.prefetch_s * node.contract_rate_bps / 8.0),
-            )
-        self._start_pump(node)
-
-    def _start_pump(
-        self, node: NodeSpec, resume_after_s: Optional[float] = None
-    ) -> None:
-        source = build_source(
-            node.traffic.kind,
-            bitrate_bps=node.traffic.bitrate_bps,
-            rng=self.streams.stream(f"traffic/{node.name}"),
-            options=node.traffic.option_dict,
-        )
-        if resume_after_s is not None:
-            source = _ResumedSource(source, resume_after_s)
-        source.start(
-            self.sim,
-            self._guarded_sink(node.name),
-            until_s=self.spec.duration_s,
-        )
-        self._pumping.add(node.name)
-
-    def _guarded_sink(self, name: str):
-        """The fleet sink, with a bypass while the client is away."""
-
-        def sink(nbytes: int, kind: str) -> None:
-            if name in self._away:
-                self._missed[name] = self._missed.get(name, 0) + nbytes
-            else:
-                self.fleet.ingest(name, nbytes, kind)
-
-        return sink
+        attach_roaming_client(self, node, client, mobility)
+        self._feeds[node.name] = self.fleet.session_of(node.name).feed
 
     # -- barrier protocol ------------------------------------------------------
 
@@ -294,8 +209,6 @@ class CellWorld:
             snapshot = snapshot_client(client, session, now)
             self.fleet.release(name)
             self.handoff.untrack(name)
-            self._away.add(name)
-            self._missed[name] = 0
             self._stash[name] = (client, session, record)
             out.append(
                 self._message(
@@ -334,23 +247,24 @@ class CellWorld:
             self._message("grant", message["origin"], {"client": name})
         )
         mobility = self._mobility_for(name)
-        client = build_managed_client(
-            self, node, quality_for=self._roaming_quality(mobility)
-        )
+        client = build_roaming_client(self, node, mobility)
         restore_client_state(client, message["snapshot"])
         session = restore_session(client, message["snapshot"])
         self.fleet.adopt_migrant(client, session, cell.name)
         self.handoff.arrive(name, mobility, now)
         register_radios(self, client)
-        if name in self._pumping:
-            # Coming home: the resident pump never stopped.  Unguard it
-            # and drop the missed count — those bytes were delivered by
-            # the worlds the client visited (they are in the travelled
-            # session already).
-            self._away.discard(name)
-            self._missed.pop(name, None)
+        feed = self._feeds.get(name)
+        if feed is None:
+            source = _ResumedSource(node_source(self, node), now)
+            feed = self._feeds[name] = ArrivalFeed(
+                source, self.sim, until_s=self.spec.duration_s
+            )
         else:
-            self._start_pump(node, resume_after_s=now)
+            # Coming home: the feed never stopped.  Discard what it
+            # holds — the worlds the client visited delivered those
+            # bytes (they are in the travelled session already).
+            feed.settle()
+        session.feed = feed
         delay = max(message["t_detach"] + message["latency_s"], now) - now
         self.sim.process(
             self._adoption(cell, session, message, delay),
@@ -381,8 +295,8 @@ class CellWorld:
         name = message["client"]
         _client, _session, record = self._stash.pop(name)
         # The move is definitive: count it and put it on the timeline at
-        # its detach time (a declined attempt never counts, mirroring
-        # the local path where declines happen before the move starts).
+        # its detach time (a declined attempt never counts, as on the
+        # local path, where declines happen before the move starts).
         self.handoff.handoffs += 1
         self.handoff.timeline.append(
             (record["t_detach"], name, record["origin"], record["target"])
@@ -392,11 +306,9 @@ class CellWorld:
         name = message["client"]
         client, session, record = self._stash.pop(name)
         now = self.sim.now
-        # Bytes that arrived while the move was in flight were swallowed
-        # by the guarded sink; nobody delivered them, so they are still
-        # owed to the client.
-        session.backlog_bytes += self._missed.pop(name, 0)
-        self._away.discard(name)
+        # The session's feed stayed attached while the move was in
+        # flight: its next backlog read credits the bytes that arrived
+        # meanwhile, which nobody delivered.
         cell = self.fleet.adopt_migrant(client, session, record["origin"])
         cell.server.adopt_session(session)
         if session.paused and record["protected"]:

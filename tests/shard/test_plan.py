@@ -6,6 +6,7 @@ from repro.build.builder import WorldBuilder
 from repro.build.presets import city_grid_world, fleet_hotspot_world
 from repro.core.server import AdmissionError
 from repro.shard import partition_cells, placement_plan
+from tests.shard.specs import tight_spec
 
 
 class TestPartitionCells:
@@ -43,13 +44,15 @@ class TestPlacementPlan:
             city_grid_world(
                 n_clients=54, grid_rows=3, grid_cols=3, duration_s=1.0, seed=1
             ),
+            tight_spec(0),
+            tight_spec(1),
         ],
-        ids=["corridor", "corridor-seed7", "grid"],
+        ids=["corridor", "corridor-seed7", "grid", "overflow", "overflow-seed1"],
     )
     def test_plan_equals_real_fleet_admissions(self, spec):
-        # The plan mirrors FleetCoordinator steering exactly: assembling
-        # the real (non-sharded) fleet must land every client on the
-        # cell the plan predicted.
+        # The plan runs FleetCoordinator steering: assembling the real
+        # (non-sharded) fleet must land every client on the cell the
+        # plan predicted.  The tight-cap specs overflow past full cells.
         plan = placement_plan(spec)
         world = WorldBuilder(spec).build()
         actual = {

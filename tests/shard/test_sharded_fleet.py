@@ -1,5 +1,6 @@
 """The sharded fleet end-to-end: determinism, roaming QoS, store layout."""
 
+import hashlib
 import json
 import os
 
@@ -10,13 +11,15 @@ from repro.build.presets import city_grid_world, fleet_hotspot_world
 from repro.core.outcome import VOLATILE_TIMING_FIELDS
 from repro.exp.jsonio import dumps_strict
 from repro.exp.progress import read_progress
-from repro.shard import run_sharded_fleet
+from repro.shard import placement_plan, run_sharded_fleet
+from tests.shard.specs import tight_spec
 
 
 def small_spec(seed=3, duration_s=30.0):
     return fleet_hotspot_world(
         n_clients=8, n_aps=4, duration_s=duration_s, seed=seed
     )
+
 
 
 class TestByteIdentity:
@@ -110,6 +113,33 @@ class TestCrossShardRoaming:
         record = sharded["record"]
         assert record["handoffs"] == classic.extras["handoffs"]
         assert record["bursts"] == classic.summary_record()["bursts"]
+
+
+class TestMigrationBytePaths:
+    # The merged payload of ``tight_spec`` at shards=1, pinned byte for
+    # byte: declines and homecomings both move proxy bytes between
+    # worlds, and a slip in either changes the record.
+    PINNED = {
+        0: "f9bc5c3afa2ea8b9a1cb74c967bc00db16a26e849c0cca87c18b125513d14458",
+        1: "cc75dbf5eebc03b4eca4e34c9e627668d18d850784495c8670e030ce64791077",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_decline_and_homecoming_payload_is_pinned(self, seed):
+        spec = tight_spec(seed)
+        merged = run_sharded_fleet(spec, shards=1)
+        record = merged["record"]
+        # Keep the fixture on both migration paths.
+        assert record["handoffs_declined"] >= 1
+        plan = placement_plan(spec)
+        assert any(
+            plan[client] == target
+            for _t, client, _origin, target in record["handoff_timeline"]
+        ), "no client came back to its planned cell"
+        digest = hashlib.sha256(
+            dumps_strict(merged, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        assert digest == self.PINNED[seed]
 
 
 class TestCityGridScale:

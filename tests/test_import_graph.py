@@ -138,6 +138,22 @@ FULL_IMPORT = """
 """
 
 
+def test_analytic_models_load_no_mac_stations():
+    # The closed-form models share the PSM defaults through the
+    # dependency-free frames module, not the station implementations.
+    result = run_fresh("""
+        import json
+        import sys
+
+        import repro.analytic.models
+        print(json.dumps(sorted(
+            name for name in ("repro.mac.psm", "repro.mac.dcf")
+            if name in sys.modules
+        )))
+    """)
+    assert result == []
+
+
 @pytest.mark.parametrize(
     "package, registry",
     [
