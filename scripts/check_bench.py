@@ -42,6 +42,9 @@ DEFAULT_FLOOR_EVENTS_PER_S = 10_000.0
 #: when the DCF backoff stopped scheduling three events per idle slot,
 #: and from ~110-145 k (~202 k events, 1.4-1.8 s) when radio
 #: transitions and frame transmissions stopped spawning a process each.
+#: It falls a third time, floor unchanged, now that ACKs, CTSs and μNap
+#: naps are callback chains and stale busy waiters and unobserved queue
+#: puts schedule nothing (~148 k -> ~127 k events per 30 s simulated).
 #: Each remaining event does more useful work.
 SCENARIO_FLOORS = {
     "psm-baseline": 30_000.0,

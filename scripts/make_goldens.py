@@ -87,22 +87,24 @@ def golden_dir() -> str:
     return os.path.join(root, "tests", "build", "golden")
 
 
+def golden_record(name: str, seed: int) -> str:
+    """Scenario ``name``'s golden string at ``seed``, from a fresh run."""
+    result = get_scenario(name)(**GOLDEN_CONFIGS[name], seed=seed)
+    # Wall-clock fields measure the host, not the simulation — goldens
+    # pin only the deterministic part of the record.
+    record = {
+        k: v
+        for k, v in result.summary_record().items()
+        if k not in VOLATILE_TIMING_FIELDS
+    }
+    return dumps_strict(record)
+
+
 def main() -> int:
     out_dir = golden_dir()
     os.makedirs(out_dir, exist_ok=True)
     for name, params in GOLDEN_CONFIGS.items():
-        fn = get_scenario(name)
-        records = {}
-        for seed in GOLDEN_SEEDS:
-            result = fn(**params, seed=seed)
-            # Wall-clock fields measure the host, not the simulation —
-            # goldens pin only the deterministic part of the record.
-            record = {
-                k: v
-                for k, v in result.summary_record().items()
-                if k not in VOLATILE_TIMING_FIELDS
-            }
-            records[str(seed)] = dumps_strict(record)
+        records = {str(seed): golden_record(name, seed) for seed in GOLDEN_SEEDS}
         payload = {"scenario": name, "params": params, "records": records}
         path = os.path.join(out_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as stream:

@@ -25,8 +25,9 @@ from repro.mac.medium import Medium
 from repro.sim.events import AnyOf as _AnyOf
 from repro.sim.events import Event
 from repro.sim.events import Timeout as _Timeout
+from repro.sim.events import chain
 from repro.sim.resources import Store
-from repro.sim.streams import Random
+from repro.sim.streams import Random, RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.powersave import PowerPolicy
@@ -66,7 +67,8 @@ class DcfStation:
         Simulator, channel and this station's unique address.
     rng:
         Random stream for backoff draws (one per station keeps runs
-        reproducible under composition).
+        reproducible under composition).  Defaults to
+        ``RandomStreams(0).stream(address)``.
     config:
         DCF parameters.
     radio:
@@ -96,7 +98,7 @@ class DcfStation:
         self.sim = sim
         self.medium = medium
         self.address = address
-        self.rng = rng or Random(hash(address) & 0xFFFF)
+        self.rng = rng or RandomStreams(0).stream(address)
         self.config = config or DcfConfig()
         self.radio = radio
         self.on_receive = on_receive
@@ -104,6 +106,7 @@ class DcfStation:
         self._queue: Store = Store(sim, capacity=self.config.queue_capacity)
         self._awaiting_ack: Optional[Event] = None
         self._awaiting_cts: Optional[Event] = None
+        #: ACKs/CTSs owed, from the asking frame until the radio is back.
         self._pending_acks = 0
         self._tx_in_progress = 0
         #: Virtual carrier sense: medium reserved (by overheard RTS/CTS
@@ -112,6 +115,8 @@ class DcfStation:
         self.rts_sent = 0
         self.cts_received = 0
         self._last_seq_from: Dict[str, int] = {}
+        self._rx_model: Any = None  # _charge_rx's cache key and value
+        self._rx_delta_w: Optional[float] = None
         # Statistics.
         self.frames_queued = 0
         self.frames_delivered = 0
@@ -175,7 +180,7 @@ class DcfStation:
         """Queue an arbitrary pre-built frame (used by PSM/EC-MAC layers)."""
         done = Event(self.sim)
         self.frames_queued += 1
-        self._queue.put(_QueuedFrame(frame, done))
+        self._queue.add(_QueuedFrame(frame, done))
         return done
 
     # -- medium sink -----------------------------------------------------------
@@ -258,39 +263,20 @@ class DcfStation:
             - self.timing.cts_airtime_s(),
             0.0,
         )
-        cts = Frame(
-            kind=FrameKind.CTS,
-            source=self.address,
-            destination=rts_frame.source,
-            nav_duration_s=remaining,
+        self._respond(
+            Frame(FrameKind.CTS, self.address, rts_frame.source,
+                  nav_duration_s=remaining)
         )
-
-        def cts_body():
-            self._pending_acks += 1
-            try:
-                yield self.sim.timeout(self.timing.sifs_s)
-                yield from self._on_air(cts)
-            finally:
-                self._pending_acks -= 1
-
-        self.sim.process(cts_body(), name=f"cts:{self.address}")
 
     def _send_ack(self, data_frame: Frame) -> None:
-        ack = Frame(
-            kind=FrameKind.ACK,
-            source=self.address,
-            destination=data_frame.source,
+        self._respond(Frame(FrameKind.ACK, self.address, data_frame.source))
+
+    def _respond(self, frame: Frame) -> None:
+        """Send an ACK or CTS a SIFS from now, owing it from this call."""
+        self._pending_acks += 1
+        _Timeout(self.sim, self.timing.sifs_s).callbacks.append(
+            lambda _timer: self._response_on_air(frame)
         )
-
-        def ack_body():
-            self._pending_acks += 1
-            try:
-                yield self.sim.timeout(self.timing.sifs_s)
-                yield from self._on_air(ack)
-            finally:
-                self._pending_acks -= 1
-
-        self.sim.process(ack_body(), name=f"ack:{self.address}")
 
     # -- transmit path ----------------------------------------------------------
 
@@ -462,6 +448,8 @@ class DcfStation:
             busy = medium.wait_busy(address)
             yield _AnyOf(sim, (sim.bulk_timeouts((end,))[0], busy))
             if busy._state != 2:  # not processed: the timer won
+                if not busy._state:  # still pending: nobody will wait on it
+                    medium.cancel_wait_busy(address, busy)
                 return
             # Subtract the slots whose boundary is at or before the edge.
             went_busy = sim._now
@@ -474,6 +462,7 @@ class DcfStation:
 
     def _on_air(self, frame: Frame):
         """Put a frame on the medium, driving the radio's tx state."""
+        # The sender process's form; _response_on_air is its callback twin.
         radio = self.radio
         use_radio = radio is not None and not radio.in_transition
         if use_radio:
@@ -484,15 +473,42 @@ class DcfStation:
             yield radio.transition_to(previous)
         return delivered
 
+    def _response_on_air(self, frame: Frame) -> None:
+        """:meth:`_on_air` as callbacks, each run where its process would resume."""
+        radio = self.radio
+        if radio is None or radio.in_transition:
+            self.medium.transmit(frame).callbacks.append(self._response_sent)
+            return
+        previous = radio.state
+
+        def restore(_transmission: Event) -> None:
+            chain(radio.transition_to(previous), self._response_sent)
+
+        def transmit(_event: Event) -> None:
+            self.medium.transmit(frame).callbacks.append(restore)
+
+        chain(radio.transition_to("tx"), transmit)
+
+    def _response_sent(self, _event: Event) -> None:
+        self._pending_acks -= 1
+
     def _charge_rx(self, frame: Frame) -> None:
         """Charge the rx-vs-idle power delta for a received frame."""
-        if self.radio is None:
+        radio = self.radio
+        if radio is None:
             return
-        model = self.radio.model
-        if "rx" not in model.states or "idle" not in model.states:
-            return
-        delta_w = max(model.power("rx") - model.power("idle"), 0.0)
-        self.radio.add_energy_impulse(delta_w * frame.airtime_s(self.timing))
+        model = radio.model
+        if model is not self._rx_model:  # power models are read-only
+            states = model.states
+            self._rx_model = model
+            self._rx_delta_w = (
+                max(model.power("rx") - model.power("idle"), 0.0)
+                if "rx" in states and "idle" in states
+                else None
+            )
+        delta_w = self._rx_delta_w
+        if delta_w is not None:
+            radio.add_energy_impulse(delta_w * frame.airtime_s(self.timing))
 
     def __repr__(self) -> str:
         return f"<DcfStation {self.address!r} queue={self.queue_length}>"

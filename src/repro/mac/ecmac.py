@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tu
 from repro.mac.frames import BROADCAST, Dot11Timing, Frame, FrameKind
 from repro.mac.medium import Medium
 from repro.sim.events import Event
+from repro.sim.events import Timeout as _Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.radio import Radio
@@ -331,12 +332,9 @@ class EcMacStation:
         ack = Frame(
             kind=FrameKind.ACK, source=self.address, destination=data_frame.source
         )
-
-        def ack_body():
-            yield self.sim.timeout(self.config.timing.sifs_s)
-            yield self.medium.transmit(ack)
-
-        self.sim.process(ack_body(), name=f"ecmac-ack:{self.address}")
+        _Timeout(self.sim, self.config.timing.sifs_s).callbacks.append(
+            lambda _timer: self.medium.transmit(ack)
+        )
 
     # -- the doze/wake cycle ----------------------------------------------------------
 

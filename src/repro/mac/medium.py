@@ -97,10 +97,6 @@ class Medium:
         """Detach a station (frames to it are then dropped silently)."""
         self._stations.pop(address, None)
 
-    @property
-    def station_addresses(self) -> list[str]:
-        return list(self._stations)
-
     # -- carrier sense ------------------------------------------------------
 
     @property
@@ -132,6 +128,11 @@ class Medium:
         event = Event(self.sim)
         self._busy_waiters.append(event)
         return event
+
+    def cancel_wait_busy(self, address: Optional[str], event: Event) -> None:
+        """Withdraw a pending :meth:`wait_busy` event nobody waits on any
+        more, so the next transmission does not trigger it."""
+        self._busy_waiters.remove(event)
 
     # -- transmission ----------------------------------------------------------
 

@@ -22,8 +22,10 @@ Policies implement a small hook contract (see :class:`PowerPolicy`):
 Determinism rules (pinned by the golden-equivalence tests):
 
 - Hooks are invoked synchronously from the station's existing event
-  cascade and MUST NOT create events, processes or timeouts themselves;
-  only a policy's own driver process may interact with the simulator.
+  cascade and create no process.  The one event a hook may schedule is
+  μNap's zero-delay nap kick, queued behind everything already due in
+  the instant; its callback re-checks and runs the nap as a callback
+  chain.  Anything longer-lived is a driver process (PSM's cycles).
 - :class:`StaticPsmPolicy` reproduces the historical ``PsmStation``
   sleep/wake loop *byte-identically* — its ``cycles`` generator is the
   verbatim event sequence the checked-in goldens pin.
@@ -48,7 +50,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.sim.events import Event
 from repro.sim.events import Timeout as _Timeout
+from repro.sim.events import chain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.dcf import DcfStation
@@ -89,7 +93,7 @@ class PowerPolicy:
     def radio(self) -> Optional["Radio"]:
         return self.station.radio if self.station is not None else None
 
-    # -- hooks (synchronous; must not touch the simulator) --------------
+    # -- hooks (synchronous; none spawns a process) ---------------------
 
     def on_beacon(self, frame: "Frame") -> None:
         """A beacon was received (whatever the TIM says)."""
@@ -297,41 +301,59 @@ class MicroNapPolicy(PowerPolicy):
         if plan is None:
             self.naps_declined += 1
             return
-        doze_until, state = plan
         self._napping = True
-        st.sim.process(
-            self._nap_body(doze_until, state), name=f"nap:{st.address}"
-        )
+        # A zero-delay kick, not a direct start: traffic that lands later
+        # in this instant is in place before the nap re-checks.
+        kick = Event(st.sim)
+        kick.callbacks.append(lambda _kick: self._nap(*plan))
+        kick.succeed()
 
-    def _nap_body(self, doze_until: float, state: str):
+    def _nap(self, doze_until: float, state: str) -> None:
+        """Re-check, doze, sleep until ``doze_until``, wake: a chain of
+        callbacks, each run where a nap process would have resumed.
+        ``_napping`` clears where the chain ends, declined or woken."""
         st = self.station
         sim = st.sim
         radio = st.radio
-        try:
-            # Conditions may have shifted between scheduling and running
-            # (same-timestamp traffic arrivals); re-check before sleeping.
-            if (
-                radio.in_transition
-                or radio.state != "idle"
-                or not st.mac_quiescent
-                or doze_until - sim.now < self._wake_latency_s
-            ):
-                return
-            yield radio.transition_to(state)
+        # Conditions may have shifted since the kick was armed
+        # (same-timestamp traffic arrivals); re-check before sleeping.
+        if (
+            radio.in_transition
+            or radio.state != "idle"
+            or not st.mac_quiescent
+            or doze_until - sim.now < self._wake_latency_s
+        ):
+            self._napping = False
+            return
+
+        def dozing(_event: Event) -> None:
             dozed_from = sim.now
+
+            def woke(_timer: Optional[Event] = None) -> None:
+                self.napped_s += sim.now - dozed_from
+                settle()
+
             if doze_until > sim.now:
-                yield _Timeout(sim, doze_until - sim.now)
-            self.napped_s += sim.now - dozed_from
+                _Timeout(sim, doze_until - sim.now).callbacks.append(woke)
+            else:
+                woke()
+
+        def settle(_timer: Optional[Event] = None) -> None:
             # A frame queued mid-nap may briefly drive the radio through
             # tx (``_on_air`` saves/restores the state); settle before
             # waking so transition_to never fires mid-transition.
-            while radio.in_transition:
-                yield _Timeout(sim, st.timing.slot_s)
-            if radio.state == state:
-                yield radio.transition_to("idle")
+            if radio.in_transition:
+                _Timeout(sim, st.timing.slot_s).callbacks.append(settle)
+            elif radio.state == state:
+                chain(radio.transition_to("idle"), woken)
+            else:
+                woken()
+
+        def woken(_event: Optional[Event] = None) -> None:
             self.naps += 1
-        finally:
             self._napping = False
+
+        chain(radio.transition_to(state), dozing)
 
 
 # -- registry ------------------------------------------------------------

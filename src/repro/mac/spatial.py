@@ -111,14 +111,16 @@ class SpatialMedium(Medium):
         self._busy_waiters_by_addr.setdefault(address, []).append(event)
         return event
 
+    def cancel_wait_busy(self, address: Optional[str], event: Event) -> None:
+        self._busy_waiters_by_addr[address].remove(event)
+
     def _fire_busy(self, frame: Frame) -> None:
-        for address, waiters in list(self._busy_waiters_by_addr.items()):
-            if not self._audible(frame.source, address):
-                continue
-            remaining: List[Event] = []
-            for event in waiters:
-                event.succeed(frame)
-            self._busy_waiters_by_addr[address] = remaining
+        # Most lists are empty: a backoff that beat its busy event took it back.
+        for address, waiters in self._busy_waiters_by_addr.items():
+            if waiters and self._audible(frame.source, address):
+                self._busy_waiters_by_addr[address] = []
+                for event in waiters:
+                    event.succeed(frame)
 
     def _fire_idle(self) -> None:
         for address, waiters in list(self._idle_waiters_by_addr.items()):

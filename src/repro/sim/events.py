@@ -109,6 +109,16 @@ class Event:
         return f"<{type(self).__name__} {state[self._state]} at {id(self):#x}>"
 
 
+def chain(event: Event, callback: Callable[[Event], None]) -> None:
+    """Run ``callback(event)`` once ``event`` is processed: at once if it
+    already is (a zero-latency radio transition), else as its next
+    callback -- where a process yielding ``event`` would resume."""
+    if event._state == _PROCESSED:
+        callback(event)
+    else:
+        event.callbacks.append(callback)
+
+
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 

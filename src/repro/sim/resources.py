@@ -136,24 +136,29 @@ class Store:
     def put(self, item: Any) -> Event:
         """Insert ``item``; the returned event fires once it is stored."""
         event = Event(self.sim)
+        self.add(item, event)
+        return event
+
+    def add(self, item: Any, event: Optional[Event] = None) -> None:
+        """:meth:`put` that creates no event: ``event``, if given, fires
+        once ``item`` is stored (a full store queues it as a putter)."""
         if self._getters:
             # Hand straight to the longest-waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
+            self._getters.popleft().succeed(item)
         elif self.capacity is None or len(self._items) < self.capacity:
             self._push(item)
-            event.succeed()
         else:
             self._putters.append((event, item))
-        return event
+            return
+        if event is not None:
+            event.succeed()
 
     def get(self) -> Event:
         """Remove the next item; the returned event fires with the item."""
         event = Event(self.sim)
         if self._items:
             event.succeed(self._pop())
-            self._admit_putter()
+            self._admit_putters()
         else:
             self._getters.append(event)
         return event
@@ -162,94 +167,40 @@ class Store:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
         if self._items:
             item = self._pop()
-            self._admit_putter()
+            self._admit_putters()
             return True, item
         return False, None
 
     def drain(self) -> list[Any]:
         """Remove and return all buffered items at once (may be empty)."""
-        items = list(self._items)
-        self._items.clear()
+        items = [self._pop() for _ in range(len(self._items))]
+        self._admit_putters()
+        return items
+
+    def _admit_putters(self) -> None:
+        """Store blocked putters' items, oldest first, while there is room."""
         while self._putters and (
             self.capacity is None or len(self._items) < self.capacity
         ):
             event, item = self._putters.popleft()
             self._push(item)
-            event.succeed()
-        return items
-
-    def _admit_putter(self) -> None:
-        if self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            event, item = self._putters.popleft()
-            self._push(item)
-            event.succeed()
+            if event is not None:
+                event.succeed()
 
 
 class PriorityStore(Store):
-    """A :class:`Store` whose items come out in ascending sort order."""
+    """A :class:`Store` whose items (a heap) come out in ascending order."""
 
     def __init__(self, sim: "Simulator", capacity: Optional[int] = None) -> None:
         super().__init__(sim, capacity)
-        self._heap: list[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
+        self._items: list[Any] = []  # type: ignore[assignment]
 
     @property
     def items(self) -> tuple[Any, ...]:
-        return tuple(sorted(self._heap))
+        return tuple(sorted(self._items))
 
     def _push(self, item: Any) -> None:
-        heapq.heappush(self._heap, item)
+        heapq.heappush(self._items, item)
 
     def _pop(self) -> Any:
-        return heapq.heappop(self._heap)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.sim)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif self.capacity is None or len(self._heap) < self.capacity:
-            self._push(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self) -> Event:
-        event = Event(self.sim)
-        if self._heap:
-            event.succeed(self._pop())
-            self._admit_putter()
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> tuple[bool, Any]:
-        if self._heap:
-            item = self._pop()
-            self._admit_putter()
-            return True, item
-        return False, None
-
-    def drain(self) -> list[Any]:
-        items = [heapq.heappop(self._heap) for _ in range(len(self._heap))]
-        while self._putters and (
-            self.capacity is None or len(self._heap) < self.capacity
-        ):
-            event, item = self._putters.popleft()
-            self._push(item)
-            event.succeed()
-        return items
-
-    def _admit_putter(self) -> None:
-        if self._putters and (
-            self.capacity is None or len(self._heap) < self.capacity
-        ):
-            event, item = self._putters.popleft()
-            self._push(item)
-            event.succeed()
+        return heapq.heappop(self._items)

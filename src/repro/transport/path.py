@@ -97,7 +97,7 @@ class NetworkPath:
     def send(self, segment: Segment) -> None:
         """Enqueue a segment (non-blocking; the path serialises it)."""
         self.segments_in += 1
-        self._queue.put(segment)
+        self._queue.add(segment)
 
     @property
     def queue_depth(self) -> int:

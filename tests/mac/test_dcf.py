@@ -1,9 +1,14 @@
 """Tests for the DCF station: contention, ACKs, retries, energy hooks."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.devices import wlan_cf_card
 from repro.mac import DcfConfig, DcfStation, Medium
 from repro.mac.frames import BROADCAST, Dot11Timing, Frame, FrameKind
@@ -191,6 +196,33 @@ def test_queue_length_and_stats():
     sim.run()
     assert a.frames_delivered == 5
     assert a.bytes_sent == 500
+
+
+def test_default_backoff_stream_ignores_the_hash_seed():
+    """Without an ``rng`` a station draws from a stream derived from its
+    address, the same in every interpreter whatever its hash salt."""
+    source = (
+        "from repro.mac import DcfStation, Medium\n"
+        "from repro.sim import Simulator\n"
+        "sim = Simulator()\n"
+        "rng = DcfStation(sim, Medium(sim), 'sta').rng\n"
+        "print([rng.randint(0, 31) for _ in range(8)])\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    draws = set()
+    for hash_seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", source],
+            check=True, capture_output=True, text=True, env=env,
+        )
+        draws.add(completed.stdout.strip())
+    assert len(draws) == 1
+    expected = RandomStreams(seed=0).stream("sta")
+    assert draws == {str([expected.randint(0, 31) for _ in range(8)])}
 
 
 def test_radio_tx_energy_accounted():
