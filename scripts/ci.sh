@@ -168,7 +168,10 @@ diff "$campaign_dir/parallel.json" "$serial_dir/serial.json" \
 cmp "$campaign_dir/results.jsonl" "$serial_dir/results.jsonl" \
   || { echo "campaign smoke: parallel vs serial store differs"; exit 1; }
 
-# Resume from the populated store: zero scenario re-executions.
+# Resume from the populated store: zero scenario re-executions, not a
+# byte of the store rewritten, and one "cached" heartbeat per run.
+cp "$campaign_dir/results.jsonl" "$campaign_dir/results.before"
+beats_before="$(wc -l < "$campaign_dir/progress.jsonl")"
 python -m repro "${campaign_args[@]}" --jobs 2 --store "$campaign_dir" \
   > "$campaign_dir/resumed.json" 2> "$campaign_dir/resumed.err"
 grep -q "32 cached, 0 executed" "$campaign_dir/resumed.err" \
@@ -176,7 +179,13 @@ grep -q "32 cached, 0 executed" "$campaign_dir/resumed.err" \
        cat "$campaign_dir/resumed.err"; exit 1; }
 diff "$campaign_dir/parallel.json" "$campaign_dir/resumed.json" \
   || { echo "campaign smoke: resumed output differs"; exit 1; }
-echo "campaign ok: parallel==serial, resume fully cached"
+cmp "$campaign_dir/results.before" "$campaign_dir/results.jsonl" \
+  || { echo "campaign smoke: the resumed pass changed the store"; exit 1; }
+cached_beats="$(tail -n +"$((beats_before + 1))" "$campaign_dir/progress.jsonl" \
+  | grep -c '"outcome":"cached"' || true)"
+[ "$cached_beats" -eq 32 ] \
+  || { echo "campaign smoke: $cached_beats cached heartbeats, want 32"; exit 1; }
+echo "campaign ok: parallel==serial, resume fully cached, store unchanged"
 
 echo "== crash-resume smoke check (failing grid point) =="
 # n_clients=0 raises deterministically; the campaign must still
@@ -353,12 +362,20 @@ python benchmarks/bench_shard.py --point city-grid-1k --duration 5 \
 python scripts/check_bench.py "$bench_dir/BENCH_shard.json"
 
 echo "== report smoke check =="
-python -m repro campaign --scenario hotspot \
-  --param n_clients=1,2 --set duration_s=5 --seeds 1 \
-  --name ci-report --timeseries 1 --store "$report_dir" --json \
-  > /dev/null 2> "$report_dir/run.err"
+report_args=(campaign --scenario hotspot
+  --param n_clients=1,2 --set duration_s=5 --seeds 1
+  --name ci-report --timeseries 1 --store "$report_dir" --json)
+python -m repro "${report_args[@]}" > /dev/null 2> "$report_dir/run.err"
 python -m repro report "$report_dir" -o "$report_dir/report.html" \
   --bench "$bench_dir/BENCH_kernel.json" --json > "$report_dir/summary.json"
+# A fully cached re-run appends "cached" heartbeats with no timing; the
+# report of the resumed store must still render.
+python -m repro "${report_args[@]}" > /dev/null 2> "$report_dir/resumed.err"
+grep -q "2 cached, 0 executed" "$report_dir/resumed.err" \
+  || { echo "report smoke: re-run was not fully cached:"; \
+       cat "$report_dir/resumed.err"; exit 1; }
+python -m repro report "$report_dir" -o "$report_dir/resumed.html" \
+  --json > "$report_dir/resumed.json"
 
 python - "$report_dir" <<'EOF'
 import json
@@ -370,6 +387,9 @@ report_dir = sys.argv[1]
 summary = json.load(open(os.path.join(report_dir, "summary.json")))
 if summary["runs"] != 2 or summary["failed"] != 0:
     sys.exit(f"report smoke: unexpected run counts: {summary}")
+resumed = json.load(open(os.path.join(report_dir, "resumed.json")))
+if (resumed["runs"], resumed["failed"]) != (2, 0):
+    sys.exit(f"report smoke: unexpected resumed run counts: {resumed}")
 if summary["timeseries"] != 2:
     sys.exit(f"report smoke: expected 2 timeseries files: {summary}")
 page = open(os.path.join(report_dir, "report.html"), encoding="utf-8").read()

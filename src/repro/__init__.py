@@ -25,18 +25,14 @@ __version__ = "1.0.0"
 
 
 def package_version() -> str:
-    """Installed package version, falling back to the source default.
+    """The package version: :data:`__version__`, its one source.
 
-    Campaign artifacts (``repro.exp``) record this so a stored result
-    can be traced back to the code that produced it; ``repro --version``
-    prints it.
+    ``pyproject.toml`` reads the installed version from it too.  Campaign
+    artifacts (``repro.exp``) record this so a stored result can be
+    traced back to the code that produced it; ``repro --version`` prints
+    it.
     """
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("repro")
-    except PackageNotFoundError:
-        return __version__
+    return __version__
 
 
 __getattr__, __dir__, __all__ = lazy_namespace(

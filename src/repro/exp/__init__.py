@@ -51,7 +51,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
             "t_critical_95",
             "write_csv",
         ),
-        "grid": ("expand_grid", "grid_size"),
+        "grid": ("expand_grid",),
         "jsonio": ("dumps_strict", "sanitize_nonfinite"),
         "progress": (
             "CampaignProgress",

@@ -209,9 +209,14 @@ def aggregate(results: Sequence[RunResult]) -> List[GridPointSummary]:
     reports ``qos_maintained=False`` — nothing demonstrated QoS there.
     """
     groups: Dict[str, List[RunResult]] = {}
+    # One encoding per params tuple (a grid point's runs share theirs).
+    point_keys: Dict[int, str] = {}
     for result in results:
-        point = {k: v for k, v in result.params.items()}
-        groups.setdefault(canonical_json(point), []).append(result)
+        params = result.spec.params
+        point = point_keys.get(id(params))
+        if point is None:
+            point = point_keys[id(params)] = canonical_json(dict(params))
+        groups.setdefault(point, []).append(result)
     summaries: List[GridPointSummary] = []
     for grouped in groups.values():
         first = grouped[0]

@@ -24,11 +24,3 @@ def expand_grid(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
             raise ValueError(f"grid axis {key!r} has no values")
     axes = [[(key, value) for value in values] for key, values in grid.items()]
     return [dict(combo) for combo in product(*axes)]
-
-
-def grid_size(grid: Mapping[str, Sequence[Any]]) -> int:
-    """Number of points ``expand_grid`` will produce."""
-    size = 1
-    for values in grid.values():
-        size *= len(values)
-    return size

@@ -54,16 +54,11 @@ class ProgressLog:
         self.path = str(path)
         self.campaign = campaign
         self._stream = open(self.path, "a", encoding="utf-8")
+        self._encode = json.JSONEncoder(separators=(",", ":")).encode
 
     def emit(self, kind: str, **fields: Any) -> None:
-        record: Dict[str, Any] = {
-            "t": time.time(),
-            "kind": kind,
-            "campaign": self.campaign,
-        }
-        record.update(fields)
-        self._stream.write(json.dumps(record, separators=(",", ":")))
-        self._stream.write("\n")
+        record = {"t": time.time(), "kind": kind, "campaign": self.campaign, **fields}
+        self._stream.write(self._encode(record) + "\n")
         self._stream.flush()
 
     def close(self) -> None:

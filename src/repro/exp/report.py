@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import package_version
 from repro.exp.progress import read_progress
-from repro.exp.store import RESULTS_FILENAME
+from repro.exp.store import RESULTS_FILENAME, read_envelopes
 from repro.obs.timeseries import read_timeseries
 
 __all__ = ["load_report_data", "render_report", "write_report"]
@@ -49,51 +49,34 @@ MAX_SERIES = 8
 # -- data loading --------------------------------------------------------------
 
 
-def _load_envelopes(directory: str) -> List[Dict[str, Any]]:
-    """Latest envelope per key from ``results.jsonl``, in first-seen order."""
-    path = os.path.join(directory, RESULTS_FILENAME)
-    if not os.path.exists(path):
-        return []
-    by_key: Dict[str, Dict[str, Any]] = {}
-    with open(path, encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                envelope = json.loads(line)
-                key = envelope["key"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue
-            by_key[key] = envelope
-    return list(by_key.values())
-
-
 def load_report_data(
     store_dir: str, bench_path: Optional[str] = None
 ) -> Dict[str, Any]:
     """Assemble everything the dashboard shows into one JSON-ready dict."""
-    envelopes = _load_envelopes(store_dir)
+    envelopes, _skipped = read_envelopes(os.path.join(store_dir, RESULTS_FILENAME))
     progress_path = os.path.join(store_dir, "progress.jsonl")
     heartbeats = (
         read_progress(progress_path) if os.path.exists(progress_path) else []
     )
-    # Latest run-heartbeat per key: labels, workers and timing for joins.
+    # Per key: worker and timing from the latest beat of a run that
+    # executed (a resumed pass beats "cached", untimed), label from any.
     beat_by_key: Dict[str, Dict[str, Any]] = {}
+    label_by_key: Dict[str, Any] = {}
     for beat in heartbeats:
         if beat.get("kind") == "run" and beat.get("key"):
-            beat_by_key[beat["key"]] = beat
+            label_by_key[beat["key"]] = beat.get("label")
+            if beat.get("outcome") != "cached":
+                beat_by_key[beat["key"]] = beat
 
     runs: List[Dict[str, Any]] = []
-    for envelope in envelopes:
-        key = envelope.get("key", "")
+    for key, envelope in envelopes.items():
         beat = beat_by_key.get(key, {})
         runs.append(
             {
                 "key": key,
                 "scenario": envelope.get("scenario", "?"),
                 "seed": envelope.get("seed", 0),
-                "label": beat.get("label")
+                "label": label_by_key.get(key)
                 or f"{envelope.get('scenario', '?')}/s{envelope.get('seed', 0)}",
                 "record": envelope.get("record"),
                 "error": envelope.get("error"),
@@ -146,7 +129,7 @@ def _overview_tiles(data: Dict[str, Any]) -> str:
     scenarios = sorted({r["scenario"] for r in runs})
     sim_events = sum((r["record"] or {}).get("sim_events", 0) for r in ok)
     rates = [
-        r["events_per_second"] for r in ok if r["events_per_second"] > 0
+        r["events_per_second"] for r in ok if (r["events_per_second"] or 0) > 0
     ]
     mean_rate = sum(rates) / len(rates) if rates else 0.0
     tiles = [
@@ -233,7 +216,7 @@ def _kernel_section(data: Dict[str, Any]) -> str:
     # Per-scenario throughput measured by the campaign's own heartbeats.
     by_scenario: Dict[str, List[Dict[str, Any]]] = {}
     for run in data["runs"]:
-        if run["error"] is None and run["events_per_second"] > 0:
+        if run["error"] is None and (run["events_per_second"] or 0) > 0:
             by_scenario.setdefault(run["scenario"], []).append(run)
     parts = []
     if by_scenario:

@@ -37,20 +37,31 @@ def canonical_params(value: Any) -> Any:
     return value
 
 
+#: ``json.dumps`` with these options builds a fresh encoder per call.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
+)
+
+
 def canonical_json(obj: Any) -> str:
     """Stable JSON encoding: sorted keys, no whitespace, ASCII only."""
     try:
-        return json.dumps(
-            canonical_params(obj),
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=True,
-            allow_nan=False,
-        )
+        return _CANONICAL.encode(canonical_params(obj))
     except (TypeError, ValueError) as exc:
         raise TypeError(
             f"campaign parameters must be JSON-serialisable: {exc}"
         ) from exc
+
+
+def key_prefix(scenario: str, params: Mapping[str, Any], metrics: bool = False) -> str:
+    """The head of a run's key JSON, shared by every seed of a grid point.
+
+    Sorted, ``metrics``, ``params`` and ``scenario`` come before ``seed``
+    and ``timeseries_interval_s``: a payload's JSON is this plus its tail.
+    """
+    return canonical_json(
+        {"scenario": scenario, "params": dict(params), "metrics": bool(metrics)}
+    )[:-1]
 
 
 def run_key(
@@ -59,24 +70,22 @@ def run_key(
     seed: int,
     metrics: bool = False,
     timeseries_interval_s: Optional[float] = None,
+    prefix: Optional[str] = None,
 ) -> str:
     """Content hash identifying one run in the result store.
 
+    ``prefix`` is the point's :func:`key_prefix` when already encoded.
     The timeseries interval enters the hash only when sampling is on:
     turning telemetry off must leave every pre-existing key (and
     therefore every cached result) untouched.
     """
-    payload: Dict[str, Any] = {
-        "scenario": scenario,
-        "params": dict(params),
-        "seed": seed,
-        "metrics": bool(metrics),
-    }
+    if prefix is None:
+        prefix = key_prefix(scenario, params, metrics)
+    tail: Dict[str, Any] = {"seed": seed}
     if timeseries_interval_s is not None:
-        payload["timeseries_interval_s"] = float(timeseries_interval_s)
-    return hashlib.sha256(
-        canonical_json(payload).encode("ascii")
-    ).hexdigest()
+        tail["timeseries_interval_s"] = float(timeseries_interval_s)
+    payload = prefix + "," + canonical_json(tail)[1:]
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,8 @@ class RunSpec:
     index: int = 0
     #: Human-readable label, e.g. ``sweep-bursts/20000`` (not hashed).
     label: str = ""
+    #: The grid point's :func:`key_prefix`, shared by its seeds ("" = none).
+    key_prefix: str = field(default="", compare=False, repr=False)
 
     @property
     def kwargs(self) -> Dict[str, Any]:
@@ -110,6 +121,7 @@ class RunSpec:
             self.seed,
             self.collect_metrics,
             self.timeseries_interval_s,
+            self.key_prefix or None,
         )
 
 
@@ -217,19 +229,22 @@ class CampaignSpec:
             points.append(params)
         return points
 
-    def point_label(self, params: Mapping[str, Any], seed: int) -> str:
-        """Label for one run: ``name/<swept values>[/s<seed>]``."""
+    def point_label(self, params: Mapping[str, Any]) -> str:
+        """Label of one grid point: ``name/<swept values>``."""
         swept = "-".join(str(params[key]) for key in self.grid) or "point"
-        label = f"{self.name}/{swept}"
-        if len(self.seeds) > 1:
-            label += f"/s{seed}"
-        return label
+        return f"{self.name}/{swept}"
 
     def runs(self) -> List[RunSpec]:
-        """Expand into the deterministic, ordered run list."""
+        """Expand into the deterministic, ordered run list.
+
+        A point's key prefix and label are built once for all its seeds.
+        """
         runs: List[RunSpec] = []
+        replicated = len(self.seeds) > 1
         for params in self.points():
             frozen = tuple(sorted(params.items()))
+            prefix = key_prefix(self.scenario, params, self.collect_metrics)
+            label = self.point_label(params)
             for seed in self.seeds:
                 runs.append(
                     RunSpec(
@@ -239,7 +254,8 @@ class CampaignSpec:
                         collect_metrics=self.collect_metrics,
                         timeseries_interval_s=self.timeseries_interval_s,
                         index=len(runs),
-                        label=self.point_label(params, seed),
+                        label=f"{label}/s{seed}" if replicated else label,
+                        key_prefix=prefix,
                     )
                 )
         return runs

@@ -16,11 +16,35 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.exp.jsonio import dumps_strict
 
 RESULTS_FILENAME = "results.jsonl"
+
+
+def read_envelopes(path: str) -> Tuple[Dict[str, Dict[str, Any]], int]:
+    """The latest envelope per key, in first-seen key order, and the
+    number of malformed lines skipped (a missing file holds none)."""
+    records: Dict[str, Dict[str, Any]] = {}
+    skipped = 0
+    if not os.path.exists(path):
+        return records, skipped
+    with open(path, "r", encoding="utf-8") as stream:
+        for line in stream:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                envelope = json.loads(line)
+                key = envelope["key"]
+            except (json.JSONDecodeError, KeyError, TypeError):
+                # Tolerate a partial trailing line from an interrupted
+                # run; anything before it is intact.
+                skipped += 1
+                continue
+            records[key] = envelope
+    return records, skipped
 
 
 class ResultStore:
@@ -30,9 +54,7 @@ class ResultStore:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, RESULTS_FILENAME)
-        self._records: Dict[str, Dict[str, Any]] = {}
-        self._skipped_lines = 0
-        self._load()
+        self._records, self._skipped_lines = read_envelopes(self.path)
         self._stream = open(self.path, "a", encoding="utf-8")
         # A crash mid-append leaves a partial line with no terminator;
         # close it off so the next append starts on a fresh line (the
@@ -43,24 +65,6 @@ class ResultStore:
                 if tail.read(1) != b"\n":
                     self._stream.write("\n")
                     self._stream.flush()
-
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    envelope = json.loads(line)
-                    key = envelope["key"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    # Tolerate a partial trailing line from an
-                    # interrupted run; anything before it is intact.
-                    self._skipped_lines += 1
-                    continue
-                self._records[key] = envelope
 
     # -- mapping interface ---------------------------------------------------
 

@@ -461,12 +461,17 @@ class DcfStation:
                 backoff_slots -= 1
 
     def _on_air(self, frame: Frame):
-        """Put a frame on the medium, driving the radio's tx state."""
+        """Put a frame on the medium, driving the radio's tx state.
+
+        The radio then returns to the state it left, unless that was a
+        sleep state: a frame sent mid-nap leaves the radio idle, awake
+        to hear its ACK.
+        """
         # The sender process's form; _response_on_air is its callback twin.
         radio = self.radio
         use_radio = radio is not None and not radio.in_transition
         if use_radio:
-            previous = radio.state
+            previous = radio.state if radio.can_communicate else "idle"
             yield radio.transition_to("tx")
         delivered = yield self.medium.transmit(frame)
         if use_radio:
@@ -479,7 +484,7 @@ class DcfStation:
         if radio is None or radio.in_transition:
             self.medium.transmit(frame).callbacks.append(self._response_sent)
             return
-        previous = radio.state
+        previous = radio.state if radio.can_communicate else "idle"
 
         def restore(_transmission: Event) -> None:
             chain(radio.transition_to(previous), self._response_sent)

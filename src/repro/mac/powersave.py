@@ -328,9 +328,14 @@ class MicroNapPolicy(PowerPolicy):
 
         def dozing(_event: Event) -> None:
             dozed_from = sim.now
+            transitions = radio.transition_count
+            dozed_before = radio.time_in_state(state)
 
             def woke(_timer: Optional[Event] = None) -> None:
-                self.napped_s += sim.now - dozed_from
+                if radio.transition_count == transitions:
+                    self.napped_s += sim.now - dozed_from
+                else:  # a frame sent mid-nap woke the radio early
+                    self.napped_s += radio.time_in_state(state) - dozed_before
                 settle()
 
             if doze_until > sim.now:
@@ -339,9 +344,9 @@ class MicroNapPolicy(PowerPolicy):
                 woke()
 
         def settle(_timer: Optional[Event] = None) -> None:
-            # A frame queued mid-nap may briefly drive the radio through
-            # tx (``_on_air`` saves/restores the state); settle before
-            # waking so transition_to never fires mid-transition.
+            # A frame queued mid-nap drives the radio through tx and
+            # leaves it idle (``_on_air``); settle before waking so
+            # transition_to never fires mid-transition.
             if radio.in_transition:
                 _Timeout(sim, st.timing.slot_s).callbacks.append(settle)
             elif radio.state == state:

@@ -76,8 +76,3 @@ def ascii_bar_chart(
         bar = "#" * bar_length
         lines.append(f"{label.ljust(label_width)} |{bar} {value:.4g}{unit}")
     return "\n".join(lines)
-
-
-def format_percent(fraction: float) -> str:
-    """0.973 -> '97.3%'."""
-    return f"{fraction * 100:.1f}%"

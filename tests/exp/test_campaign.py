@@ -344,6 +344,11 @@ class TestCampaignCli:
         assert excinfo.value.code == 0
         assert package_version() in capsys.readouterr().out
 
+    def test_package_version_is_the_in_tree_version(self):
+        import repro
+
+        assert repro.package_version() == repro.__version__
+
     def test_sweep_bursts_still_runs_through_engine(self, tmp_path, capsys):
         argv = [
             "sweep-bursts", "--duration", "4", "--clients", "1",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exp.grid import expand_grid, grid_size
+from repro.exp.grid import expand_grid
 
 
 class TestExpandGrid:
@@ -28,9 +28,3 @@ class TestExpandGrid:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):
             expand_grid({"a": []})
-
-    def test_grid_size_matches_expansion(self):
-        grid = {"a": [1, 2, 3], "b": [True, False], "c": ["p"]}
-        assert grid_size(grid) == 6
-        assert len(expand_grid(grid)) == 6
-        assert grid_size({}) == 1

@@ -182,6 +182,31 @@ class TestHtmlReport:
         assert ok["events_per_second"] > 0
         assert len(data["timeseries"]) == 1  # failed run wrote no samples
 
+    def test_a_resumed_store_keeps_its_executed_timing(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+        spec = hotspot_spec(grid={"n_clients": [1, 2]}, seeds=[0, 1])
+        for _ in ("cold", "warm"):
+            store = ResultStore(store_dir)
+            run_campaign(spec, store=store, jobs=1)
+            store.close()
+        beats = read_progress(store_dir + "/progress.jsonl")
+        executed = {
+            b["key"]: b for b in beats
+            if b["kind"] == "run" and b["outcome"] == "ok"
+        }
+        assert [b["outcome"] for b in beats if b["kind"] == "run"] == (
+            ["ok"] * 4 + ["cached"] * 4
+        )
+        data = load_report_data(store_dir)
+        assert len(data["runs"]) == 4
+        for run in data["runs"]:
+            beat = executed[run["key"]]
+            assert run["events_per_second"] == beat["events_per_second"] > 0
+            assert run["worker"] == beat["worker"] != ""
+            assert run["label"] == beat["label"]
+        page = render_report(data)
+        assert "Mean throughput" in page
+
     def test_report_is_one_self_contained_page(self, tmp_path):
         out = tmp_path / "report.html"
         summary = write_report(self.populated_store(tmp_path), str(out))

@@ -1,10 +1,13 @@
 """Run hashing, campaign-spec expansion and the JSONL result store."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.exp.spec import CampaignSpec, canonical_json, run_key
+from repro.exp.spec import CampaignSpec, canonical_json, canonical_params, run_key
 from repro.exp.store import ResultStore
 
 
@@ -32,6 +35,93 @@ class TestRunKey:
 
     def test_canonical_json_is_stable(self):
         assert canonical_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
+
+
+def whole_payload_key(run) -> str:
+    """A run's key from its whole payload, encoded by ``json.dumps``."""
+    payload = {
+        "scenario": run.scenario,
+        "params": dict(run.params),
+        "seed": run.seed,
+        "metrics": run.collect_metrics,
+    }
+    if run.timeseries_interval_s is not None:
+        payload["timeseries_interval_s"] = float(run.timeseries_interval_s)
+    text = json.dumps(
+        canonical_params(payload),
+        sort_keys=True,
+        separators=(",", ":"),
+        ensure_ascii=True,
+        allow_nan=False,
+    )
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-7, 1e16]),
+)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), floats,
+    st.text(max_size=4),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(
+            st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans()),
+            inner,
+            max_size=3,
+        ),
+    ),
+    max_leaves=8,
+)
+param_names = st.text(min_size=1, max_size=5).filter(
+    lambda name: name not in ("seed", "obs")
+)
+
+
+@st.composite
+def campaigns(draw):
+    names = draw(st.lists(param_names, unique=True, max_size=4))
+    swept = draw(st.integers(0, len(names)))
+    return CampaignSpec(
+        name="keys",
+        scenario=draw(
+            st.one_of(st.text(min_size=1), st.sampled_from(['h"ot\\', "séance ☃"]))
+        ),
+        grid={
+            name: draw(st.lists(values, min_size=1, max_size=2))
+            for name in names[:swept]
+        },
+        base={name: draw(values) for name in names[swept:]},
+        seeds=draw(st.lists(
+            st.one_of(st.integers(-(2**70), 2**70), st.just(2**63 + 1)),
+            min_size=1, max_size=3,
+        )),
+        collect_metrics=draw(st.booleans()),
+        timeseries_interval_s=draw(
+            st.one_of(st.none(), st.floats(1e-9, 1e9), st.sampled_from([1e-7, 1e16]))
+        ),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(campaigns())
+@example(CampaignSpec(
+    name="keys",
+    scenario='q"uo\\te ünï ☃',
+    base={"nested": ({1: [True, None], False: {"x": -0.0}}, [1e-7, 1e16])},
+    grid={"b": [True, None], "f": [-0.0, 1e16]},
+    seeds=[-3, 2**63 + 5],
+    collect_metrics=True,
+    timeseries_interval_s=1e-7,
+))
+def test_every_run_key_hashes_its_whole_payload(spec):
+    for run in spec.runs():
+        assert run.key == whole_payload_key(run)
 
 
 class TestCampaignSpec:

@@ -94,12 +94,17 @@ class ProcessNapPolicy(MicroNapPolicy):
                 return
             yield radio.transition_to(state)
             dozed_from = sim.now
+            transitions = radio.transition_count
+            dozed_before = radio.time_in_state(state)
             if doze_until > sim.now:
                 yield _Timeout(sim, doze_until - sim.now)
-            self.napped_s += sim.now - dozed_from
-            # A frame queued mid-nap may briefly drive the radio through
-            # tx; settle before waking so transition_to never fires
-            # mid-transition.
+            if radio.transition_count == transitions:
+                self.napped_s += sim.now - dozed_from
+            else:  # a frame sent mid-nap woke the radio early
+                self.napped_s += radio.time_in_state(state) - dozed_before
+            # A frame queued mid-nap drives the radio through tx and
+            # leaves it idle; settle before waking so transition_to never
+            # fires mid-transition.
             while radio.in_transition:
                 yield _Timeout(sim, st.timing.slot_s)
             if radio.state == state:

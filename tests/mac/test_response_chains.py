@@ -371,11 +371,14 @@ def _frame_sent_mid_nap(flavour):
 def test_a_frame_sent_mid_nap_settles_before_the_wake():
     observed = _frame_sent_mid_nap(CHAIN)
     assert observed == _frame_sent_mid_nap(REFERENCE)
-    results, _end, naps, napped_s, state, _transitions, _energy = observed
-    assert naps == 1 and napped_s == 2.75e-3 - 50e-6
-    # Each attempt restores the radio to doze, the state it found, so b
-    # never hears an ACK: the frame is dropped and the radio stays down.
-    assert results == [False] and state == "doze"
+    results, _end, naps, napped_s, state, transitions, _energy = observed
+    # idle -> doze, doze -> tx, tx -> idle: the frame leaves the radio
+    # awake, so b hears its ACK at the first attempt, and the wake-up
+    # finds the radio already out of doze.
+    assert results == [True] and state == "idle" and transitions == 3
+    # b dozed from the end of idle -> doze (50 µs) until the frame's
+    # doze -> tx began, a DIFS after it was queued.
+    assert naps == 1 and napped_s == 2.55e-3 - 50e-6
 
 
 # -- exact kernel cost of one exchange ------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.metrics import ascii_bar_chart, format_table
-from repro.metrics.report import format_percent
 
 
 class TestFormatTable:
@@ -61,7 +60,3 @@ class TestBarChart:
             ascii_bar_chart(["a"], [-1.0])
         with pytest.raises(ValueError):
             ascii_bar_chart(["a"], [1.0], width=0)
-
-
-def test_format_percent():
-    assert format_percent(0.973) == "97.3%"

@@ -47,6 +47,15 @@ SPEC = dict(
     seeds=[0, 1],
 )
 
+#: SPEC's run keys.  A key is a stored result's identity, so any change
+#: to its bytes orphans every existing store.
+SPEC_KEYS = [
+    "5e1945a874d999249a5f7171263330c5a3c0b1445ffc5ac461d72482e979cfe7",
+    "3baac59a8f3dfbce30e04052d9b8f875fb474274dc1099bda79ecc3b6de229df",
+    "6cad059a008bf0bb7d5f214a48070aa19732537fc1fc16acd36f416d5660d741",
+    "38d737a1b1e64cc3b0a802f024b3c426e804b6bab7d14605994fb9e6822f0b61",
+]
+
 
 def submodules(package: types.ModuleType):
     for info in pkgutil.iter_modules(package.__path__):
@@ -173,6 +182,10 @@ def test_registry_complete_from_its_package_alone(package, registry):
     assert result["first"] == result["full"]
 
 
+def test_run_keys_are_pinned():
+    assert [run.key for run in CampaignSpec(**SPEC).runs()] == SPEC_KEYS
+
+
 def test_warm_campaign_and_record_readers_load_no_simulator(tmp_path):
     store = ResultStore(str(tmp_path))
     try:
@@ -208,6 +221,7 @@ def test_warm_campaign_and_record_readers_load_no_simulator(tmp_path):
     assert (result["cached"], result["executed"]) == (4, 0)
     loaded = result["loaded"]
     assert "multiprocessing" not in loaded
+    assert "importlib.metadata" not in loaded
     assert [
         name for name in loaded
         if any(name == p or name.startswith(p + ".") for p in SIMULATOR)
