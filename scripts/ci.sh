@@ -31,8 +31,10 @@ echo "== e2e benchmark digest gate =="
 # simulator), city-grid-1k (fleet proxy feeds) and city-grid-1k-shards2
 # (the sharded fleet's cell worlds and migrations) at seed 0: each run's
 # summary must hash to its pinned digest in benchmarks/e2e/expected/.
-# psm-downlink and unap-uplink also run at seeds 1 and 2: their digests
-# pin the same-instant event order of the DCF/μNap frame exchange.
+# Every workload but campaign-warm also runs at seeds 1 and 2: the
+# psm-downlink and unap-uplink digests pin the same-instant event order
+# of the DCF/μNap frame exchange, the campaign-cold and city-grid ones
+# that of the Hotspot burst chains and the CBR pull plans.
 check_digests() {
   local digest_line
   digest_line="$(python benchmarks/e2e/run.py "$@" --repeats 1 --trace 0 \
@@ -51,14 +53,17 @@ check_digests --workload psm-downlink --workload unap-uplink \
   --workload campaign-cold --workload campaign-warm \
   --workload city-grid-1k --workload city-grid-1k-shards2 --seed 0
 for seed in 1 2; do
-  check_digests --workload psm-downlink --workload unap-uplink --seed "$seed"
+  check_digests --workload psm-downlink --workload unap-uplink \
+    --workload campaign-cold --workload city-grid-1k \
+    --workload city-grid-1k-shards2 --seed "$seed"
 done
 
 echo "== hash-seed independence check =="
 # run.py pins PYTHONHASHSEED=0 on its children, so the digest gate cannot
 # see a result that moves with the interpreter's hash salt.  Here two MAC
-# scenarios run at golden size under three salts, and each summary
-# record, sim_events included, must equal its checked-in golden.
+# scenarios and three Hotspot ones (single cell, faults, fleet) run at
+# golden size under three salts, and each summary record, sim_events
+# included, must equal its checked-in golden.
 for hash_seed in 0 1 12345; do
   PYTHONHASHSEED="$hash_seed" python - <<'EOF'
 import json
@@ -69,14 +74,17 @@ sys.path.insert(0, "scripts")
 from make_goldens import GOLDEN_SEEDS, golden_dir, golden_record  # noqa: E402
 
 salt = os.environ["PYTHONHASHSEED"]
-for name in ("psm-baseline", "unap-hotspot"):
+for name in (
+    "psm-baseline", "unap-hotspot", "hotspot", "faulty-hotspot", "fleet-hotspot"
+):
     with open(os.path.join(golden_dir(), f"{name}.json"), encoding="utf-8") as stream:
         golden = json.load(stream)["records"]
     for seed in GOLDEN_SEEDS:
         if golden_record(name, seed) != golden[str(seed)]:
             sys.exit(f"hash-seed check: {name} seed {seed} differs from its "
                      f"golden under PYTHONHASHSEED={salt}")
-print(f"hash seed {salt} ok: psm-baseline and unap-hotspot match their goldens")
+print(f"hash seed {salt} ok: psm-baseline, unap-hotspot, hotspot, faulty-hotspot "
+      "and fleet-hotspot match their goldens")
 EOF
 done
 

@@ -12,6 +12,7 @@ carries ``bitrate × 0.02612 / 8`` bytes.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -94,6 +95,52 @@ class TrafficSource:
         return sim.process(pump(), name=f"{type(self).__name__}-pump")
 
 
+def _pull_plans(arrivals: Iterator[Arrival], now: float):
+    """The pump's draws from ``arrivals`` after a start at ``now``, one per
+    dispatch where it draws: ``(landed, fires, offsets, sums, sleeps)``.
+
+    ``landed``: bytes due before the draw's first sleep (sunk at once).
+    Each later arrival of the chunk that sleeps has a fire instant and a
+    sequence number offset from the draw's first; ``sums[i]`` is the
+    bytes of the first i.  The chunk closes at ``fires[-1]``, offset
+    ``sleeps``; ``sleeps == 0`` means the source ran dry.
+    """
+    landed = 0
+    while True:
+        fires: List[float] = []
+        offsets: List[int] = []
+        sums = [0]
+        add_fire, add_offset, add_sum = fires.append, offsets.append, sums.append
+        total = sleeps = drawn = 0
+        for time_s, nbytes, _kind in islice(arrivals, _PUMP_CHUNK):
+            drawn += 1
+            if nbytes <= 0:
+                raise ValueError("ingest size must be positive")
+            if time_s > now:
+                now = now + (time_s - now)  # mirrors Timeout's fire time
+                sleeps += 1
+            if not sleeps:
+                landed += nbytes  # due before the chunk's first sleep
+            else:
+                add_fire(now)
+                add_offset(sleeps)
+                total += nbytes
+                add_sum(total)
+        if sleeps or drawn < _PUMP_CHUNK:
+            # Tuples: cached plans are shared by every feed of their key.
+            yield landed, tuple(fires), tuple(offsets), tuple(sums), sleeps
+            if not sleeps:
+                return
+            landed = 0
+
+
+@lru_cache(maxsize=8)
+def _cbr_plans(bitrate_bps: float, until_s: float, start_s: float) -> tuple:
+    """The pull plans of a CBR :class:`Mp3Stream` started at ``start_s``:
+    a pure function of its arguments, so drawn once per process."""
+    return tuple(_pull_plans(Mp3Stream(bitrate_bps).arrivals(until_s), start_s))
+
+
 class ArrivalFeed:
     """A source's arrivals, credited only when their total is read.
 
@@ -108,6 +155,10 @@ class ArrivalFeed:
     dry, are reserved but never queued.  ``events_scheduled`` and every
     tie-break therefore match the pump's, at a fraction of its dispatches.
 
+    The draws are planned by :func:`_pull_plans`; a CBR MP3 stream's
+    plans are shared by every feed of its bitrate, run length and start
+    instant in the process (:func:`_cbr_plans`).
+
     :meth:`settle` credits the arrivals whose entry sorts at or before
     the simulator's dispatching entry — outside :meth:`Simulator.run`,
     those with ``fire <= now`` — which are exactly those the pump would
@@ -116,12 +167,17 @@ class ArrivalFeed:
 
     def __init__(self, source: TrafficSource, sim: "Simulator", until_s: float) -> None:
         self.sim = sim
-        self._arrivals = source.arrivals(until_s)
-        #: Fire instant and sequence number of each pending arrival in
-        #: the current chunk; ``_sums[i]`` is the bytes of its first i.
-        self._fires: List[float] = []
-        self._seqs: List[int] = []
-        self._sums: List[int] = [0]
+        if type(source) is Mp3Stream and not source.vbr_fraction:
+            self._plans = iter(_cbr_plans(source.bitrate_bps, until_s, sim.now))
+        else:
+            self._plans = _pull_plans(source.arrivals(until_s), sim.now)
+        #: Fire instant and sequence offset of each pending arrival in
+        #: the current chunk, numbered from ``_base``; ``_sums[i]`` is
+        #: the bytes of its first i.
+        self._fires: Tuple[float, ...] = ()
+        self._offsets: Tuple[int, ...] = ()
+        self._sums: Tuple[int, ...] = (0,)
+        self._base = 0
         #: Arrivals of the current chunk credited so far.
         self._credited = 0
         #: Bytes already landed but not yet returned by :meth:`settle`.
@@ -134,40 +190,18 @@ class ArrivalFeed:
         sim = self.sim
         # Every arrival drawn so far sorts before this dispatch.
         self._landed += self._sums[-1] - self._sums[self._credited]
-        now = sim._now
-        while True:
-            fires: List[float] = []
-            seqs: List[int] = []
-            sums = [0]
-            add_fire, add_seq, add_sum = fires.append, seqs.append, sums.append
-            total = 0
-            first = seq = sim._seq
-            drawn = 0
-            for time_s, nbytes, _kind in islice(self._arrivals, _PUMP_CHUNK):
-                drawn += 1
-                if nbytes <= 0:
-                    raise ValueError("ingest size must be positive")
-                if time_s > now:
-                    now = now + (time_s - now)  # mirrors Timeout's fire time
-                    seq += 1
-                if seq == first:
-                    # Due before the chunk's first sleep: sunk right now.
-                    self._landed += nbytes
-                else:
-                    add_fire(now)
-                    add_seq(seq)
-                    total += nbytes
-                    add_sum(total)
-            if seq > first:
-                # Reserve every sleep's number but the last, which the
-                # chunk's closing timeout takes.
-                sim._seq = seq - 1
-                sim.bulk_timeouts([now])[0].callbacks.append(self._pull)
-                break
-            if drawn < _PUMP_CHUNK:
-                sim._seq += 1  # the drained pump process's completion
-                break
-        self._fires, self._seqs, self._sums = fires, seqs, sums
+        landed, fires, offsets, sums, sleeps = next(self._plans)
+        self._landed += landed
+        base = sim._seq
+        if sleeps:
+            # Reserve every sleep's number but the last, which the
+            # chunk's closing timeout takes.
+            sim._seq = base + sleeps - 1
+            sim.bulk_timeouts([fires[-1]])[0].callbacks.append(self._pull)
+        else:
+            sim._seq = base + 1  # the drained pump process's completion
+        self._fires, self._offsets, self._sums = fires, offsets, sums
+        self._base = base
         self._credited = 0
 
     def settle(self) -> int:
@@ -181,11 +215,12 @@ class ArrivalFeed:
         else:
             when = entry[0]
             end = bisect_left(fires, when, start)
-            seqs = self._seqs
+            offsets = self._offsets
+            base = self._base
             # A 3-tuple equal to the 4-tuple entry's head sorts before it,
             # so the dispatching entry's own arrivals count too.
             while end < len(fires) and fires[end] == when and (
-                when, NORMAL, seqs[end]
+                when, NORMAL, base + offsets[end]
             ) < entry:
                 end += 1
         landed = self._landed + self._sums[end] - self._sums[start]

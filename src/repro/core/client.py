@@ -14,9 +14,9 @@ exposes the aggregate report the server's policies feed on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.core.interfaces import ManagedInterface
+from repro.core.interfaces import ManagedInterface, as_event
 from repro.core.qos import QoSContract
 from repro.devices.profiles import DeviceProfile
 from repro.metrics.energy import ClientEnergyReport, EnergyBreakdown
@@ -25,6 +25,7 @@ from repro.phy.battery import Battery
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
+    from repro.sim.events import Event
 
 
 @dataclass
@@ -82,10 +83,8 @@ class HotspotClient:
         )
         self.bursts_received = 0
         self.bytes_received = 0
-        #: Bursts scheduled but not yet finished (incremented before the
-        #: burst process first runs — an ``is_asleep`` check alone misses
-        #: a burst created at the current instant whose wake-up has not
-        #: started yet).  The shard layer requires 0 before migrating.
+        #: Bursts started but not yet back asleep.  The shard layer
+        #: requires 0 before migrating.
         self.bursts_in_flight = 0
         #: (time, interface, nbytes) burst log for timelines.
         self.burst_log: List[Tuple[float, str, int]] = []
@@ -124,21 +123,27 @@ class HotspotClient:
 
     # -- schedule execution --------------------------------------------------------
 
-    def initialise(self):
-        """Park every interface; the server wakes them per burst."""
+    def initialise(self) -> Event:
+        """Park every interface, one after the other; the server wakes
+        them per burst."""
+        interfaces = list(self.interfaces.values())
 
-        def body():
-            for interface in self.interfaces.values():
-                yield interface.sleep()
+        def park(then: Callable[[], None]) -> None:
+            if not interfaces:
+                return then()
+            interface = interfaces.pop(0)
+            interface._goto(interface.sleep_state, lambda: park(then))
 
-        return self.sim.process(body(), name=f"{self.name}-init")
+        return as_event(self.sim, park)
 
-    def execute_burst(self, interface_name: str, nbytes: int):
-        """Receive one scheduled burst; yield the returned process.
+    def execute_burst(self, interface_name: str, nbytes: int) -> Event:
+        """Receive one scheduled burst; yield the returned event.
 
         Wake → transfer → deliver to the playout buffer → sleep, exactly
-        the client-side sequence of the paper's Figure 1.  Returns the
-        bytes actually absorbed (buffer capacity may truncate).
+        the client-side sequence of the paper's Figure 1, as one chain of
+        callbacks on the interface's transitions and transfer timer.  The
+        event's value is the bytes delivered: ``nbytes``, or 0 when the
+        interface is dead.
         """
         if interface_name not in self.interfaces:
             raise KeyError(
@@ -146,20 +151,6 @@ class HotspotClient:
             )
         if nbytes <= 0:
             raise ValueError("burst must be positive")
-        self.bursts_in_flight += 1
-        return self.sim.process(
-            self._burst_body(interface_name, nbytes),
-            name=f"{self.name}-burst",
-        )
-
-    def _burst_body(self, interface_name: str, nbytes: int):
-        try:
-            result = yield from self._burst_steps(interface_name, nbytes)
-        finally:
-            self.bursts_in_flight -= 1
-        return result
-
-    def _burst_steps(self, interface_name: str, nbytes: int):
         interface = self.interfaces[interface_name]
         if not interface.alive:
             # The WNIC died between scheduling and service: report zero
@@ -174,28 +165,42 @@ class HotspotClient:
                     interface=interface_name,
                     nbytes=nbytes,
                 )
-            return 0
+            return as_event(self.sim, lambda then: then(), value=0)
+        self.bursts_in_flight += 1
         started = self.sim.now
-        yield interface.wake()
-        yield interface.transfer(nbytes)
-        # Advance the playout model to the end of the transfer, then fill.
-        self.playout.deliver(self.sim.now, nbytes)
-        self.bursts_received += 1
-        self.bytes_received += nbytes
-        self.burst_log.append((self.sim.now, interface_name, nbytes))
-        bus = self.sim.trace
-        if bus.enabled:
-            bus.emit(
-                "core",
-                self.name,
-                "burst",
-                interface=interface_name,
-                nbytes=nbytes,
-                duration_s=self.sim.now - started,
-                buffered_s=self.playout.playback_time_buffered_s(),
+
+        def burst(then: Callable[[], None]) -> None:
+            def transferred() -> None:
+                # Advance the playout model to the end of the transfer,
+                # then fill.
+                now = self.sim.now
+                self.playout.deliver(now, nbytes)
+                self.bursts_received += 1
+                self.bytes_received += nbytes
+                self.burst_log.append((now, interface_name, nbytes))
+                bus = self.sim.trace
+                if bus.enabled:
+                    bus.emit(
+                        "core",
+                        self.name,
+                        "burst",
+                        interface=interface_name,
+                        nbytes=nbytes,
+                        duration_s=now - started,
+                        buffered_s=self.playout.playback_time_buffered_s(),
+                    )
+                interface._goto(interface.sleep_state, slept)
+
+            def slept() -> None:
+                self.bursts_in_flight -= 1
+                then()
+
+            interface._goto(
+                interface.resting_state,
+                lambda: interface._transfer(nbytes, transferred),
             )
-        yield interface.sleep()
-        return nbytes
+
+        return as_event(self.sim, burst, value=nbytes)
 
     # -- churn -------------------------------------------------------------
 

@@ -14,7 +14,8 @@ burst-level abstraction honest against the packet-level substrate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Any, Callable, Deque, Optional, Tuple
 
 from repro.devices.profiles import (
     BLUETOOTH_ACL_RATE_BPS,
@@ -25,13 +26,33 @@ from repro.devices.profiles import (
 )
 from repro.mac.bluetooth import BluetoothLink
 from repro.phy.radio import Radio
-from repro.sim.resources import Resource
+from repro.sim.events import _PROCESSED, Event, Timeout, chain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
 #: Link quality signal: ``f(time) -> [0, 1]``.
 QualitySignal = Callable[[float], float]
+
+
+def as_event(sim: "Simulator", step: Callable[..., None], *args: Any, value: Any = None) -> Event:
+    """One event for the callback chain ``step(*args, then)``, which
+    calls ``then()`` where it ends: already processed if that happens
+    during the call, else succeeded then (its waiters resume one
+    dispatch on, as from a process's completion)."""
+    done = Event(sim)
+    returned = False
+
+    def then() -> None:
+        if returned:
+            done.succeed(value)
+        else:
+            done._state = _PROCESSED
+            done._value = value
+
+    step(*args, then)
+    returned = True
+    return done
 
 
 class ManagedInterface:
@@ -90,9 +111,9 @@ class ManagedInterface:
         self.outages = 0
         #: (time, event) log of fail/revive edges for post-run analysis.
         self.outage_log: list = []
-        # Serialises state commands so two concurrent wake/sleep calls
-        # cannot race the radio's single transition slot.
-        self._control = Resource(sim)
+        #: ``(target state, continuation)`` of the command holding the
+        #: interface, then of those waiting for it in FIFO order.
+        self._commands: Deque[Tuple[str, Callable[[], None]]] = deque()
 
     # -- queries ----------------------------------------------------------
 
@@ -155,41 +176,75 @@ class ManagedInterface:
         down = self.radio.model.transition(self.resting_state, self.sleep_state)
         return self.wake_overhead_s() + down.latency_s
 
-    # -- control (all return processes to yield on) ------------------------------
+    # -- control: each command returns one event to yield on -------------------
 
-    def wake(self):
+    def wake(self) -> Event:
         """Bring the radio to the resting state."""
-        return self.sim.process(self._goto(self.resting_state), name=f"{self.name}-wake")
+        return as_event(self.sim, self._goto, self.resting_state)
 
-    def sleep(self):
+    def sleep(self) -> Event:
         """Drop the radio to the between-burst sleep state."""
-        return self.sim.process(self._goto(self.sleep_state), name=f"{self.name}-sleep")
+        return as_event(self.sim, self._goto, self.sleep_state)
 
-    def _goto(self, target: str):
-        with self._control.request() as grant:
-            yield grant
-            while self.radio.in_transition:
-                yield self.sim.timeout(0.0005)
-            if self.radio.state != target:
-                yield self.radio.transition_to(target)
-
-    def transfer(self, nbytes: int):
+    def transfer(self, nbytes: int) -> Event:
         """Receive a burst: active state for the transfer duration.
 
         The interface must be awake (the caller sequences wake/transfer/
-        sleep); returns the transfer duration.
+        sleep); the event's value is the transfer duration.
         """
-        return self.sim.process(self._transfer_body(nbytes), name=f"{self.name}-burst")
-
-    def _transfer_body(self, nbytes: int):
         duration = self.transfer_duration_s(nbytes)
-        yield from self._goto(self.active_state)
-        if duration > 0:
-            yield self.sim.timeout(duration)
-        yield from self._goto(self.resting_state)
-        self.bytes_transferred += nbytes
-        self.bursts += 1
-        return duration
+        return as_event(self.sim, self._transfer, nbytes, value=duration)
+
+    # The commands as callback chains: each step runs in the callback of
+    # the radio transition or timer it waits on.
+
+    def _goto(self, target: str, then: Callable[[], None]) -> None:
+        """Take the interface (after the commands already holding or
+        waiting for it), move the radio to ``target``, let go, then
+        ``then()``: two concurrent commands never race the radio's
+        single transition slot."""
+        self._commands.append((target, then))
+        if len(self._commands) == 1:
+            self._drive()
+
+    def _drive(self, _event: Optional[Event] = None) -> None:
+        target = self._commands[0][0]
+        radio = self.radio
+        if radio.in_transition:  # moved by something outside this interface
+            Timeout(self.sim, 0.0005).callbacks.append(self._drive)
+        elif radio.state != target:
+            chain(radio.transition_to(target), self._release)
+        else:
+            self._release()
+
+    def _release(self, _event: Optional[Event] = None) -> None:
+        # The next waiter takes the interface before the holder's
+        # continuation runs: a command waiting since earlier acts first.
+        then = self._commands.popleft()[1]
+        if self._commands:
+            self._drive()
+        then()
+
+    def _transfer(self, nbytes: int, then: Callable[[], None]) -> None:
+        """Active state for the transfer duration, back to resting, then
+        ``then()``."""
+        duration = self.transfer_duration_s(nbytes)
+
+        def transferred() -> None:
+            self.bytes_transferred += nbytes
+            self.bursts += 1
+            then()
+
+        def rest(_timer: Optional[Event] = None) -> None:
+            self._goto(self.resting_state, transferred)
+
+        def active() -> None:
+            if duration > 0:
+                Timeout(self.sim, duration).callbacks.append(rest)
+            else:
+                rest()
+
+        self._goto(self.active_state, active)
 
     def __repr__(self) -> str:
         return f"<ManagedInterface {self.name!r} state={self.radio.state!r}>"

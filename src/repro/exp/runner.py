@@ -257,18 +257,22 @@ def guarded_call(
             return {"error": error_envelope(exc, attempts=attempts)}
 
 
-def execute_run_guarded(guarded: _GuardedItem) -> Dict[str, Any]:
-    """Pool-picklable wrapper: :func:`execute_run` behind the guard.
+def execute_run_guarded(
+    guarded: _GuardedItem,
+    execute: Callable[[_WorkItem], Dict[str, Any]] = execute_run,
+) -> Dict[str, Any]:
+    """Pool-picklable wrapper: ``execute`` (:func:`execute_run`) behind
+    the guard.
 
     Besides the record/error, the outcome carries telemetry the runner
-    folds into progress heartbeats: which worker executed the run and
+    folds into progress heartbeats: which process executed the run and
     the wall time it took (including retries) — measured here because
-    only the worker process knows both.
+    only that process knows both.
     """
     item, timeout_s, retries, backoff_s = guarded
     started = time.perf_counter()
     outcome = guarded_call(
-        lambda: execute_run(item),
+        lambda: execute(item),
         timeout_s=timeout_s,
         retries=retries,
         backoff_s=backoff_s,
@@ -429,8 +433,8 @@ def run_campaign(
 
     def absorb(run: RunSpec, outcome: Dict[str, Any]) -> None:
         error = outcome.get("error")
-        worker = outcome.get("worker", "main")
-        wall_time_s = outcome.get("wall_time_s", 0.0)
+        worker = outcome["worker"]
+        wall_time_s = outcome["wall_time_s"]
         if error is None:
             record = outcome["record"]
             # Host-measured timing never enters stored records — it
@@ -468,8 +472,10 @@ def run_campaign(
         if pending:
             if jobs == 1:
                 for run in pending:
-                    if obs is not None:
-                        def shared_obs_run(run: RunSpec = run) -> Dict[str, Any]:
+                    if obs is None:
+                        execute = execute_run
+                    else:
+                        def execute(_item, run: RunSpec = run) -> Dict[str, Any]:
                             from repro.exp.scenarios import get_scenario
 
                             obs.begin_run(run.label)
@@ -482,17 +488,10 @@ def run_campaign(
                                 # label on subsequent runs' trace lines.
                                 obs.end_run()
 
-                        outcome = guarded_call(
-                            shared_obs_run,
-                            timeout_s=run_timeout_s,
-                            retries=retries,
-                            backoff_s=retry_backoff_s,
-                        )
-                    else:
-                        outcome = execute_run_guarded((
-                            work_item(run),
-                            run_timeout_s, retries, retry_backoff_s,
-                        ))
+                    outcome = execute_run_guarded(
+                        (work_item(run), run_timeout_s, retries, retry_backoff_s),
+                        execute,
+                    )
                     absorb(run, outcome)
             else:
                 import multiprocessing

@@ -124,11 +124,6 @@ class AdHocNetwork:
     def dead_nodes(self) -> List[str]:
         return [n for n in self.graph.nodes if self.batteries[n].is_empty]
 
-    def min_residual_battery(self) -> float:
-        """State of charge of the weakest node (the lifetime bottleneck)."""
-        return min(b.state_of_charge for b in self.batteries.values())
-
-
 def min_hop_route(
     network: AdHocNetwork, source: str, target: str, bits: int = 8000
 ) -> Optional[List[str]]:

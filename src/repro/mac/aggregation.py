@@ -93,10 +93,6 @@ class PacketAggregator:
     def buffered_bytes(self) -> int:
         return self._buffered_bytes
 
-    @property
-    def buffered_packets(self) -> int:
-        return len(self._buffer)
-
     def offer(self, length_bytes: int, payload: Any = None) -> None:
         """Add one packet; may trigger an immediate size-based flush."""
         if length_bytes <= 0:

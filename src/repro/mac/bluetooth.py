@@ -22,10 +22,11 @@ packets.  Per-packet protocol overhead is captured by ``efficiency``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.devices.profiles import BLUETOOTH_ACL_RATE_BPS
 from repro.phy.radio import Radio
+from repro.sim.events import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -82,11 +83,10 @@ class BluetoothLink:
         self.park_listen_s = park_listen_s
         self.sniff_interval_s = sniff_interval_s
         self.sniff_attempt_s = sniff_attempt_s
-        self.bytes_transferred = 0
-        self.transfers = 0
-        self._park_generation = 0
+        #: Where the sniff-attempt instants count from.
+        self._sniff_origin_s = sim.now
+        radio.on_entry("sniff", self._start_sniff_attempts)
         sim.process(self._park_beacon_loop(), name="bt-park-beacons")
-        sim.process(self._sniff_attempt_loop(), name="bt-sniff-attempts")
 
     # -- queries ------------------------------------------------------------
 
@@ -117,31 +117,6 @@ class BluetoothLink:
             raise ValueError(f"unknown Bluetooth mode {mode!r}")
         return self.radio.transition_to(mode)
 
-    # -- data ------------------------------------------------------------------------
-
-    def transfer(self, nbytes: int, resume_mode: Optional[str] = None):
-        """Move one burst over the link; yield the process to wait.
-
-        The link wakes to ``active``, holds it for the transfer duration,
-        then drops to ``resume_mode`` (default: stay ``active``).  Returns
-        the transfer duration in seconds.
-        """
-        return self.sim.process(
-            self._transfer_body(nbytes, resume_mode), name="bt-transfer"
-        )
-
-    def _transfer_body(self, nbytes: int, resume_mode: Optional[str]):
-        duration = self.transfer_duration_s(nbytes)
-        if self.radio.state != "active":
-            yield self.radio.transition_to("active")
-        if duration > 0:
-            yield self.sim.timeout(duration)
-        self.bytes_transferred += nbytes
-        self.transfers += 1
-        if resume_mode is not None and resume_mode != "active":
-            yield self.set_mode(resume_mode)
-        return duration
-
     # -- park beacons ---------------------------------------------------------------
 
     def _park_beacon_loop(self):
@@ -162,16 +137,31 @@ class BluetoothLink:
                         energy_j=delta * self.park_listen_s,
                     )
 
-    def _sniff_attempt_loop(self):
-        """Charge the periodic receive attempts of a sniffing slave.
+    def _start_sniff_attempts(self) -> None:
+        """Arm the first sniff attempt, as the radio first enters sniff.
+
+        Attempts fall every ``sniff_interval_s`` from the link's creation,
+        each the previous one plus the interval, where a timer loop
+        started with the link fires.  One due at this very instant fires
+        after the current dispatch; such a loop's timer might have fired
+        before it, which differs only when the radio enters sniff at no
+        latency (``connected`` → ``sniff``) on an attempt instant.
+        """
+        interval = self.sniff_interval_s
+        at = self._sniff_origin_s + interval
+        while at < self.sim.now:
+            at += interval
+        self.sim.bulk_timeouts([at])[0].callbacks.append(self._sniff_attempt)
+
+    def _sniff_attempt(self, _timer) -> None:
+        """Charge one receive attempt of a sniffing slave, arm the next.
 
         In sniff mode the slave listens for its master every sniff
         interval for the duration of the sniff attempt, at near-active
         power; between attempts it rests at the sniff floor.
         """
-        listen_power = self.radio.model.power("active")
-        while True:
-            yield self.sim.timeout(self.sniff_interval_s)
-            if self.radio.state == "sniff" and not self.radio.in_transition:
-                delta = max(listen_power - self.radio.model.power("sniff"), 0.0)
-                self.radio.add_energy_impulse(delta * self.sniff_attempt_s)
+        radio = self.radio
+        if radio.state == "sniff" and not radio.in_transition:
+            delta = max(radio.model.power("active") - radio.model.power("sniff"), 0.0)
+            radio.add_energy_impulse(delta * self.sniff_attempt_s)
+        Timeout(self.sim, self.sniff_interval_s).callbacks.append(self._sniff_attempt)

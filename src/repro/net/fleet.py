@@ -316,12 +316,6 @@ class FleetCoordinator:
 
     # -- fleet accounting ------------------------------------------------------
 
-    def total_bursts_served(self) -> int:
-        return sum(cell.server.bursts_served for cell in self.cells.values())
-
-    def total_bytes_served(self) -> int:
-        return sum(cell.server.bytes_served for cell in self.cells.values())
-
     def cell_summary(self) -> Dict[str, Dict[str, object]]:
         """JSON-ready per-cell breakdown for scenario ``extras``."""
         summary: Dict[str, Dict[str, object]] = {}

@@ -121,9 +121,6 @@ class HandoffController:
             raise TypeError("mobility must expose position(time_s)")
         self._positions[client_name] = mobility
 
-    def position_of(self, client_name: str) -> Tuple[float, float]:
-        return self._positions[client_name].position(self.sim.now)
-
     # -- cross-shard roaming (repro.shard) -------------------------------------
 
     def enable_remote_egress(self, window_s: float) -> None:

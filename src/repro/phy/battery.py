@@ -52,7 +52,6 @@ class Battery:
         self.peukert_exponent = float(peukert_exponent)
         self.cutoff_fraction = float(cutoff_fraction)
         self._remaining_j = float(capacity_j)
-        self._drawn_j = 0.0
 
     @classmethod
     def from_mah(
@@ -69,11 +68,6 @@ class Battery:
     def remaining_j(self) -> float:
         """Remaining usable energy in joules."""
         return self._remaining_j
-
-    @property
-    def drawn_j(self) -> float:
-        """Total effective energy drawn so far."""
-        return self._drawn_j
 
     @property
     def state_of_charge(self) -> float:
@@ -108,7 +102,6 @@ class Battery:
         energy = self.effective_power_w(power_w) * duration_s
         taken = min(energy, self._remaining_j)
         self._remaining_j -= taken
-        self._drawn_j += taken
         return taken
 
     def lifetime_at_power_s(self, power_w: float) -> float:

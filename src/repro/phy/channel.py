@@ -520,17 +520,6 @@ class InterferenceSchedule:
             factor *= 1.0 - severity
         return factor
 
-    def severity_at(self, time_s: float) -> float:
-        """Combined severity at ``time_s`` (0 = clean air)."""
-        return 1.0 - self.quality_factor(time_s)
-
-    def ber_at(self, base_ber: float, time_s: float) -> float:
-        """Base BER pushed toward 0.5 by the active interference."""
-        if not 0.0 <= base_ber <= 0.5:
-            raise ValueError(f"base BER must be in [0, 0.5], got {base_ber}")
-        severity = self.severity_at(time_s)
-        return base_ber + severity * (0.5 - base_ber)
-
     def apply_to(self, quality_fn):
         """Compose: ``f(t) -> quality_fn(t) * quality_factor(t)``."""
 

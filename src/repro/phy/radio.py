@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.events import _PROCESSED, Event, Timeout
 from repro.sim.stats import TimeSeries, TimeWeightedStat
@@ -225,6 +225,10 @@ class Radio:
         Instance name for traces (defaults to the model name).
     """
 
+    #: One-shot hooks per state, run as a change into it starts; a dict
+    #: only on radios that have one (see :meth:`on_entry`).
+    _entry_hooks: Optional[Dict[str, List[Callable[[], None]]]] = None
+
     def __init__(
         self, sim: "Simulator", model: RadioPowerModel, name: Optional[str] = None
     ) -> None:
@@ -327,13 +331,16 @@ class Radio:
             self._in_transition = True
             self._power_trace.record(now, cost.energy_j / cost.latency_s)
             self.state_series.append(now, f"->{target}")
-            timer = Timeout(sim, cost.latency_s)
-            timer.callbacks.append(self._settle_cb)
-            return timer
-        # Instantaneous transition: lump the energy as an impulse.
-        self._power_trace.add_impulse(cost.energy_j)
-        self._settle()
-        return _processed(sim)
+            event = Timeout(sim, cost.latency_s)
+            event.callbacks.append(self._settle_cb)
+        else:
+            # Instantaneous transition: lump the energy as an impulse.
+            self._power_trace.add_impulse(cost.energy_j)
+            self._settle()
+            event = _processed(sim)
+        if self._entry_hooks and target in self._entry_hooks:
+            self._entered(target)
+        return event
 
     def _settle(self, _timer: Optional[Event] = None) -> None:
         """Land in the transition's target (the latency timer's callback)."""
@@ -375,10 +382,26 @@ class Radio:
         if state_name == self._state:
             return
         self._account_state_time()
-        self._state = state_name
+        self._state = self._target_state = state_name
         self._last_state_change = self.sim.now
         self._power_trace.record(self.sim.now, self.model.power(state_name))
         self.state_series.append(self.sim.now, state_name)
+        if self._entry_hooks and state_name in self._entry_hooks:
+            self._entered(state_name)
+
+    def on_entry(self, state_name: str, hook: Callable[[], None]) -> None:
+        """Call ``hook()`` once, when the radio next starts a change into
+        ``state_name`` by any path, or now if it is in or changing to it."""
+        if self._target_state == state_name:
+            hook()
+        else:
+            if self._entry_hooks is None:
+                self._entry_hooks = {}
+            self._entry_hooks.setdefault(state_name, []).append(hook)
+
+    def _entered(self, state_name: str) -> None:
+        for hook in self._entry_hooks.pop(state_name):
+            hook()
 
     # -- accounting ----------------------------------------------------------------
 

@@ -9,17 +9,22 @@ leave ``events_scheduled`` (so every later tie-break) unchanged.
 """
 
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.traffic import (
     _PUMP_CHUNK,
+    MP3_FRAME_INTERVAL_S,
     ArrivalFeed,
     Mp3Stream,
     OnOffTraffic,
     PoissonTraffic,
     TraceTraffic,
     TrafficSource,
+    _cbr_plans,
 )
 from repro.core.server import ClientSession
 from repro.sim import Interrupt, Simulator
@@ -215,3 +220,137 @@ def test_session_without_feed_is_a_plain_counter():
     session.backlog_bytes += 5
     assert session.backlog_bytes == 12
     assert "backlog_bytes=12" in repr(session)
+
+
+# -- the shared CBR plan cache --------------------------------------------------
+
+
+class _Uncached(TrafficSource):
+    """The same arrivals from a source the cache does not know: the feed
+    plans them itself."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def arrivals(self, until_s):
+        return self.inner.arrivals(until_s)
+
+
+class _RecordedFeed(ArrivalFeed):
+    """Logs each pull: its instant, ``sim._seq`` after it, and the fire
+    instant of the closing timeout it queued (None when the source ran
+    dry), whose sequence number is then ``sim._seq``."""
+
+    def __init__(self, source, sim, until_s, pulls):
+        self.pulls = pulls
+        super().__init__(source, sim, until_s)
+
+    def _pull(self, event):
+        super()._pull(event)
+        closing = self._fires[-1] if self._fires else None
+        self.pulls.append((self.sim.now, self.sim._seq, closing))
+
+
+# Durations in frames: shorter than a chunk, exactly one chunk, one more,
+# several chunks.
+cbr_worlds = st.fixed_dictionaries(
+    {
+        "bitrate_bps": st.sampled_from([8_000.0, 128_000.0, 320_000.0]),
+        "frames": st.sampled_from([40, _PUMP_CHUNK, _PUMP_CHUNK + 1, 3 * _PUMP_CHUNK + 7]),
+        # Each feed's start: 0, a random instant, or a frame instant.
+        "starts": st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(0.0, 8.0),
+                st.integers(1, 300).map(lambda k: k * MP3_FRAME_INTERVAL_S),
+            ),
+            min_size=1,
+            max_size=3,
+        ).map(lambda starts: sorted(starts * 2)),
+        # (instant or arrival number, feed index): a reader at a random
+        # instant, or at the exact fire instant of a feed's arrival.
+        "reads": st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, 22.0), st.integers(0, 3 * _PUMP_CHUNK)),
+                st.integers(0, 5),
+            ),
+            max_size=30,
+        ),
+    }
+)
+
+
+def _cbr_world(world, cached):
+    until_s = (world["frames"] - 0.5) * MP3_FRAME_INTERVAL_S
+    sim = Simulator()
+    feeds = []
+    pulls = []
+    settled = []
+
+    def source():
+        stream = Mp3Stream(bitrate_bps=world["bitrate_bps"])
+        return stream if cached else _Uncached(stream)
+
+    def read(index):
+        if index < len(feeds):
+            settled.append((index, sim.now, feeds[index].settle()))
+
+    for when, index in world["reads"]:
+        if isinstance(when, int):
+            if index >= len(world["starts"]):
+                continue
+            now = world["starts"][index]
+            for time_s, _nbytes, _kind in islice(source().arrivals(until_s), when + 1):
+                if time_s > now:
+                    now = now + (time_s - now)
+            when = now
+        sim.bulk_timeouts([when])[0].callbacks.append(lambda _t, i=index: read(i))
+    for start_s in world["starts"]:
+        sim.run(until=start_s)
+        log = []
+        pulls.append(log)
+        feeds.append(_RecordedFeed(source(), sim, until_s, log))
+    sim.run(until=max(until_s, sim.now) + 1.0)
+    totals = [
+        sum(v for i, _t, v in settled if i == n) + feed.settle()
+        for n, feed in enumerate(feeds)
+    ]
+    return {
+        "settled": settled,
+        "pulls": pulls,
+        "totals": totals,
+        "events": sim.events_scheduled,
+    }, Mp3Stream(bitrate_bps=world["bitrate_bps"]).total_bytes(until_s)
+
+
+@given(cbr_worlds)
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_shared_cbr_plans_match_an_uncached_feed(world):
+    _cbr_plans.cache_clear()
+    cached, pumped = _cbr_world(world, cached=True)
+    info = _cbr_plans.cache_info()
+    # One miss per distinct start instant, a hit for each feed after it.
+    assert info.misses == len(set(world["starts"]))
+    assert info.hits == len(world["starts"]) - info.misses
+    reference, _ = _cbr_world(world, cached=False)
+    assert cached == reference
+    assert cached["totals"] == [pumped] * len(world["starts"])
+
+
+def test_only_cbr_sources_are_cached_and_the_cache_stays_bounded():
+    _cbr_plans.cache_clear()
+    sim = Simulator()
+    rng = random.Random(3)
+    ArrivalFeed(Mp3Stream(vbr_fraction=0.2, rng=rng), sim, 5.0)
+    ArrivalFeed(PoissonTraffic(0.02, 700, rng), sim, 5.0)
+    ArrivalFeed(_trace(rng), sim, 5.0)
+    assert _cbr_plans.cache_info().currsize == 0
+    ArrivalFeed(Mp3Stream(), sim, 5.0)
+    ArrivalFeed(Mp3Stream(), sim, 5.0)
+    assert _cbr_plans.cache_info()[:2] == (1, 1)  # (hits, misses)
+    maxsize = _cbr_plans.cache_info().maxsize
+    for index in range(3 * maxsize):
+        ArrivalFeed(Mp3Stream(), sim, 5.0 + index)
+        assert _cbr_plans.cache_info().currsize <= maxsize
+    sim.run(until=30.0)
+    assert _cbr_plans.cache_info().currsize == maxsize

@@ -51,6 +51,29 @@ class TestHeartbeats:
         assert end["executed"] == 2 and end["cached"] == 0
         assert end["failed"] == 0 and end["wall_time_s"] > 0
 
+    def test_serial_campaigns_name_one_worker_with_or_without_obs(self, tmp_path):
+        from repro.obs import ObsSession
+
+        store_dir = str(tmp_path / "store")
+        for n_clients, obs in ((1, None), (2, ObsSession())):
+            store = ResultStore(store_dir)
+            run_campaign(
+                hotspot_spec(grid={"n_clients": [n_clients]}),
+                store=store,
+                jobs=1,
+                obs=obs,
+            )
+            store.close()
+        runs = [
+            b for b in read_progress(store_dir + "/progress.jsonl")
+            if b["kind"] == "run"
+        ]
+        assert len(runs) == 2
+        assert all(beat["wall_time_s"] > 0 for beat in runs)
+        assert len({beat["worker"] for beat in runs}) == 1
+        data = load_report_data(store_dir)
+        assert len({run["worker"] for run in data["runs"]}) == 1
+
     def test_resume_appends_cached_heartbeats(self, tmp_path):
         store_dir = str(tmp_path / "store")
         store = ResultStore(store_dir)

@@ -118,10 +118,12 @@ class TestCrossShardRoaming:
 class TestMigrationBytePaths:
     # The merged payload of ``tight_spec`` at shards=1, pinned byte for
     # byte: declines and homecomings both move proxy bytes between
-    # worlds, and a slip in either changes the record.
+    # worlds, and a slip in either changes the record.  Only its
+    # ``sim_events`` may move with a change that is meant to schedule
+    # fewer kernel events.
     PINNED = {
-        0: "f9bc5c3afa2ea8b9a1cb74c967bc00db16a26e849c0cca87c18b125513d14458",
-        1: "cc75dbf5eebc03b4eca4e34c9e627668d18d850784495c8670e030ce64791077",
+        0: "f787ceaf927fb27cc31e0ae9b02ef11c2c78c3d1f59fa5a4661c91d1fb819e97",
+        1: "4dc66d7464a6409a64585baad99add570305b5c50b3e92e0e1b6fcc019cf1c9d",
     }
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
