@@ -7,7 +7,7 @@ The package is organised by protocol layer, mirroring the paper's survey:
 - :mod:`repro.mac` — 802.11 DCF/PSM, EC-MAC, aggregation, PAMAS, Bluetooth.
 - :mod:`repro.link` — ARQ, FEC, adaptive error control, channel prediction,
   energy-aware routing.
-- :mod:`repro.transport` — UDP and a simplified TCP Reno, plus wireless
+- :mod:`repro.transport` — a simplified TCP Reno, plus wireless
   mitigations (split connection, snoop).
 - :mod:`repro.oslayer` — OS-level device shutdown policies and CPU DVS.
 - :mod:`repro.apps` — application traffic generators and proxy adaptations.

@@ -627,12 +627,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Render a campaign store as one self-contained HTML dashboard."""
     from repro.exp.report import write_report
 
-    summary = write_report(
-        args.store_dir,
-        args.out,
-        bench_path=args.bench,
-        title=args.title,
-    )
+    summary = write_report(args.store_dir, args.out, title=args.title)
     if args.json:
         print(dumps_strict(summary, indent=2))
         return 0
@@ -1126,8 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
         "static HTML file — inline CSS/JS, no external resources — with "
         "the campaign overview, the failed/quarantined run table, per-run "
         "time-series charts and the kernel-performance table.  Example: "
-        "repro report .campaigns/demo -o report.html "
-        "--bench BENCH_kernel.json",
+        "repro report .campaigns/demo -o report.html",
     )
     report_parser.add_argument(
         "store_dir",
@@ -1140,11 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="report.html",
         metavar="FILE",
         help="output HTML path (default: report.html)",
-    )
-    report_parser.add_argument(
-        "--bench",
-        metavar="FILE",
-        help="include a BENCH_kernel.json kernel-throughput baseline table",
     )
     report_parser.add_argument(
         "--title",

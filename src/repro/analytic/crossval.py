@@ -21,7 +21,7 @@ model record a residual was computed from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analytic.models import PsmParams, predict
@@ -493,8 +493,3 @@ def run_crossval(
         predictions_stored=stored,
         predictions_cached=cached,
     )
-
-
-def with_seeds(spec: CampaignSpec, seeds: Sequence[int]) -> CampaignSpec:
-    """A copy of ``spec`` replicated over a different seed set."""
-    return replace(spec, seeds=list(seeds))

@@ -48,7 +48,7 @@ Modelled protocol, mirroring :mod:`repro.mac.psm` / :mod:`repro.mac.dcf`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.mac.frames import (
@@ -127,18 +127,21 @@ class PsmParams:
     power: RadioPowerConstants = field(default_factory=wlan_cf_constants)
 
     def __post_init__(self) -> None:
-        if self.n_stations < 1:
-            raise ValueError("n_stations must be >= 1")
-        if self.packet_bytes <= 0:
-            raise ValueError("packet_bytes must be positive")
-        if self.offered_load_bps < 0:
-            raise ValueError("offered_load_bps must be >= 0")
-        if self.listen_interval < 1:
-            raise ValueError("listen_interval must be >= 1")
+        # Each check is written so that NaN and ±inf fail it.
+        if not 1 <= self.n_stations < math.inf:
+            raise ValueError("n_stations must be finite and >= 1")
+        if not 0 < self.packet_bytes < math.inf:
+            raise ValueError("packet_bytes must be finite and positive")
+        if not 0 < self.rate_bps < math.inf:
+            raise ValueError("rate_bps must be finite and positive")
+        if not 0 <= self.offered_load_bps < math.inf:
+            raise ValueError("offered_load_bps must be finite and >= 0")
+        if not 1 <= self.listen_interval < math.inf:
+            raise ValueError("listen_interval must be finite and >= 1")
         if self.direction not in ("downlink", "uplink"):
             raise ValueError(f"unknown direction: {self.direction!r}")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be finite and positive")
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -173,12 +176,15 @@ class TcpParams:
     power: RadioPowerConstants = field(default_factory=wlan_cf_constants)
 
     def __post_init__(self) -> None:
-        if self.n_stations < 1:
-            raise ValueError("n_stations must be >= 1")
-        if self.segment_bytes <= 0:
-            raise ValueError("segment_bytes must be positive")
-        if self.delayed_ack_ratio < 1:
-            raise ValueError("delayed_ack_ratio must be >= 1")
+        # Each check is written so that NaN and ±inf fail it.
+        if not 1 <= self.n_stations < math.inf:
+            raise ValueError("n_stations must be finite and >= 1")
+        if not 0 < self.segment_bytes < math.inf:
+            raise ValueError("segment_bytes must be finite and positive")
+        if not 0 < self.rate_bps < math.inf:
+            raise ValueError("rate_bps must be finite and positive")
+        if not 1 <= self.delayed_ack_ratio < math.inf:
+            raise ValueError("delayed_ack_ratio must be finite and >= 1")
         if self.direction not in ("downlink", "uplink"):
             raise ValueError(f"unknown direction: {self.direction!r}")
 
@@ -227,17 +233,20 @@ class UnapParams:
     power: RadioPowerConstants = field(default_factory=unap_wlan_constants)
 
     def __post_init__(self) -> None:
-        if self.n_stations < 1:
-            raise ValueError("n_stations must be >= 1")
-        if self.packet_bytes <= 0:
-            raise ValueError("packet_bytes must be positive")
-        if self.offered_load_bps < 0:
-            raise ValueError("offered_load_bps must be >= 0")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        # Each check is written so that NaN and ±inf fail it.
+        if not 1 <= self.n_stations < math.inf:
+            raise ValueError("n_stations must be finite and >= 1")
+        if not 0 < self.packet_bytes < math.inf:
+            raise ValueError("packet_bytes must be finite and positive")
+        if not 0 < self.rate_bps < math.inf:
+            raise ValueError("rate_bps must be finite and positive")
+        if not 0 <= self.offered_load_bps < math.inf:
+            raise ValueError("offered_load_bps must be finite and >= 0")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be finite and positive")
         if self.power_policy not in ("unap", "cam"):
             raise ValueError(f"unknown power_policy: {self.power_policy!r}")
-        if self.rts_threshold_bytes > self.packet_bytes:
+        if not self.rts_threshold_bytes <= self.packet_bytes:
             raise ValueError(
                 "the unap model assumes RTS/CTS-protected data: "
                 "rts_threshold_bytes must be <= packet_bytes"
@@ -872,12 +881,6 @@ def unap_station_energy(params: UnapParams) -> EnergyPrediction:
         breakdown_w=breakdown,
         params=params.describe(),
     )
-
-
-def with_tx_power(params: PsmParams, tx_w: float) -> PsmParams:
-    """A copy of ``params`` with a different transmit draw (for
-    sensitivity checks: predicted energy must be monotone in it)."""
-    return replace(params, power=replace(params.power, tx_w=tx_w))
 
 
 def predict(predictor: str, overrides: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:

@@ -4,8 +4,7 @@
   (high-quality MP3 streaming) plus Poisson, on/off web browsing and a
   GOP-structured video model;
 - :mod:`repro.apps.proxy` — proxy-based control: *"dropping video content
-  and delivering only audio in adverse conditions"*, and bitrate
-  transcoding;
+  and delivering only audio in adverse conditions"*;
 - :mod:`repro.apps.partitioning` — load partitioning: *"executes portions
   of mobile's software on more than one device depending on energy and
   performance needs"*.
@@ -23,7 +22,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
             "TraceTraffic",
             "VideoStream",
         ),
-        "proxy": ("MediaProxy", "TranscodingProxy"),
+        "proxy": ("MediaProxy",),
         "partitioning": ("PipelinePartitioner", "Stage"),
     },
 )

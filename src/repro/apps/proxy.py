@@ -4,14 +4,11 @@ The survey (§1): *"Most proxy adaptations to date have been relatively
 simple, such as dropping video content and delivering only audio in
 adverse conditions."*
 
-- :class:`MediaProxy` implements exactly that: packets tagged by kind
-  flow through; when the link-quality signal falls below a threshold the
-  proxy drops video kinds and forwards audio only.
-- :class:`TranscodingProxy` scales packet sizes by a ratio (bitrate
-  transcoding), a second common adaptation.
-
-Both record bytes saved so the energy benefit downstream (smaller bursts
-→ shorter radio on-time) can be attributed.
+:class:`MediaProxy` implements exactly that: packets tagged by kind flow
+through; when the link-quality signal falls below a threshold the proxy
+drops video kinds and forwards audio only.  It records bytes saved so the
+energy benefit downstream (smaller bursts → shorter radio on-time) can be
+attributed.
 """
 
 from __future__ import annotations
@@ -103,38 +100,3 @@ class MediaProxy:
             if kept is not None:
                 out.append(kept)
         return out
-
-
-class TranscodingProxy:
-    """Scale payloads by a constant ratio (bitrate transcoding).
-
-    Parameters
-    ----------
-    ratio:
-        Output/input size ratio in (0, 1]; 0.5 halves the bitrate.
-    kinds:
-        Kinds to transcode; others pass through untouched.
-    """
-
-    def __init__(self, ratio: float, kinds: Optional[Sequence[str]] = None) -> None:
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError("ratio must be in (0, 1]")
-        self.ratio = ratio
-        self.kinds = frozenset(kinds) if kinds is not None else None
-        self.stats = ProxyStats()
-
-    def filter(self, arrival: Arrival) -> Arrival:
-        time_s, nbytes, kind = arrival
-        self.stats.packets_in += 1
-        self.stats.bytes_in += nbytes
-        if self.kinds is None or kind in self.kinds:
-            scaled = max(int(nbytes * self.ratio), 1)
-        else:
-            scaled = nbytes
-        self.stats.packets_forwarded += 1
-        self.stats.bytes_forwarded += scaled
-        self.stats.bytes_dropped += nbytes - scaled
-        return (time_s, scaled, kind)
-
-    def filter_stream(self, arrivals: Iterable[Arrival]) -> List[Arrival]:
-        return [self.filter(arrival) for arrival in arrivals]

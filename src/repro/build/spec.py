@@ -24,6 +24,7 @@ what the golden-equivalence tests pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -312,6 +313,10 @@ class WorldSpec:
         if self.delivery not in DELIVERY_MODES:
             raise ValueError(
                 f"unknown delivery mode {self.delivery!r}; known: {DELIVERY_MODES}"
+            )
+        if not 0 <= self.duration_s < math.inf:
+            raise ValueError(
+                f"duration_s must be finite and >= 0, got {self.duration_s!r}"
             )
         if self.delivery == "fleet" and self.fleet is None:
             self.fleet = FleetSpec()

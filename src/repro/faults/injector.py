@@ -167,8 +167,8 @@ class FaultInjector:
         self._emit(interface.name, "interference-end")
 
     def _apply_interference(self, interface: "ManagedInterface") -> None:
-        # Same compounding as phy.channel.InterferenceSchedule: each
-        # active burst leaves (1 - severity) of the link.
+        # Overlapping bursts compound: each active burst leaves
+        # (1 - severity) of the link.
         scale = 1.0
         for severity in self._interference.get(interface.name, ()):
             scale *= 1.0 - severity

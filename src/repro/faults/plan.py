@@ -91,8 +91,8 @@ class InterferenceBurst:
     Models a co-channel interference burst: the interface stays alive but
     its quality signal is scaled by ``1 - severity`` (0 = clean air,
     0.9 = nearly jammed) for the window, which the server's
-    interface-selection policy thresholds — the same severity semantics
-    as :class:`~repro.phy.channel.InterferenceSchedule`.
+    interface-selection policy thresholds.  Overlapping bursts compound:
+    two 0.5-severity bursts leave 0.25 of the link.
     """
 
     target: str

@@ -2,8 +2,8 @@
 
 Implements the survey's link-layer techniques:
 
-- :mod:`repro.link.arq` — stop-and-wait, go-back-N and selective-repeat
-  ARQ with full energy accounting ("trading off retransmissions ...");
+- :mod:`repro.link.arq` — stop-and-wait ARQ with full energy accounting
+  ("trading off retransmissions ...");
 - :mod:`repro.link.fec` — parametric block FEC ("longer packet sizes due
   to Forward Error Correction") and hybrid ARQ/FEC;
 - :mod:`repro.link.adaptive` — error-control adaptation to the current
@@ -21,8 +21,6 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         "arq": (
             "ArqStats",
             "BitPipe",
-            "GoBackNArq",
-            "SelectiveRepeatArq",
             "StopAndWaitArq",
         ),
         "fec": ("FecCode", "HybridArqFec", "fec_energy_per_good_bit"),

@@ -2,20 +2,20 @@
 
 The survey's link-layer trade-off is energy per *delivered* bit: ARQ pays
 for retransmissions when the channel errs, FEC pays a constant coding
-overhead.  This module provides the ARQ side: stop-and-wait, go-back-N and
-selective repeat running over a :class:`BitPipe` — a half-duplex link
-abstraction with a rate, propagation delay, transmit/receive powers and a
-pluggable per-frame error process.
+overhead.  This module provides the ARQ side: stop-and-wait running over
+a :class:`BitPipe` — a half-duplex link abstraction with a rate,
+propagation delay, transmit/receive powers and a pluggable per-frame
+error process.
 
-All three protocols guarantee exactly-once, in-order delivery to the
-receiver callback (verified by property tests), and record the energy both
-ends spent in :class:`ArqStats`.
+The protocol guarantees exactly-once, in-order delivery to the receiver
+(verified by property tests), and records the energy both ends spent in
+:class:`ArqStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.sim.events import Event
 
@@ -142,8 +142,8 @@ class BitPipe:
         return survives
 
 
-class _ArqBase:
-    """Shared machinery: frame bookkeeping and in-order delivery check."""
+class StopAndWaitArq:
+    """Send one frame, wait for its ACK, repeat."""
 
     def __init__(
         self,
@@ -207,14 +207,6 @@ class _ArqBase:
 
         return self.sim.process(body(), name=type(self).__name__)
 
-    def _run(self, n_frames: int):  # pragma: no cover - abstract
-        raise NotImplementedError
-        yield
-
-
-class StopAndWaitArq(_ArqBase):
-    """Send one frame, wait for its ACK, repeat."""
-
     def _run(self, n_frames: int):
         for sequence in range(n_frames):
             attempts = 0
@@ -249,96 +241,3 @@ class StopAndWaitArq(_ArqBase):
             if ack_ok:
                 return
             self.stats.timeouts += 1
-
-
-class GoBackNArq(_ArqBase):
-    """Sliding window; any loss rewinds the window to the lost frame.
-
-    Cumulative ACK per frame (receiver ACKs highest in-order sequence).
-    """
-
-    def __init__(self, *args, window: int = 8, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-
-    def _run(self, n_frames: int):
-        base = 0  # oldest unacknowledged sequence
-        expected = 0  # receiver's next in-order sequence
-        stall_guard = 0
-        max_stall = self.max_attempts * max(n_frames, 1)
-        while base < n_frames:
-            stall_guard += 1
-            if stall_guard > max_stall:
-                return  # abandon: pathological loss
-            window_end = min(base + self.window, n_frames)
-            progressed = False
-            for sequence in range(base, window_end):
-                data_ok = yield self.forward.send(self.frame_bits, self.stats)
-                if data_ok and sequence == expected:
-                    self._deliver(sequence)
-                    expected += 1
-                    progressed = True
-                elif not data_ok and sequence == expected:
-                    # In-order frame lost: everything after it is futile
-                    # (receiver discards out-of-order under go-back-N)...
-                    pass
-            # Receiver sends a cumulative ACK for `expected`.
-            ack_ok = yield self.reverse.send(self.ack_bits, self.stats, is_ack=True)
-            if ack_ok:
-                base = expected
-            else:
-                self.stats.timeouts += 1
-            if not progressed and not ack_ok:
-                self.stats.timeouts += 1
-
-
-class SelectiveRepeatArq(_ArqBase):
-    """Sliding window with per-frame ACKs; only lost frames retransmit."""
-
-    def __init__(self, *args, window: int = 8, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-
-    def _run(self, n_frames: int):
-        acked: Dict[int, bool] = {s: False for s in range(n_frames)}
-        received: set[int] = set()
-        next_in_order = 0
-        pending = list(range(n_frames))
-        attempts: Dict[int, int] = {s: 0 for s in range(n_frames)}
-        while pending:
-            window_frames = pending[: self.window]
-            still_pending: List[int] = []
-            for sequence in window_frames:
-                attempts[sequence] += 1
-                if attempts[sequence] > self.max_attempts:
-                    acked[sequence] = True  # abandon
-                    continue
-                data_ok = yield self.forward.send(self.frame_bits, self.stats)
-                if data_ok:
-                    if sequence not in received:
-                        received.add(sequence)
-                    ack_ok = yield self.reverse.send(
-                        self.ack_bits, self.stats, is_ack=True
-                    )
-                    if ack_ok:
-                        acked[sequence] = True
-                    else:
-                        self.stats.ack_losses += 0  # counted in send()
-                        self.stats.timeouts += 1
-                        still_pending.append(sequence)
-                else:
-                    self.stats.timeouts += 1
-                    still_pending.append(sequence)
-            pending = still_pending + pending[self.window :]
-            # In-order delivery out of the resequencing buffer.
-            while next_in_order in received:
-                self._deliver(next_in_order)
-                next_in_order += 1
-        # Flush any tail still sitting in the resequencing buffer.
-        while next_in_order in received:
-            self._deliver(next_in_order)
-            next_in_order += 1

@@ -33,8 +33,6 @@ __getattr__, __dir__, __all__ = lazy_namespace(
             "MicroNapPolicy",
             "PowerPolicy",
             "StaticPsmPolicy",
-            "make_power_policy",
-            "power_policy_description",
             "power_policy_names",
             "register_power_policy",
         ),

@@ -365,50 +365,21 @@ class MicroNapPolicy(PowerPolicy):
 
 PolicyFactory = Callable[..., PowerPolicy]
 
-_POWER_POLICIES: Dict[str, Tuple[PolicyFactory, str]] = {}
+_POWER_POLICIES: Dict[str, PolicyFactory] = {}
 
 
-def register_power_policy(
-    name: str, factory: PolicyFactory, description: str = ""
-) -> None:
+def register_power_policy(name: str, factory: PolicyFactory) -> None:
     """Register a policy factory (idempotent for the same factory)."""
     existing = _POWER_POLICIES.get(name)
-    if existing is not None and existing[0] is not factory:
+    if existing is not None and existing is not factory:
         raise ValueError(f"power policy {name!r} already registered")
-    _POWER_POLICIES[name] = (factory, description)
-
-
-def make_power_policy(name: str, **kwargs) -> PowerPolicy:
-    """Instantiate the policy registered under ``name``."""
-    try:
-        factory, _ = _POWER_POLICIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown power policy {name!r}; known: {power_policy_names()}"
-        ) from None
-    return factory(**kwargs)
+    _POWER_POLICIES[name] = factory
 
 
 def power_policy_names() -> List[str]:
     return sorted(_POWER_POLICIES)
 
 
-def power_policy_description(name: str) -> str:
-    return _POWER_POLICIES[name][1]
-
-
-register_power_policy(
-    "cam",
-    CamPolicy,
-    "Constantly-awake baseline: the radio never sleeps.",
-)
-register_power_policy(
-    "psm",
-    StaticPsmPolicy,
-    "Standard 802.11 PSM: doze between beacons, PS-Poll on TIM hits.",
-)
-register_power_policy(
-    "unap",
-    MicroNapPolicy,
-    "μNap micro-sleeps: doze through overheard NAV reservations.",
-)
+register_power_policy("cam", CamPolicy)  # the radio never sleeps
+register_power_policy("psm", StaticPsmPolicy)  # doze between beacons
+register_power_policy("unap", MicroNapPolicy)  # doze through others' NAV

@@ -1,11 +1,10 @@
-"""Streaming QoS metrics: playout buffers and delivery deadlines.
+"""Streaming QoS metrics: the playout buffer.
 
 The paper's claim is "QoS is maintained while saving 97 % in WNIC power":
 for the MP3 workload, QoS means the player's buffer never underruns.
 :class:`PlayoutBuffer` models the client-side decoder draining at the
 encoded bitrate from a buffer the network fills in bursts, and records
-every underrun with its duration.  :class:`DeadlineTracker` is the
-packet-level analogue for deadline-based contracts.
+every underrun with its duration.
 """
 
 from __future__ import annotations
@@ -217,27 +216,3 @@ class PlayoutBuffer:
         summary.bytes_delivered = state["bytes_delivered"]
         summary.deadline_misses = state["deadline_misses"]
         summary.max_lateness_s = state["max_lateness_s"]
-
-
-class DeadlineTracker:
-    """Per-delivery deadline accounting for deadline-based QoS contracts."""
-
-    def __init__(self) -> None:
-        self.summary = QosSummary()
-
-    def record(self, delivered_at_s: float, deadline_s: float, nbytes: int) -> None:
-        """One delivery against its deadline."""
-        if nbytes < 0:
-            raise ValueError("delivery must be >= 0 bytes")
-        self.summary.deliveries += 1
-        self.summary.bytes_delivered += nbytes
-        lateness = delivered_at_s - deadline_s
-        if lateness > 0:
-            self.summary.deadline_misses += 1
-            self.summary.max_lateness_s = max(self.summary.max_lateness_s, lateness)
-
-    @property
-    def miss_rate(self) -> float:
-        if self.summary.deliveries == 0:
-            return 0.0
-        return self.summary.deadline_misses / self.summary.deliveries

@@ -7,10 +7,9 @@ co-located WLAN AP and Bluetooth master, like the paper's testbed server)
 and :class:`Topology` is the set of sites a deployment comprises.
 
 Coverage is derived, not declared: each site's per-radio
-:class:`LinkBudget` runs the same SNR ramp as
-:func:`repro.phy.mobility.quality_from_mobility` —
-``tx power - path loss + noise floor`` mapped linearly onto ``[0, 1]``
-between an SNR floor and ceiling — so the footprint falls out of
+:class:`LinkBudget` maps the received SNR —
+``tx power - path loss - noise floor`` — linearly onto ``[0, 1]``
+between an SNR floor and ceiling, so the footprint falls out of
 :mod:`repro.phy.channel` path-loss physics.  The budget gap between
 802.11b (~15 dBm) and Bluetooth class 2 (~4 dBm) reproduces the paper's
 "Bluetooth dies first" behaviour *per cell*: a roaming client loses the
@@ -59,8 +58,8 @@ class LinkBudget:
         return (snr - self.snr_floor_db) / (self.snr_ceiling_db - self.snr_floor_db)
 
 
-#: Defaults matching repro.phy.mobility's docstring: 802.11b AP vs a
-#: Bluetooth class 2 master, both at 2.4 GHz.
+#: Defaults: an 802.11b AP (~15 dBm) vs a Bluetooth class 2 master
+#: (~4 dBm), both at 2.4 GHz.
 WLAN_LINK_BUDGET = LinkBudget(tx_power_dbm=15.0)
 BLUETOOTH_LINK_BUDGET = LinkBudget(tx_power_dbm=4.0)
 

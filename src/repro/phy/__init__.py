@@ -18,24 +18,12 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         "channel": (
             "FreeSpacePathLoss",
             "GilbertElliottChannel",
-            "InterferenceSchedule",
             "LogDistancePathLoss",
-            "LogNormalShadowing",
-            "Modulation",
-            "RayleighBlockFading",
             "ScriptedLinkQuality",
-            "ber",
-            "ber_cache_stats",
-            "configure_ber_cache",
             "packet_error_rate",
             "snr_db_from_link_budget",
         ),
         "battery": ("Battery",),
-        "mobility": (
-            "LinearMobility",
-            "RandomWaypoint",
-            "WaypointMobility",
-            "quality_from_mobility",
-        ),
+        "mobility": ("RandomWaypoint",),
     },
 )

@@ -3,9 +3,9 @@
 Provides the pieces the survey's link-adaptation techniques react to:
 
 - deterministic path loss (:class:`FreeSpacePathLoss`,
-  :class:`LogDistancePathLoss`) and :class:`LogNormalShadowing`;
-- modulation-dependent bit-error-rate curves (:func:`ber`) and the
-  resulting packet error rate (:func:`packet_error_rate`);
+  :class:`LogDistancePathLoss`) and link-budget SNR
+  (:func:`snr_db_from_link_budget`);
+- the packet error rate of a bit error rate (:func:`packet_error_rate`);
 - the classic :class:`GilbertElliottChannel` two-state burst-error model,
   used by adaptive ARQ/FEC and by channel-state prediction;
 - :class:`ScriptedLinkQuality`, a deterministic quality timeline used to
@@ -15,135 +15,12 @@ Provides the pieces the survey's link-adaptation techniques react to:
 
 from __future__ import annotations
 
-import enum
 import math
-from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.sim.streams import Random
 
 _LIGHT_SPEED_M_S = 299_792_458.0
-
-
-def _q_function(x: float) -> float:
-    """Tail probability of the standard normal distribution."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-# ---------------------------------------------------------------------------
-# BER/PER memoization
-#
-# The SNR -> BER -> PER chain sits on the per-frame hot path (every
-# Gilbert-Elliott survival draw, every link-adaptation probe), and its
-# erfc/expm1 math dominates those inner loops.  Caching floats is only
-# safe when it is bit-exact, so the cache serves *identical* inputs
-# only: an SNR is cached when it lies exactly on a quantized grid
-# (bounded key space, which is what makes an LRU meaningful — link
-# budgets and scripted sweeps produce such values), and anything
-# off-grid falls through to the exact math, uncached.  Disabling the
-# cache must therefore never change a single returned bit; the phy test
-# suite locks that equality down.
-
-#: Linear-SNR grid spacing served from the cache; off-grid SNRs are
-#: computed exactly and not cached.
-BER_CACHE_QUANTUM = 1e-3
-
-#: LRU bound: (modulation, grid-step) entries kept.
-BER_CACHE_MAX_ENTRIES = 4096
-
-_ber_cache: "OrderedDict[Tuple[Modulation, int], float]" = OrderedDict()
-_ber_cache_enabled = True
-_ber_cache_hits = 0
-_ber_cache_misses = 0
-
-
-def configure_ber_cache(enabled: bool = True) -> None:
-    """Enable/disable the BER cache (clears it and its counters)."""
-    global _ber_cache_enabled, _ber_cache_hits, _ber_cache_misses
-    _ber_cache_enabled = bool(enabled)
-    _ber_cache.clear()
-    _ber_cache_hits = 0
-    _ber_cache_misses = 0
-
-
-def ber_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the module-level BER cache."""
-    return {
-        "enabled": int(_ber_cache_enabled),
-        "hits": _ber_cache_hits,
-        "misses": _ber_cache_misses,
-        "size": len(_ber_cache),
-    }
-
-
-class Modulation(enum.Enum):
-    """Modulation schemes with closed-form BER approximations.
-
-    The 802.11b rates map onto DBPSK (1 Mb/s), DQPSK (2 Mb/s) and CCK
-    (5.5/11 Mb/s, approximated); Bluetooth 1.x uses GFSK.
-    """
-
-    DBPSK = "dbpsk"
-    DQPSK = "dqpsk"
-    CCK55 = "cck5.5"
-    CCK11 = "cck11"
-    GFSK = "gfsk"
-    BPSK = "bpsk"
-    QPSK = "qpsk"
-
-
-def ber(modulation: Modulation, snr_linear: float) -> float:
-    """Bit error rate for ``modulation`` at linear SNR (Eb/N0-style).
-
-    Standard textbook approximations; all return values clipped to
-    ``[0, 0.5]``.  ``snr_linear`` must be non-negative.
-
-    Results for SNRs lying exactly on the :data:`BER_CACHE_QUANTUM`
-    grid are served from a bounded LRU; off-grid SNRs always take the
-    exact-math path.  Both paths return bit-identical values
-    (:func:`configure_ber_cache` toggles the cache without changing any
-    result).
-    """
-    if snr_linear < 0:
-        raise ValueError(f"SNR must be >= 0, got {snr_linear}")
-    global _ber_cache_hits, _ber_cache_misses
-    if _ber_cache_enabled:
-        steps = round(snr_linear / BER_CACHE_QUANTUM)
-        if steps * BER_CACHE_QUANTUM == snr_linear:
-            key = (modulation, steps)
-            cached = _ber_cache.get(key)
-            if cached is not None:
-                _ber_cache.move_to_end(key)
-                _ber_cache_hits += 1
-                return cached
-            value = _ber_exact(modulation, snr_linear)
-            _ber_cache[key] = value
-            _ber_cache_misses += 1
-            if len(_ber_cache) > BER_CACHE_MAX_ENTRIES:
-                _ber_cache.popitem(last=False)
-            return value
-    return _ber_exact(modulation, snr_linear)
-
-
-def _ber_exact(modulation: Modulation, snr_linear: float) -> float:
-    if modulation is Modulation.DBPSK:
-        value = 0.5 * math.exp(-snr_linear)
-    elif modulation is Modulation.DQPSK:
-        value = _q_function(math.sqrt(1.172 * snr_linear))
-    elif modulation is Modulation.CCK55:
-        # CCK: union-bound style approximation over 8 chips / 4 bits.
-        value = 14.0 * _q_function(math.sqrt(8.0 * snr_linear / 5.5)) / 15.0
-    elif modulation is Modulation.CCK11:
-        value = 0.5 * (24.0 * _q_function(math.sqrt(4.0 * snr_linear / 11.0)))
-    elif modulation is Modulation.GFSK:
-        value = 0.5 * math.exp(-0.5 * snr_linear)
-    elif modulation is Modulation.BPSK:
-        value = _q_function(math.sqrt(2.0 * snr_linear))
-    elif modulation is Modulation.QPSK:
-        value = _q_function(math.sqrt(snr_linear))
-    else:  # pragma: no cover - exhaustive over the enum
-        raise ValueError(f"unknown modulation {modulation!r}")
-    return min(max(value, 0.0), 0.5)
 
 
 def packet_error_rate(bit_error_rate: float, bits: int) -> float:
@@ -168,18 +45,6 @@ def snr_db_from_link_budget(
 ) -> float:
     """Received SNR in dB from a simple link budget."""
     return tx_power_dbm - path_loss_db - noise_floor_dbm
-
-
-def db_to_linear(value_db: float) -> float:
-    """Convert decibels to a linear ratio."""
-    return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a linear ratio to decibels."""
-    if value <= 0:
-        raise ValueError(f"cannot take dB of non-positive value {value}")
-    return 10.0 * math.log10(value)
 
 
 class FreeSpacePathLoss:
@@ -237,21 +102,6 @@ class LogDistancePathLoss:
         )
 
 
-class LogNormalShadowing:
-    """Additive log-normal shadowing on top of a deterministic path loss."""
-
-    def __init__(self, path_loss, sigma_db: float, rng: Random) -> None:
-        if sigma_db < 0:
-            raise ValueError("shadowing sigma must be >= 0")
-        self.path_loss = path_loss
-        self.sigma_db = sigma_db
-        self._rng = rng
-
-    def loss_db(self, distance_m: float) -> float:
-        """One shadowed path-loss sample at ``distance_m``."""
-        return self.path_loss.loss_db(distance_m) + self._rng.gauss(0.0, self.sigma_db)
-
-
 class GilbertElliottChannel:
     """Two-state Markov burst-error channel.
 
@@ -296,7 +146,7 @@ class GilbertElliottChannel:
         # (ber, bits) -> PER memo: a chain sees two BERs and a handful
         # of frame sizes, so survival draws hit this dict essentially
         # always.  Exact keys keep it bit-identical to the direct
-        # computation; the global BER-cache switch also governs it.
+        # computation.
         self._per_memo: Dict[Tuple[float, int], float] = {}
 
     #: Distinct (ber, bits) pairs memoised per chain instance.
@@ -342,16 +192,12 @@ class GilbertElliottChannel:
         """Sample whether a ``bits``-long packet sent now survives."""
         if time is not None:
             self.advance_to(time)
-        current = self.current_ber()
-        if _ber_cache_enabled:
-            key = (current, bits)
-            per = self._per_memo.get(key)
-            if per is None:
-                per = packet_error_rate(current, bits)
-                if len(self._per_memo) < self.PER_MEMO_MAX_ENTRIES:
-                    self._per_memo[key] = per
-        else:
-            per = packet_error_rate(current, bits)
+        key = (self.current_ber(), bits)
+        per = self._per_memo.get(key)
+        if per is None:
+            per = packet_error_rate(*key)
+            if len(self._per_memo) < self.PER_MEMO_MAX_ENTRIES:
+                self._per_memo[key] = per
         return self._rng.random() >= per
 
     def expected_burst_lengths(self) -> Tuple[float, float]:
@@ -359,64 +205,6 @@ class GilbertElliottChannel:
         good = math.inf if self.p_good_to_bad == 0 else 1.0 / self.p_good_to_bad
         bad = math.inf if self.p_bad_to_good == 0 else 1.0 / self.p_bad_to_good
         return good, bad
-
-
-class RayleighBlockFading:
-    """Block-fading Rayleigh channel: SNR scales by an exponential gain.
-
-    The channel gain power ``|h|^2`` of a Rayleigh-faded link is
-    exponentially distributed with unit mean.  This model redraws the
-    gain every *coherence time* and holds it constant in between (block
-    fading) — adequate for link-adaptation studies at walking speeds,
-    where coherence times are tens of milliseconds.
-
-    Parameters
-    ----------
-    coherence_time_s:
-        How long one fading block lasts.
-    rng:
-        Dedicated random stream.
-    mean_gain:
-        Average linear power gain (1.0 = pure fading around the mean
-        path loss).
-    """
-
-    def __init__(
-        self,
-        coherence_time_s: float = 0.02,
-        rng: Optional[Random] = None,
-        mean_gain: float = 1.0,
-    ) -> None:
-        if coherence_time_s <= 0:
-            raise ValueError("coherence time must be positive")
-        if mean_gain <= 0:
-            raise ValueError("mean gain must be positive")
-        self.coherence_time_s = coherence_time_s
-        self.mean_gain = mean_gain
-        self._rng = rng or Random(0)
-        self._block = -1
-        self._gain = self._draw()
-
-    def _draw(self) -> float:
-        return self._rng.expovariate(1.0 / self.mean_gain)
-
-    def gain_at(self, time_s: float) -> float:
-        """Linear power gain of the block containing ``time_s``.
-
-        Time must not go backwards across calls (blocks are drawn
-        lazily, in order).
-        """
-        block = int(time_s / self.coherence_time_s)
-        if block < self._block:
-            raise ValueError(f"cannot rewind fading: block {block} < {self._block}")
-        while self._block < block:
-            self._block += 1
-            self._gain = self._draw()
-        return self._gain
-
-    def faded_snr_db(self, mean_snr_db: float, time_s: float) -> float:
-        """Instantaneous SNR given the link-budget mean SNR."""
-        return mean_snr_db + linear_to_db(max(self.gain_at(time_s), 1e-12))
 
 
 class ScriptedLinkQuality:
@@ -482,64 +270,3 @@ def quality_from_gilbert_elliott(
         return good_quality if channel.is_good else bad_quality
 
     return quality
-
-
-class InterferenceSchedule:
-    """Scripted interference windows that derate quality and spike BER.
-
-    Each window is ``(start_s, duration_s, severity)`` with severity in
-    ``[0, 1)``; overlapping windows compound (two 0.5-severity bursts
-    leave 0.25 of the link).  The schedule composes with any quality
-    signal via :meth:`apply_to`, and fault injection
-    (:mod:`repro.faults`) uses the same semantics when it scales
-    :class:`~repro.core.interfaces.ManagedInterface` quality directly.
-    """
-
-    def __init__(self, windows: Sequence[Tuple[float, float, float]]) -> None:
-        for start, duration, severity in windows:
-            if start < 0:
-                raise ValueError(f"window start must be >= 0, got {start}")
-            if duration <= 0:
-                raise ValueError(f"window duration must be positive, got {duration}")
-            if not 0.0 <= severity < 1.0:
-                raise ValueError(f"severity must be in [0, 1), got {severity}")
-        self._windows = sorted(windows)
-
-    def active_windows(self, time_s: float) -> list[Tuple[float, float, float]]:
-        """The windows covering ``time_s`` (start inclusive, end exclusive)."""
-        return [
-            (start, duration, severity)
-            for start, duration, severity in self._windows
-            if start <= time_s < start + duration
-        ]
-
-    def quality_factor(self, time_s: float) -> float:
-        """Multiplicative link-quality derating at ``time_s`` (1 = clean)."""
-        factor = 1.0
-        for _start, _duration, severity in self.active_windows(time_s):
-            factor *= 1.0 - severity
-        return factor
-
-    def apply_to(self, quality_fn):
-        """Compose: ``f(t) -> quality_fn(t) * quality_factor(t)``."""
-
-        def quality(time_s: float) -> float:
-            return quality_fn(time_s) * self.quality_factor(time_s)
-
-        return quality
-
-    def __len__(self) -> int:
-        return len(self._windows)
-
-
-def effective_bitrate_bps(nominal_bps: float, per: float) -> float:
-    """Goodput after retransmission overhead at packet error rate ``per``.
-
-    With ideal ARQ the expected number of attempts is ``1 / (1 - per)``,
-    so goodput scales by ``(1 - per)``.
-    """
-    if not 0.0 <= per <= 1.0:
-        raise ValueError(f"PER must be in [0, 1], got {per}")
-    if nominal_bps < 0:
-        raise ValueError("bitrate must be >= 0")
-    return nominal_bps * (1.0 - per)

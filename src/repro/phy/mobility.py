@@ -1,90 +1,22 @@
-"""Client mobility and the link quality it produces.
+"""Client mobility: the seeded random-waypoint walker.
 
 The paper's switchover trigger — "as conditions in the link change" — is
 usually *motion*: a client walking away from its Bluetooth master loses
 that link long before WLAN (whose access point has far more link budget).
-This module provides simple deterministic mobility models and an adapter
-that turns position + path loss + link budget into the ``quality(t)``
-signal the Hotspot's interface-selection policy consumes.
+Fleet worlds move their clients with :class:`RandomWaypoint`, and each
+site's :class:`~repro.net.topology.LinkBudget` turns the distance into
+the ``quality(t)`` signal the Hotspot's interface-selection policy
+consumes.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import TYPE_CHECKING, Callable, Sequence, Tuple
-
-from repro.phy.channel import snr_db_from_link_budget
+from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.streams import RandomStreams
-
-#: A mobility model: ``f(time_s) -> (x, y)`` metres.
-PositionFn = Callable[[float], Tuple[float, float]]
-
-
-class LinearMobility:
-    """Constant-velocity motion from a start point.
-
-    Parameters
-    ----------
-    start_xy:
-        Position at t=0, metres.
-    velocity_xy:
-        Velocity vector, metres/second.
-    """
-
-    def __init__(
-        self,
-        start_xy: Tuple[float, float] = (0.0, 0.0),
-        velocity_xy: Tuple[float, float] = (1.0, 0.0),
-    ) -> None:
-        self.start_xy = start_xy
-        self.velocity_xy = velocity_xy
-
-    def position(self, time_s: float) -> Tuple[float, float]:
-        x0, y0 = self.start_xy
-        vx, vy = self.velocity_xy
-        return (x0 + vx * time_s, y0 + vy * time_s)
-
-    def distance_to(self, time_s: float, point_xy: Tuple[float, float]) -> float:
-        x, y = self.position(time_s)
-        return math.hypot(x - point_xy[0], y - point_xy[1])
-
-
-class WaypointMobility:
-    """Piecewise-linear motion through timed waypoints.
-
-    Parameters
-    ----------
-    waypoints:
-        ``(time_s, x, y)`` tuples with strictly increasing times; the
-        position holds at the first/last waypoint outside the range.
-    """
-
-    def __init__(self, waypoints: Sequence[Tuple[float, float, float]]) -> None:
-        if len(waypoints) < 1:
-            raise ValueError("need at least one waypoint")
-        times = [w[0] for w in waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("waypoint times must be strictly increasing")
-        self.waypoints = list(waypoints)
-
-    def position(self, time_s: float) -> Tuple[float, float]:
-        points = self.waypoints
-        if time_s <= points[0][0]:
-            return (points[0][1], points[0][2])
-        if time_s >= points[-1][0]:
-            return (points[-1][1], points[-1][2])
-        for (t0, x0, y0), (t1, x1, y1) in zip(points, points[1:]):
-            if t0 <= time_s <= t1:
-                alpha = (time_s - t0) / (t1 - t0)
-                return (x0 + alpha * (x1 - x0), y0 + alpha * (y1 - y0))
-        raise AssertionError("unreachable: waypoint interval not found")
-
-    def distance_to(self, time_s: float, point_xy: Tuple[float, float]) -> float:
-        x, y = self.position(time_s)
-        return math.hypot(x - point_xy[0], y - point_xy[1])
 
 
 class RandomWaypoint:
@@ -192,46 +124,3 @@ class RandomWaypoint:
     def distance_to(self, time_s: float, point_xy: Tuple[float, float]) -> float:
         x, y = self.position(time_s)
         return math.hypot(x - point_xy[0], y - point_xy[1])
-
-
-def quality_from_mobility(
-    mobility,
-    base_station_xy: Tuple[float, float],
-    path_loss,
-    tx_power_dbm: float,
-    snr_floor_db: float = 5.0,
-    snr_ceiling_db: float = 25.0,
-    noise_floor_dbm: float = -95.0,
-):
-    """Build a ``quality(t)`` signal from motion and a link budget.
-
-    Quality ramps linearly from 0 (SNR at or below ``snr_floor_db``) to 1
-    (at or above ``snr_ceiling_db``) — the shape interface-selection
-    thresholds expect.
-
-    Parameters
-    ----------
-    mobility:
-        Object with ``distance_to(time_s, point_xy)``.
-    path_loss:
-        Object with ``loss_db(distance_m)`` (e.g.
-        :class:`~repro.phy.channel.LogDistancePathLoss`).
-    tx_power_dbm:
-        Transmit power of the link (Bluetooth class 2: ~4 dBm;
-        802.11b: ~15 dBm — the budget gap that makes BT die first).
-    """
-    if snr_ceiling_db <= snr_floor_db:
-        raise ValueError("need ceiling > floor")
-
-    def quality(time_s: float) -> float:
-        distance = mobility.distance_to(time_s, base_station_xy)
-        snr = snr_db_from_link_budget(
-            tx_power_dbm, path_loss.loss_db(distance), noise_floor_dbm
-        )
-        if snr <= snr_floor_db:
-            return 0.0
-        if snr >= snr_ceiling_db:
-            return 1.0
-        return (snr - snr_floor_db) / (snr_ceiling_db - snr_floor_db)
-
-    return quality

@@ -5,13 +5,10 @@
 - :class:`Store` — an unbounded-or-bounded FIFO buffer of items (e.g. a
   packet queue); ``get`` blocks until an item is available, ``put`` blocks
   while the store is full.
-- :class:`PriorityStore` — like :class:`Store` but items are retrieved in
-  ascending priority order (items must be orderable or wrapped).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -127,12 +124,6 @@ class Store:
         """Snapshot of buffered items (oldest first)."""
         return tuple(self._items)
 
-    def _push(self, item: Any) -> None:
-        self._items.append(item)
-
-    def _pop(self) -> Any:
-        return self._items.popleft()
-
     def put(self, item: Any) -> Event:
         """Insert ``item``; the returned event fires once it is stored."""
         event = Event(self.sim)
@@ -146,7 +137,7 @@ class Store:
             # Hand straight to the longest-waiting getter.
             self._getters.popleft().succeed(item)
         elif self.capacity is None or len(self._items) < self.capacity:
-            self._push(item)
+            self._items.append(item)
         else:
             self._putters.append((event, item))
             return
@@ -157,7 +148,7 @@ class Store:
         """Remove the next item; the returned event fires with the item."""
         event = Event(self.sim)
         if self._items:
-            event.succeed(self._pop())
+            event.succeed(self._items.popleft())
             self._admit_putters()
         else:
             self._getters.append(event)
@@ -166,14 +157,15 @@ class Store:
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
         if self._items:
-            item = self._pop()
+            item = self._items.popleft()
             self._admit_putters()
             return True, item
         return False, None
 
     def drain(self) -> list[Any]:
         """Remove and return all buffered items at once (may be empty)."""
-        items = [self._pop() for _ in range(len(self._items))]
+        items = list(self._items)
+        self._items.clear()
         self._admit_putters()
         return items
 
@@ -183,24 +175,6 @@ class Store:
             self.capacity is None or len(self._items) < self.capacity
         ):
             event, item = self._putters.popleft()
-            self._push(item)
+            self._items.append(item)
             if event is not None:
                 event.succeed()
-
-
-class PriorityStore(Store):
-    """A :class:`Store` whose items (a heap) come out in ascending order."""
-
-    def __init__(self, sim: "Simulator", capacity: Optional[int] = None) -> None:
-        super().__init__(sim, capacity)
-        self._items: list[Any] = []  # type: ignore[assignment]
-
-    @property
-    def items(self) -> tuple[Any, ...]:
-        return tuple(sorted(self._items))
-
-    def _push(self, item: Any) -> None:
-        heapq.heappush(self._items, item)
-
-    def _pop(self) -> Any:
-        return heapq.heappop(self._items)

@@ -1,4 +1,4 @@
-"""Transport layer: UDP, simplified TCP Reno, and wireless mitigations.
+"""Transport layer: simplified TCP Reno and wireless mitigations.
 
 The survey (§1): transport protocols *"are designed to work well when
 deployed on reliable links, thus causing problems when working in
@@ -8,8 +8,6 @@ completely new end-to-end protocols."*
 
 - :mod:`repro.transport.path` — a one-way network path with bandwidth,
   delay and a pluggable loss process;
-- :mod:`repro.transport.udp` — datagram flows (the paper's Hotspot
-  schedules "large bursts of TCP or UDP packets");
 - :mod:`repro.transport.tcp` — a compact TCP Reno: slow start, congestion
   avoidance, fast retransmit/recovery, RTO with Karn/Jacobson estimation.
   Its well-known failure mode — treating wireless loss as congestion —
@@ -24,7 +22,6 @@ __getattr__, __dir__, __all__ = lazy_namespace(
     __name__,
     {
         "path": ("NetworkPath", "Segment"),
-        "udp": ("UdpFlow", "UdpSink"),
         "tcp": ("TcpReceiver", "TcpSender", "TcpStats"),
         "mitigation": ("SnoopAgent", "run_split_connection"),
     },

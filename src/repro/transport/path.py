@@ -23,7 +23,7 @@ _segment_ids = itertools.count()
 
 @dataclass
 class Segment:
-    """A transport segment (TCP segment or UDP datagram).
+    """A transport segment.
 
     ``seq`` numbers bytes (TCP-style): the segment covers
     ``[seq, seq + length_bytes)``.  For pure ACKs ``length_bytes`` is the

@@ -12,7 +12,6 @@ from repro.analytic.crossval import (
     model_overrides,
     psm_crossval_spec,
     run_crossval,
-    with_seeds,
 )
 from repro.exp.store import ResultStore
 
@@ -83,10 +82,6 @@ class TestSpecBuilder:
         for point in spec.points():
             expected = 10.0 if point["offered_load_bps"] >= 1e6 else 30.0
             assert point["duration_s"] == expected
-
-    def test_with_seeds_rewrites_seed_axis(self):
-        spec = with_seeds(psm_crossval_spec(), [5, 6, 7])
-        assert spec.seeds == [5, 6, 7]
 
 
 def tiny_spec():

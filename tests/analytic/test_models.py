@@ -1,10 +1,12 @@
 """Closed-form predictor sanity: edge cases, bounds and monotonicity."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.analytic import PREDICTORS, PsmParams, TcpParams
+from repro.__main__ import main
+from repro.analytic import PREDICTORS, PsmParams, TcpParams, UnapParams
 from repro.analytic.models import (
     beacon_overhead_frac,
     bianchi_fixed_point,
@@ -13,7 +15,6 @@ from repro.analytic.models import (
     psm_station_energy,
     psm_wakeup_duty_cycle,
     tcp_station_energy,
-    with_tx_power,
 )
 from repro.mac.frames import Dot11Timing
 
@@ -104,7 +105,9 @@ class TestEnergyEdges:
         for direction in ("downlink", "uplink"):
             base = PsmParams(direction=direction, offered_load_bps=512e3)
             powers = [
-                psm_station_energy(with_tx_power(base, tx)).wnic_power_w
+                psm_station_energy(
+                    replace(base, power=replace(base.power, tx_w=tx))
+                ).wnic_power_w
                 for tx in (1.0, 1.4, 2.0, 3.5)
             ]
             assert all(a < b for a, b in zip(powers, powers[1:]))
@@ -191,6 +194,40 @@ class TestRegistry:
     def test_predict_unknown_name(self):
         with pytest.raises(ValueError, match="unknown predictor"):
             predict("nope")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -5.0])
+    @pytest.mark.parametrize(
+        "params_type, field",
+        [
+            (PsmParams, "n_stations"),
+            (PsmParams, "packet_bytes"),
+            (PsmParams, "rate_bps"),
+            (PsmParams, "offered_load_bps"),
+            (PsmParams, "listen_interval"),
+            (PsmParams, "duration_s"),
+            (TcpParams, "n_stations"),
+            (TcpParams, "segment_bytes"),
+            (TcpParams, "rate_bps"),
+            (TcpParams, "delayed_ack_ratio"),
+            (UnapParams, "n_stations"),
+            (UnapParams, "packet_bytes"),
+            (UnapParams, "rate_bps"),
+            (UnapParams, "offered_load_bps"),
+            (UnapParams, "duration_s"),
+        ],
+    )
+    def test_non_finite_or_negative_rejected(self, params_type, field, value):
+        with pytest.raises(ValueError, match=field):
+            params_type(**{field: value})
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-5"])
+    def test_cli_rejects_non_finite_setting(self, value, capsys):
+        status = main(
+            ["analytic", "psm-energy", "--set", f"n_stations={value}", "--json"]
+        )
+        out, err = capsys.readouterr()
+        assert (status, out) == (2, "")
+        assert "n_stations must be finite" in err
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import MediaProxy, TranscodingProxy, Mp3Stream, VideoStream
+from repro.apps import MediaProxy, Mp3Stream, VideoStream
 from repro.apps.traffic import merge_arrivals
 from repro.phy import ScriptedLinkQuality
 
@@ -53,34 +53,3 @@ class TestMediaProxy:
         proxy = MediaProxy(quality_signal=lambda t: 1.0)
         assert proxy.filter_stream([]) == []
         assert proxy.stats.bytes_saved_fraction == 0.0
-
-
-class TestTranscodingProxy:
-    def test_scales_all_kinds_by_default(self):
-        proxy = TranscodingProxy(ratio=0.5)
-        out = proxy.filter((0.0, 1000, "video-i"))
-        assert out == (0.0, 500, "video-i")
-
-    def test_scales_only_selected_kinds(self):
-        proxy = TranscodingProxy(ratio=0.5, kinds=["video-i", "video-p"])
-        video = proxy.filter((0.0, 1000, "video-i"))
-        audio = proxy.filter((0.0, 400, "audio"))
-        assert video[1] == 500
-        assert audio[1] == 400
-
-    def test_accounts_bytes_saved(self):
-        proxy = TranscodingProxy(ratio=0.25)
-        proxy.filter_stream([(0.0, 1000, "x"), (1.0, 1000, "x")])
-        assert proxy.stats.bytes_dropped == 1500
-        assert proxy.stats.bytes_forwarded == 500
-
-    def test_never_emits_zero_bytes(self):
-        proxy = TranscodingProxy(ratio=0.001)
-        out = proxy.filter((0.0, 10, "x"))
-        assert out[1] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TranscodingProxy(ratio=0.0)
-        with pytest.raises(ValueError):
-            TranscodingProxy(ratio=1.5)

@@ -1,7 +1,10 @@
 """WorldSpec and friends: validation, normalisation, description."""
 
+import math
+
 import pytest
 
+from repro.__main__ import main
 from repro.build import (
     FleetSpec,
     InterfaceSpec,
@@ -67,6 +70,17 @@ class TestWorldSpec:
         node = NodeSpec(name="dup", interfaces=(InterfaceSpec("wlan"),))
         with pytest.raises(ValueError, match="unique"):
             WorldSpec(clients=(node, node))
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -5.0])
+    def test_rejects_non_finite_or_negative_duration(self, duration):
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            WorldSpec(duration_s=duration)
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "-5"])
+    def test_cli_rejects_duration_before_running(self, duration, capsys):
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            main(["fig2", f"--duration={duration}"])
+        assert capsys.readouterr().out == ""
 
     def test_fleet_delivery_gets_default_fleet_spec(self):
         spec = WorldSpec(delivery="fleet")

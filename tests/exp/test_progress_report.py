@@ -265,16 +265,3 @@ class TestHtmlReport:
         )
         payload = json.loads(match.group(1).replace("<\\/", "</"))
         assert payload["runs"][0]["label"].startswith("evil</script>")
-
-    def test_bench_table_included_when_given(self, tmp_path):
-        bench = tmp_path / "BENCH_kernel.json"
-        bench.write_text(json.dumps({
-            "bench": "kernel",
-            "points": [{"scenario": "hotspot", "sim_events": 1000,
-                        "runtime_s": 0.1, "events_per_s": 10000.0}],
-        }))
-        out = tmp_path / "report.html"
-        write_report(
-            self.populated_store(tmp_path), str(out), bench_path=str(bench)
-        )
-        assert "BENCH_kernel.json" in out.read_text()

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from repro.link import BitPipe, GoBackNArq, SelectiveRepeatArq, StopAndWaitArq
+from repro.link import BitPipe, StopAndWaitArq
 from repro.sim import Simulator
 
-ALL_ARQ = [StopAndWaitArq, GoBackNArq, SelectiveRepeatArq]
+ALL_ARQ = [StopAndWaitArq]
 
 
 def run_transfer(arq_cls, n_frames, loss_rate=0.0, seed=0, **kwargs):
@@ -113,21 +113,3 @@ class TestStopAndWait:
         arq = StopAndWaitArq(sim, pipe)
         with pytest.raises(ValueError):
             arq.transfer(-1)
-
-
-class TestWindows:
-    def test_window_validation(self):
-        sim = Simulator()
-        pipe = BitPipe(sim, rate_bps=1e6)
-        with pytest.raises(ValueError):
-            GoBackNArq(sim, pipe, window=0)
-        with pytest.raises(ValueError):
-            SelectiveRepeatArq(sim, pipe, window=0)
-
-    def test_selective_repeat_retransmits_less_than_gbn(self):
-        """SR should waste fewer data transmissions under random loss."""
-        _gbn, gbn = run_transfer(GoBackNArq, 60, loss_rate=0.2, seed=7, window=8)
-        _sr, sr = run_transfer(
-            SelectiveRepeatArq, 60, loss_rate=0.2, seed=7, window=8
-        )
-        assert sr.data_transmissions <= gbn.data_transmissions

@@ -1,9 +1,7 @@
 """Property-based tests: ARQ delivery invariants under arbitrary loss.
 
-The defining property of every ARQ variant: whatever the loss pattern,
-the receiver sees each frame **exactly once, in order** (up to abandoned
-frames, which must be a prefix-preserving subset when max_attempts is
-high enough to guarantee eventual delivery).
+The defining property of ARQ: whatever the loss pattern, the receiver
+sees each frame **exactly once, in order**.
 """
 
 import pytest
@@ -11,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.link import BitPipe, GoBackNArq, SelectiveRepeatArq, StopAndWaitArq
+from repro.link import BitPipe, StopAndWaitArq
 from repro.sim import Simulator
 
 
@@ -29,14 +27,12 @@ class ScriptedLoss:
         return survives
 
 
-def run_with_pattern(arq_cls, n_frames, pattern, window=4):
+def run_with_pattern(n_frames, pattern):
     sim = Simulator()
     pipe = BitPipe(sim, rate_bps=1e6, error_process=ScriptedLoss(pattern))
-    kwargs = {} if arq_cls is StopAndWaitArq else {"window": window}
     # A modest retry budget: patterns with any True slot deliver within
-    # one cycle of attempts, and phase-locked pathologies abandon fast
-    # instead of grinding through the stall guard.
-    arq = arq_cls(sim, pipe, max_attempts=200, **kwargs)
+    # one cycle of attempts.
+    arq = StopAndWaitArq(sim, pipe, max_attempts=200)
     done = []
 
     def body(sim):
@@ -56,82 +52,16 @@ frame_counts = st.integers(min_value=0, max_value=12)
 @settings(max_examples=60, deadline=None)
 @given(frame_counts, loss_patterns)
 def test_stop_and_wait_exactly_once_in_order(n_frames, pattern):
-    arq, stats = run_with_pattern(StopAndWaitArq, n_frames, pattern)
+    arq, stats = run_with_pattern(n_frames, pattern)
     assert arq.delivered == list(range(n_frames))
     assert stats.delivered_payload_bits == n_frames * arq.frame_bits
-
-
-def run_with_random_loss(arq_cls, n_frames, loss_prob, seed, window=4):
-    import random as random_module
-
-    rng = random_module.Random(seed)
-    sim = Simulator()
-    pipe = BitPipe(
-        sim, rate_bps=1e6,
-        error_process=lambda bits, now: rng.random() >= loss_prob,
-    )
-    kwargs = {} if arq_cls is StopAndWaitArq else {"window": window}
-    arq = arq_cls(sim, pipe, max_attempts=5_000, **kwargs)
-    done = []
-
-    def body(sim):
-        stats = yield arq.transfer(n_frames)
-        done.append(stats)
-
-    sim.process(body(sim))
-    sim.run()
-    assert done
-    return arq, done[0]
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=8),
-    st.floats(min_value=0.0, max_value=0.5),
-    st.integers(min_value=0, max_value=2**31),
-    st.integers(min_value=1, max_value=8),
-)
-def test_go_back_n_complete_under_random_loss(n_frames, loss_prob, seed, window):
-    arq, _stats = run_with_random_loss(
-        GoBackNArq, n_frames, loss_prob, seed, window=window
-    )
-    assert arq.delivered == list(range(n_frames))
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=8),
-    st.floats(min_value=0.0, max_value=0.5),
-    st.integers(min_value=0, max_value=2**31),
-    st.integers(min_value=1, max_value=8),
-)
-def test_selective_repeat_complete_under_random_loss(
-    n_frames, loss_prob, seed, window
-):
-    arq, _stats = run_with_random_loss(
-        SelectiveRepeatArq, n_frames, loss_prob, seed, window=window
-    )
-    assert arq.delivered == list(range(n_frames))
-
-
-@settings(max_examples=60, deadline=None)
-@given(frame_counts, loss_patterns, st.integers(min_value=1, max_value=8))
-def test_windowed_arq_never_duplicates_or_reorders(n_frames, pattern, window):
-    """Adversarial *cyclic* loss can phase-lock with the window machinery
-    and force abandonment — but even then delivery must stay duplicate-
-    free and in order (for go-back-N, a strict prefix)."""
-    gbn, _ = run_with_pattern(GoBackNArq, n_frames, pattern, window=window)
-    assert gbn.delivered == list(range(len(gbn.delivered)))  # prefix
-    sr, _ = run_with_pattern(SelectiveRepeatArq, n_frames, pattern, window=window)
-    assert sr.delivered == sorted(set(sr.delivered))  # in-order, no dupes
-    assert all(0 <= s < n_frames for s in sr.delivered)
 
 
 @settings(max_examples=40, deadline=None)
 @given(frame_counts, loss_patterns)
 def test_energy_accounting_is_consistent(n_frames, pattern):
     """tx energy == data+ack transmissions x their airtimes x powers."""
-    arq, stats = run_with_pattern(StopAndWaitArq, n_frames, pattern)
+    arq, stats = run_with_pattern(n_frames, pattern)
     pipe = arq.forward
     expected_tx = (
         stats.data_transmissions * pipe.airtime_s(arq.frame_bits)
@@ -144,6 +74,5 @@ def test_energy_accounting_is_consistent(n_frames, pattern):
 @given(loss_patterns)
 def test_transmission_counts_never_below_frame_count(pattern):
     n_frames = 5
-    for arq_cls in (StopAndWaitArq, GoBackNArq, SelectiveRepeatArq):
-        arq, stats = run_with_pattern(arq_cls, n_frames, pattern)
-        assert stats.data_transmissions >= n_frames
+    _arq, stats = run_with_pattern(n_frames, pattern)
+    assert stats.data_transmissions >= n_frames

@@ -9,9 +9,6 @@ from repro.mac.powersave import (
     CamPolicy,
     MicroNapPolicy,
     PowerPolicy,
-    StaticPsmPolicy,
-    make_power_policy,
-    power_policy_description,
     power_policy_names,
     register_power_policy,
 )
@@ -20,28 +17,11 @@ from repro.sim import Simulator
 
 
 class TestRegistry:
-    def test_builtins_registered_with_descriptions(self):
+    def test_builtins_registered(self):
         assert power_policy_names() == ["cam", "psm", "unap"]
-        for name in power_policy_names():
-            assert power_policy_description(name)
-
-    def test_make_power_policy(self):
-        assert isinstance(make_power_policy("unap"), MicroNapPolicy)
-        assert isinstance(make_power_policy("psm"), StaticPsmPolicy)
-        assert type(make_power_policy("cam")) is CamPolicy
-
-    def test_factory_kwargs_forwarded(self):
-        policy = make_power_policy("unap", min_nap_s=2e-3)
-        assert policy.min_nap_s == 2e-3
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError, match="unknown power policy"):
-            make_power_policy("nope")
 
     def test_reregister_same_factory_is_idempotent(self):
-        register_power_policy(
-            "unap", MicroNapPolicy, power_policy_description("unap")
-        )
+        register_power_policy("unap", MicroNapPolicy)
         assert power_policy_names() == ["cam", "psm", "unap"]
 
     def test_conflicting_factory_rejected(self):

@@ -1,8 +1,8 @@
-"""Tests for playout buffer and deadline QoS models."""
+"""Tests for the playout buffer QoS model."""
 
 import pytest
 
-from repro.metrics import DeadlineTracker, PlayoutBuffer
+from repro.metrics import PlayoutBuffer
 
 
 def make_buffer(**kwargs):
@@ -88,25 +88,3 @@ class TestPlayoutBuffer:
             PlayoutBuffer(drain_rate_bps=1.0, capacity_bytes=0)
         with pytest.raises(ValueError):
             make_buffer().deliver(0.0, -1)
-
-
-class TestDeadlineTracker:
-    def test_on_time_deliveries(self):
-        tracker = DeadlineTracker()
-        tracker.record(delivered_at_s=1.0, deadline_s=2.0, nbytes=100)
-        assert tracker.summary.deadline_misses == 0
-        assert tracker.summary.maintained
-        assert tracker.miss_rate == 0.0
-
-    def test_late_delivery_counted(self):
-        tracker = DeadlineTracker()
-        tracker.record(3.0, 2.0, 100)
-        tracker.record(1.0, 2.0, 100)
-        assert tracker.summary.deadline_misses == 1
-        assert tracker.summary.max_lateness_s == pytest.approx(1.0)
-        assert tracker.miss_rate == 0.5
-        assert not tracker.summary.maintained
-
-    def test_empty_tracker(self):
-        tracker = DeadlineTracker()
-        assert tracker.miss_rate == 0.0

@@ -1,6 +1,5 @@
-"""Tests for propagation, BER/PER and the Gilbert–Elliott channel."""
+"""Tests for propagation, PER and the Gilbert–Elliott channel."""
 
-import math
 import random
 
 import pytest
@@ -9,14 +8,10 @@ from repro.phy import (
     FreeSpacePathLoss,
     GilbertElliottChannel,
     LogDistancePathLoss,
-    LogNormalShadowing,
-    Modulation,
     ScriptedLinkQuality,
-    ber,
     packet_error_rate,
     snr_db_from_link_budget,
 )
-from repro.phy.channel import db_to_linear, effective_bitrate_bps, linear_to_db
 
 
 class TestPathLoss:
@@ -46,40 +41,11 @@ class TestPathLoss:
         model = LogDistancePathLoss(exponent=3.0, reference_distance_m=1.0)
         assert model.loss_db(0.1) == model.loss_db(1.0)
 
-    def test_shadowing_is_zero_mean(self):
-        base = LogDistancePathLoss(exponent=3.0)
-        shadowed = LogNormalShadowing(base, sigma_db=6.0, rng=random.Random(1))
-        samples = [shadowed.loss_db(50.0) - base.loss_db(50.0) for _ in range(4000)]
-        assert sum(samples) / len(samples) == pytest.approx(0.0, abs=0.3)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             FreeSpacePathLoss(frequency_hz=0.0)
         with pytest.raises(ValueError):
             LogDistancePathLoss(exponent=0.0)
-        with pytest.raises(ValueError):
-            LogNormalShadowing(FreeSpacePathLoss(), -1.0, random.Random())
-
-
-class TestBer:
-    def test_ber_decreases_with_snr(self):
-        for modulation in Modulation:
-            low = ber(modulation, 1.0)
-            high = ber(modulation, 20.0)
-            assert high < low, modulation
-
-    def test_ber_bounded(self):
-        for modulation in Modulation:
-            for snr in (0.0, 0.1, 1.0, 10.0, 1000.0):
-                value = ber(modulation, snr)
-                assert 0.0 <= value <= 0.5, (modulation, snr)
-
-    def test_dbpsk_closed_form(self):
-        assert ber(Modulation.DBPSK, 2.0) == pytest.approx(0.5 * math.exp(-2.0))
-
-    def test_negative_snr_rejected(self):
-        with pytest.raises(ValueError):
-            ber(Modulation.DBPSK, -1.0)
 
 
 class TestPer:
@@ -113,17 +79,6 @@ class TestPer:
 class TestLinkBudget:
     def test_snr_formula(self):
         assert snr_db_from_link_budget(15.0, 80.0, noise_floor_dbm=-95.0) == 30.0
-
-    def test_db_conversions_roundtrip(self):
-        assert db_to_linear(linear_to_db(123.0)) == pytest.approx(123.0)
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)
-
-    def test_effective_bitrate(self):
-        assert effective_bitrate_bps(1e6, 0.0) == 1e6
-        assert effective_bitrate_bps(1e6, 0.25) == 750_000.0
-        with pytest.raises(ValueError):
-            effective_bitrate_bps(1e6, 1.5)
 
 
 class TestGilbertElliott:
@@ -251,80 +206,34 @@ class TestGilbertElliottProperties:
         check()
 
 
-class TestBerCache:
-    """The BER/PER memoization must be invisible: bit-identical on/off."""
+class TestPerMemo:
+    """The per-chain PER memo must be invisible to the survival draws."""
 
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        from repro.phy import configure_ber_cache
-
-        configure_ber_cache(True)
-        yield
-        configure_ber_cache(True)
-
-    def test_cache_on_off_bit_identical(self):
-        from repro.phy import configure_ber_cache
-        from repro.phy.channel import BER_CACHE_QUANTUM
-
-        # On-grid (multiples of the quantum) and off-grid SNRs alike.
-        snrs = [i * BER_CACHE_QUANTUM for i in range(0, 20_000, 37)]
-        snrs += [0.123456789, 3.14159, 7.7777777, 1e-9]
-        configure_ber_cache(True)
-        with_cache = {
-            (m, s): ber(m, s) for m in Modulation for s in snrs
-        }
-        # Repeat queries so the second pass is served from the cache.
-        for (m, s), expected in with_cache.items():
-            assert ber(m, s) == expected
-        configure_ber_cache(False)
-        for (m, s), expected in with_cache.items():
-            assert ber(m, s) == expected
-
-    def test_on_grid_hits_off_grid_bypasses(self):
-        from repro.phy import ber_cache_stats, configure_ber_cache
-        from repro.phy.channel import BER_CACHE_QUANTUM
-
-        configure_ber_cache(True)
-        on_grid = 5000 * BER_CACHE_QUANTUM
-        ber(Modulation.DQPSK, on_grid)
-        ber(Modulation.DQPSK, on_grid)
-        stats = ber_cache_stats()
-        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
-        ber(Modulation.DQPSK, on_grid + BER_CACHE_QUANTUM / 3.0)
-        assert ber_cache_stats()["size"] == 1  # off-grid never cached
-
-    def test_lru_bound_holds(self):
-        from repro.phy import ber_cache_stats, configure_ber_cache
-        from repro.phy.channel import BER_CACHE_MAX_ENTRIES, BER_CACHE_QUANTUM
-
-        configure_ber_cache(True)
-        for i in range(BER_CACHE_MAX_ENTRIES + 100):
-            ber(Modulation.DBPSK, i * BER_CACHE_QUANTUM)
-        assert ber_cache_stats()["size"] == BER_CACHE_MAX_ENTRIES
-
-    def test_gilbert_elliott_sequence_identical_cache_on_off(self):
-        from repro.phy import configure_ber_cache
-
-        def survival_sequence():
-            channel = GilbertElliottChannel(
-                p_good_to_bad=0.1,
-                p_bad_to_good=0.3,
-                ber_good=1e-6,
-                ber_bad=5e-3,
-                slot_s=0.01,
-                rng=random.Random(42),
-            )
-            return [
-                channel.packet_survives(8 * (64 + 128 * (i % 3)), time=i * 0.02)
-                for i in range(500)
-            ]
-
-        configure_ber_cache(True)
-        cached = survival_sequence()
-        configure_ber_cache(False)
-        uncached = survival_sequence()
-        assert cached == uncached
-        assert not all(cached)  # the bad state actually bit
+    def test_survival_matches_direct_per_computation(self):
+        p_gb, p_bg, ber_good, ber_bad, slot_s = 0.1, 0.3, 1e-6, 5e-3, 0.01
+        channel = GilbertElliottChannel(
+            p_good_to_bad=p_gb, p_bad_to_good=p_bg, ber_good=ber_good,
+            ber_bad=ber_bad, slot_s=slot_s, rng=random.Random(42),
+        )
+        # The same chain, evolved by hand on a twin stream, with every
+        # PER computed afresh.
+        twin = random.Random(42)
+        good, now = True, 0.0
+        survived = []
+        for i in range(500):
+            bits = 8 * (64 + 128 * (i % 3))
+            time = i * 0.02
+            slots = int((time - now) / slot_s)
+            for _ in range(slots):
+                if twin.random() < (p_gb if good else p_bg):
+                    good = not good
+            now += slots * slot_s
+            per = packet_error_rate(ber_good if good else ber_bad, bits)
+            expected = twin.random() >= per
+            assert channel.packet_survives(bits, time=time) is expected, i
+            assert channel.is_good is good, i
+            survived.append(expected)
+        assert not all(survived)  # the bad state actually bit
 
     def test_per_memo_distinguishes_ber_and_bits(self):
         channel = GilbertElliottChannel(

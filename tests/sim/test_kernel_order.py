@@ -17,7 +17,7 @@ from repro.obs import KernelProfiler, TraceBus
 from repro.sim import Simulator
 from repro.sim.core import Simulator as CoreSimulator
 from repro.sim.events import NORMAL, URGENT, Event
-from repro.sim.resources import PriorityStore, Store
+from repro.sim.resources import Store
 
 # Delays that straddle the default 1 ms bucket width from both sides,
 # including exact bucket multiples (the truncation boundary).
@@ -264,35 +264,3 @@ class TestStoreInterleaving:
         sim.run()
         assert got.value == "direct"
         assert store.drain() == ["buffered"]
-
-    def test_priority_store_drain_sorted_and_admits(self):
-        sim = Simulator()
-        store = PriorityStore(sim, capacity=3)
-        for value in (5, 1, 3):
-            store.put(value)
-        blocked = [store.put(value) for value in (4, 2)]
-        sim.run()
-        assert [event.processed for event in blocked] == [False, False]
-
-        assert store.drain() == [1, 3, 5]
-        # Both blocked putters fit now; admission is FIFO (4 before 2)
-        # but retrieval is by priority.
-        sim.run()
-        assert [event.processed for event in blocked] == [True, True]
-        assert store.drain() == [2, 4]
-
-    def test_priority_store_try_get_admits_in_order(self):
-        sim = Simulator()
-        store = PriorityStore(sim, capacity=2)
-        store.put(10)
-        store.put(20)
-        blocked = store.put(15)
-        sim.run()
-        assert not blocked.processed
-
-        ok, item = store.try_get()
-        assert (ok, item) == (True, 10)
-        sim.run()
-        assert blocked.processed
-        assert store.items == (15, 20)
-        assert store.drain() == [15, 20]

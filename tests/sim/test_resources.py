@@ -1,8 +1,8 @@
-"""Tests for Resource, Store and PriorityStore."""
+"""Tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import PriorityStore, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -145,31 +145,6 @@ def test_store_drain_unblocks_putters():
     sim.run()
     assert ("drained", [0, 1], 1.0) in trace
     assert ("put", 3, 1.0) in trace
-
-
-def test_priority_store_orders_items():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    for priority in (5, 1, 3):
-        store.put(priority)
-    got = []
-
-    def consumer(sim, store):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert got == [1, 3, 5]
-
-
-def test_priority_store_drain_is_sorted():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    for priority in (9, 2, 7, 2):
-        store.put(priority)
-    assert store.drain() == [2, 2, 7, 9]
 
 
 def test_store_getter_waits_fifo():

@@ -14,8 +14,10 @@ a fresh interpreter, since this test process has long since imported
 everything.
 """
 
+import ast
 import importlib
 import json
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -265,3 +267,62 @@ def test_cold_parallel_parent_stays_lean_and_matches_serial(tmp_path):
     records, stored, order = result["parallel"]
     assert len(records) == len(order) == 4
     assert result["parallel"] == result["serial"]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Where a re-exported name counts as used: the library itself, the
+#: survey benches, examples and scripts, and the test-only reference
+#: implementations that pin a production interface.
+USER_FILES = sorted(
+    path
+    for pattern in (
+        "src/repro/**/*.py", "benchmarks/**/*.py", "examples/**/*.py",
+        "scripts/**/*.py", "tests/**/*_reference.py",
+    )
+    for path in ROOT.glob(pattern)
+    if path.name != "__init__.py"
+)
+
+
+def namespace_tables():
+    """``{package: names}`` of every ``lazy_namespace`` table in the tree."""
+    tables = {}
+    for init in sorted((ROOT / "src/repro").glob("**/__init__.py")):
+        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "lazy_namespace"
+            ):
+                package = ".".join(init.parent.relative_to(ROOT / "src").parts)
+                tables[package] = [
+                    name.value
+                    for names in node.args[1].values
+                    for name in names.elts
+                ]
+    return tables
+
+
+def referenced_names(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_namespace_export_has_a_user():
+    tables = namespace_tables()
+    assert "repro.mac" in tables and "repro.sim" in tables
+    used = set().union(*map(referenced_names, USER_FILES))
+    dead = [
+        f"{package}.{name}"
+        for package, names in tables.items()
+        for name in names
+        if name not in used
+    ]
+    assert not dead, "re-exported with no user: " + ", ".join(dead)
