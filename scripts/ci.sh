@@ -88,9 +88,14 @@ done
 echo "== hash-seed independence check =="
 # run.py pins PYTHONHASHSEED=0 on its children, so the digest gate cannot
 # see a result that moves with the interpreter's hash salt.  Here two MAC
-# scenarios and three Hotspot ones (single cell, faults, fleet) run at
-# golden size under three salts, and each summary record, sim_events
-# included, must equal its checked-in golden.
+# scenarios and four Hotspot ones (single cell, faults, fleet, city grid)
+# run at golden size under three salts, and each summary record,
+# sim_events included, must equal its checked-in golden.  Under each salt
+# the sharded city grid (city-grid-1k-shards2, seed 0) must also hash to
+# its pinned digest, and a 2-point campaign must write the same
+# results.jsonl bytes.
+hash_dir="$(mktemp -d /tmp/repro-hash.XXXXXX)"
+trap 'rm -rf "$hash_dir"' EXIT
 for hash_seed in 0 1 12345; do
   PYTHONHASHSEED="$hash_seed" python - <<'EOF'
 import json
@@ -101,19 +106,59 @@ sys.path.insert(0, "scripts")
 from make_goldens import GOLDEN_SEEDS, golden_dir, golden_record  # noqa: E402
 
 salt = os.environ["PYTHONHASHSEED"]
-for name in (
-    "psm-baseline", "unap-hotspot", "hotspot", "faulty-hotspot", "fleet-hotspot"
-):
+names = (
+    "psm-baseline", "unap-hotspot", "hotspot", "faulty-hotspot", "fleet-hotspot",
+    "city-grid",
+)
+for name in names:
     with open(os.path.join(golden_dir(), f"{name}.json"), encoding="utf-8") as stream:
         golden = json.load(stream)["records"]
     for seed in GOLDEN_SEEDS:
         if golden_record(name, seed) != golden[str(seed)]:
             sys.exit(f"hash-seed check: {name} seed {seed} differs from its "
                      f"golden under PYTHONHASHSEED={salt}")
-print(f"hash seed {salt} ok: psm-baseline, unap-hotspot, hotspot, faulty-hotspot "
-      "and fleet-hotspot match their goldens")
+print(f"hash seed {salt} ok: {', '.join(names)} match their goldens")
 EOF
+  mkdir -p "$hash_dir/$hash_seed"
+  shard_line="$(PYTHONHASHSEED="$hash_seed" python benchmarks/e2e/child.py \
+    --workload city-grid-1k-shards2 --seed 0 --workdir "$hash_dir/$hash_seed" \
+    | tail -n 1)"
+  python - "$shard_line" "$hash_seed" <<'EOF'
+import json
+import sys
+
+digest = json.loads(sys.argv[1])["digest"]
+with open("benchmarks/e2e/expected/city-grid-1k-shards2.json", encoding="utf-8") as stream:
+    pinned = json.load(stream)["0"]
+if digest != pinned:
+    sys.exit(f"hash-seed check: city-grid-1k-shards2 digest {digest} under "
+             f"PYTHONHASHSEED={sys.argv[2]}, pinned {pinned}")
+print(f"hash seed {sys.argv[2]} ok: city-grid-1k-shards2 matches its pinned digest")
+EOF
+  PYTHONHASHSEED="$hash_seed" python -m repro campaign --scenario hotspot \
+    --param n_clients=1,2 --set duration_s=5 --store "$hash_dir/$hash_seed/store" \
+    > /dev/null 2>&1
 done
+for hash_seed in 1 12345; do
+  cmp "$hash_dir/0/store/results.jsonl" "$hash_dir/$hash_seed/store/results.jsonl" \
+    || { echo "hash-seed check: campaign store differs under PYTHONHASHSEED=$hash_seed"; \
+         exit 1; }
+done
+echo "hash-seed check ok: the campaign store is byte-identical under all three salts"
+rm -rf "$hash_dir"
+trap - EXIT
+
+echo "== bad-input smoke check =="
+# A value outside a spec field's domain ends in one "error:" line and
+# exit status 2, never a traceback.
+bad_status=0
+bad_err="$(python -m repro fig2 --duration nan 2>&1 > /dev/null)" || bad_status=$?
+if [ "$bad_status" -ne 2 ] || [[ "$bad_err" != error:* ]] \
+  || [[ "$bad_err" == *Traceback* ]]; then
+  echo "bad-input smoke: fig2 --duration nan exited $bad_status: $bad_err"
+  exit 1
+fi
+echo "bad-input smoke ok: $bad_err"
 
 echo "== trace smoke check =="
 trace_file="$(mktemp /tmp/repro-trace.XXXXXX.jsonl)"
@@ -223,13 +268,18 @@ cached_beats="$(tail -n +"$((beats_before + 1))" "$campaign_dir/progress.jsonl" 
 echo "campaign ok: parallel==serial, resume fully cached, store unchanged"
 
 echo "== crash-resume smoke check (failing grid point) =="
-# n_clients=0 raises deterministically; the campaign must still
-# complete, quarantine the failure, and a second invocation must
-# re-execute only the quarantined run (healthy run stays cached).
+# A Bluetooth quality script with quality 2.0 passes the spec (the
+# script has no domain) and fails deterministically when the world is
+# built in the worker; the campaign must still complete, quarantine the
+# failure, and a second invocation must re-execute only the quarantined
+# run (healthy run stays cached).  A value outside a spec field's domain
+# (n_clients=0) no longer gets this far: the CLI rejects it before any
+# run is dispatched (tests/test_cli_errors.py).
 failure_dir="$(mktemp -d /tmp/repro-campaign-fail.XXXXXX)"
 trap 'rm -f "$trace_file"; rm -rf "$campaign_dir" "$serial_dir" "$failure_dir" "$faulty_dir"' EXIT
 failure_args=(campaign --scenario hotspot
-  --param n_clients=0,1 --set duration_s=5
+  --param 'bluetooth_quality_script=[[[0.0,1.0]],[[0.0,2.0]]]'
+  --set n_clients=1 --set duration_s=5
   --seeds 1 --name ci-failures --json)
 
 python -m repro "${failure_args[@]}" --store "$failure_dir" \
@@ -257,7 +307,7 @@ failed = payload["failed_runs"]
 if len(failed) != 1:
     sys.exit(f"expected exactly 1 failed run, got {len(failed)}")
 error = failed[0]["error"]
-if error["type"] != "ValueError" or "client" not in error["message"]:
+if error["type"] != "ValueError" or "quality" not in error["message"]:
     sys.exit(f"unexpected error envelope: {error}")
 if not any(p["failed"] == 1 for p in payload["points"]):
     sys.exit("no grid point reports the failure")

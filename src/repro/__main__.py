@@ -21,6 +21,9 @@ summary table) and ``--timeseries FILE`` (in-run sampled counters at
 ``--timeseries-interval`` simulated seconds).  Without any of them the
 run is bit-identical to an un-instrumented one.
 
+Input outside a spec field's domain ends in one ``error: ...`` line on
+stderr and exit status 2, before anything runs.
+
 The sweep commands and ``campaign`` run through the
 :mod:`repro.exp` engine: add ``--jobs N`` to fan runs out across a
 worker pool and ``--store DIR`` to cache completed runs on disk, so an
@@ -30,11 +33,13 @@ interrupted or repeated invocation only computes what is missing.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import package_version
+from repro._domain import SpecError, coerce
 from repro.build import WorldBuilder
 from repro.build.presets import (
     city_grid_world,
@@ -115,8 +120,24 @@ def _report_failures(report: CampaignReport) -> None:
         )
 
 
+def _check_points(spec: CampaignSpec) -> None:
+    """Build every grid point's world once, before any run is dispatched,
+    so that a bad value raises :class:`SpecError` here, not in a worker."""
+    factory = scenario_entry(spec.scenario).spec_factory
+    if factory is None:
+        return
+    signature = inspect.signature(factory)
+    for params in spec.points():
+        try:
+            signature.bind(**params, seed=spec.seeds[0])
+        except TypeError as exc:
+            raise SpecError(f"scenario {spec.scenario!r}: {exc}") from None
+        factory(**params, seed=spec.seeds[0])
+
+
 def _run_sweep(args: argparse.Namespace, spec: CampaignSpec) -> CampaignReport:
     """Run a sweep-shaped campaign honouring the obs/jobs/store flags."""
+    _check_points(spec)
     obs = ObsSession.from_args(args)
     jobs = getattr(args, "jobs", 1)
     if obs is not None and jobs != 1:
@@ -317,12 +338,12 @@ def _parse_axis(option: str) -> tuple[str, List[Any]]:
     return name, [_parse_value(v) for v in values.split(",")]
 
 
-def _parse_setting(option: str) -> tuple[str, Any]:
-    """Parse ``--set name=value``."""
+def _split_setting(option: str) -> tuple[str, str]:
+    """Split ``--set name=value`` into the name and the value's text."""
     name, sep, value = option.partition("=")
     if not sep or not name:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {option!r}")
-    return name, _parse_value(value)
+    return name, value
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -348,8 +369,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         grid[name] = values
     base: Dict[str, Any] = {}
     for option in args.set or []:
-        name, value = _parse_setting(option)
-        base[name] = value
+        name, text = _split_setting(option)
+        base[name] = _parse_value(text)
     if args.timeseries is not None and not args.store:
         print(
             "error: --timeseries streams per-run samples into the result "
@@ -366,6 +387,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         collect_metrics=args.metrics,
         timeseries_interval_s=args.timeseries,
     )
+    _check_points(spec)
     store: Optional[ResultStore] = None
     if args.store:
         store = ResultStore(args.store)
@@ -428,7 +450,7 @@ def _flatten_record(record: Dict[str, Any], prefix: str = "") -> List[List[objec
 def cmd_analytic(args: argparse.Namespace) -> int:
     """List or evaluate the closed-form predictors (no simulator)."""
     from repro.analytic import PREDICTORS
-    from repro.analytic.models import predict
+    from repro.analytic.models import predictor_entry
 
     if not args.predictor:
         if args.json:
@@ -454,15 +476,12 @@ def cmd_analytic(args: argparse.Namespace) -> int:
             )
         )
         return 0
+    entry = predictor_entry(args.predictor)
     overrides: Dict[str, Any] = {}
     for option in args.set or []:
-        name, value = _parse_setting(option)
-        overrides[name] = value
-    try:
-        record = predict(args.predictor, overrides)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        name, text = _split_setting(option)
+        overrides[name] = coerce(entry.params_type, name, text)
+    record = entry.evaluate(overrides)
     if args.json:
         print(dumps_strict(record, indent=2, sort_keys=True))
         return 0
@@ -559,6 +578,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             f"({surrogate_payload['dispatch_fraction'] * 100:.0f}%)",
             file=sys.stderr,
         )
+    _check_points(spec)
     store: Optional[ResultStore] = None
     if args.store:
         store = ResultStore(args.store)
@@ -641,19 +661,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(value: str) -> tuple:
+    """Parse ``--grid ROWSxCOLS``; the spec checks the dimensions."""
     try:
         rows, cols = value.lower().split("x")
-        rows, cols = int(rows), int(cols)
+        return int(rows), int(cols)
     except ValueError:
-        raise SystemExit(f"--grid expects ROWSxCOLS (e.g. 3x3), got {value!r}")
-    if rows < 1 or cols < 1:
-        raise SystemExit("--grid dimensions must be >= 1")
-    return rows, cols
+        raise argparse.ArgumentTypeError(
+            f"expects ROWSxCOLS (e.g. 3x3), got {value!r}"
+        ) from None
 
 
 def _fleet_spec_from_args(args: argparse.Namespace):
     if args.grid:
-        rows, cols = _parse_grid(args.grid)
+        rows, cols = args.grid
         return city_grid_world(
             n_clients=args.clients,
             grid_rows=rows,
@@ -1167,6 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--grid",
+        type=_parse_grid,
         metavar="ROWSxCOLS",
         help="use a ROWSxCOLS city-grid deployment (e.g. 3x3) instead of "
         "the linear corridor; overrides --aps",
@@ -1227,7 +1248,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro._domain import Domain
 from repro.analytic.models import PsmParams, predict
 from repro.exp.runner import CampaignReport, RunResult, run_campaign
 from repro.exp.spec import CampaignSpec, canonical_params, run_key
@@ -148,6 +149,11 @@ class ToleranceContract:
 
     relative: Mapping[str, float]
     min_denominator: float = 1e-9
+
+    def __post_init__(self) -> None:
+        limit = Domain(float, ge=0)
+        for metric, value in self.relative.items():
+            limit.check(f"ToleranceContract.relative[{metric!r}]", value)
 
     def limit_for(self, metric: str) -> Optional[float]:
         return self.relative.get(metric)

@@ -48,9 +48,10 @@ Modelled protocol, mirroring :mod:`repro.mac.psm` / :mod:`repro.mac.dcf`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
+from repro._domain import Domain, SpecError, domain, domain_values, validate
 from repro.mac.frames import (
     BEACON_BASE_BYTES,
     PSM_POLL_DATA_TIMEOUT_S,
@@ -96,8 +97,22 @@ PS_POLL_STALL_COUPLING = 0.33
 # Parameters
 
 
+class _Params:
+    """Checked against, and described by, the fields with a domain."""
+
+    def __post_init__(self) -> None:
+        validate(self)
+
+    def describe(self) -> Dict[str, Any]:
+        return domain_values(self)
+
+
+_DIRECTIONS = ("downlink", "uplink")
+_STATIONS = Domain(int, ge=1)
+
+
 @dataclass(frozen=True)
-class PsmParams:
+class PsmParams(_Params):
     """Shared sim/model parameter space for the PSM scenarios.
 
     Field names deliberately match the ``psm-crossval`` scenario's
@@ -106,19 +121,19 @@ class PsmParams:
     """
 
     #: Number of stations contending under one AP.
-    n_stations: int = 1
+    n_stations: int = domain(int, ge=1, default=1)
     #: Application payload per MAC data frame, bytes.
-    packet_bytes: int = 1000
+    packet_bytes: int = domain(int, gt=0, default=1000)
     #: PHY data rate for data frames (controls/beacons go at basic rate).
-    rate_bps: float = 11_000_000.0
+    rate_bps: float = domain(float, gt=0, default=11_000_000.0)
     #: Offered load *per station*, application bits per second.
-    offered_load_bps: float = 128_000.0
+    offered_load_bps: float = domain(float, ge=0, default=128_000.0)
     #: Wake every n-th beacon.
-    listen_interval: int = 1
+    listen_interval: int = domain(int, ge=1, default=1)
     #: Observation window (finite-run corrections need it).
-    duration_s: float = 10.0
+    duration_s: float = domain(float, gt=0, default=10.0)
     #: "downlink" = PSM drain via PS-Polls; "uplink" = CAM DCF to the AP.
-    direction: str = "downlink"
+    direction: str = domain(str, choices=_DIRECTIONS, default="downlink")
     #: How much before the target TBTT the radio starts waking.
     wake_guard_s: float = DEFAULT_WAKE_GUARD_S
     #: How long a station waits for polled data before re-polling.
@@ -126,37 +141,9 @@ class PsmParams:
     timing: Dot11Timing = field(default_factory=Dot11Timing)
     power: RadioPowerConstants = field(default_factory=wlan_cf_constants)
 
-    def __post_init__(self) -> None:
-        # Each check is written so that NaN and ±inf fail it.
-        if not 1 <= self.n_stations < math.inf:
-            raise ValueError("n_stations must be finite and >= 1")
-        if not 0 < self.packet_bytes < math.inf:
-            raise ValueError("packet_bytes must be finite and positive")
-        if not 0 < self.rate_bps < math.inf:
-            raise ValueError("rate_bps must be finite and positive")
-        if not 0 <= self.offered_load_bps < math.inf:
-            raise ValueError("offered_load_bps must be finite and >= 0")
-        if not 1 <= self.listen_interval < math.inf:
-            raise ValueError("listen_interval must be finite and >= 1")
-        if self.direction not in ("downlink", "uplink"):
-            raise ValueError(f"unknown direction: {self.direction!r}")
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError("duration_s must be finite and positive")
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "n_stations": self.n_stations,
-            "packet_bytes": self.packet_bytes,
-            "rate_bps": self.rate_bps,
-            "offered_load_bps": self.offered_load_bps,
-            "listen_interval": self.listen_interval,
-            "duration_s": self.duration_s,
-            "direction": self.direction,
-        }
-
 
 @dataclass(frozen=True)
-class TcpParams:
+class TcpParams(_Params):
     """Per-STA TCP transfer over infrastructure WLAN (arXiv:0909.3717).
 
     A station moving one long TCP flow in CAM: every ``delayed_ack_ratio``
@@ -164,42 +151,20 @@ class TcpParams:
     opposite direction.
     """
 
-    n_stations: int = 1
+    n_stations: int = domain(int, ge=1, default=1)
     #: TCP maximum segment size on the air, bytes.
-    segment_bytes: int = 1460
-    rate_bps: float = 11_000_000.0
+    segment_bytes: int = domain(int, gt=0, default=1460)
+    rate_bps: float = domain(float, gt=0, default=11_000_000.0)
     #: Data segments per TCP ACK (2 = delayed ACKs).
-    delayed_ack_ratio: int = 2
+    delayed_ack_ratio: int = domain(int, ge=1, default=2)
     #: "uplink" = station transmits segments; "downlink" = it receives.
-    direction: str = "uplink"
+    direction: str = domain(str, choices=_DIRECTIONS, default="uplink")
     timing: Dot11Timing = field(default_factory=Dot11Timing)
     power: RadioPowerConstants = field(default_factory=wlan_cf_constants)
 
-    def __post_init__(self) -> None:
-        # Each check is written so that NaN and ±inf fail it.
-        if not 1 <= self.n_stations < math.inf:
-            raise ValueError("n_stations must be finite and >= 1")
-        if not 0 < self.segment_bytes < math.inf:
-            raise ValueError("segment_bytes must be finite and positive")
-        if not 0 < self.rate_bps < math.inf:
-            raise ValueError("rate_bps must be finite and positive")
-        if not 1 <= self.delayed_ack_ratio < math.inf:
-            raise ValueError("delayed_ack_ratio must be finite and >= 1")
-        if self.direction not in ("downlink", "uplink"):
-            raise ValueError(f"unknown direction: {self.direction!r}")
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "n_stations": self.n_stations,
-            "segment_bytes": self.segment_bytes,
-            "rate_bps": self.rate_bps,
-            "delayed_ack_ratio": self.delayed_ack_ratio,
-            "direction": self.direction,
-        }
-
 
 @dataclass(frozen=True)
-class UnapParams:
+class UnapParams(_Params):
     """Shared sim/model parameter space for the ``unap-hotspot`` scenario.
 
     Field names match the scenario's keyword arguments (``n_clients``
@@ -215,61 +180,48 @@ class UnapParams:
     """
 
     #: Number of client stations contending under one AP.
-    n_stations: int = 4
+    n_stations: int = domain(int, ge=1, default=4)
     #: Application payload per MAC data frame, bytes.
-    packet_bytes: int = 1000
+    packet_bytes: int = domain(int, gt=0, default=1000)
     #: PHY data rate for data frames (controls/beacons go at basic rate).
-    rate_bps: float = 11_000_000.0
+    rate_bps: float = domain(float, gt=0, default=11_000_000.0)
     #: Offered load *per station*, application bits per second.
-    offered_load_bps: float = 256_000.0
+    offered_load_bps: float = domain(float, ge=0, default=256_000.0)
     #: Observation window.
-    duration_s: float = 10.0
+    duration_s: float = domain(float, gt=0, default=10.0)
     #: RTS/CTS threshold; the model requires every data frame protected
     #: (bare-DATA tail naps follow different timing).
-    rts_threshold_bytes: int = 500
+    rts_threshold_bytes: int = domain(int, default=500)
     #: "unap" = μNap micro-sleeps; "cam" = same assembly, no napping.
-    power_policy: str = "unap"
+    power_policy: str = domain(str, choices=("unap", "cam"), default="unap")
     timing: Dot11Timing = field(default_factory=Dot11Timing)
     power: RadioPowerConstants = field(default_factory=unap_wlan_constants)
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN and ±inf fail it.
-        if not 1 <= self.n_stations < math.inf:
-            raise ValueError("n_stations must be finite and >= 1")
-        if not 0 < self.packet_bytes < math.inf:
-            raise ValueError("packet_bytes must be finite and positive")
-        if not 0 < self.rate_bps < math.inf:
-            raise ValueError("rate_bps must be finite and positive")
-        if not 0 <= self.offered_load_bps < math.inf:
-            raise ValueError("offered_load_bps must be finite and >= 0")
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError("duration_s must be finite and positive")
-        if self.power_policy not in ("unap", "cam"):
-            raise ValueError(f"unknown power_policy: {self.power_policy!r}")
+        validate(self)
         if not self.rts_threshold_bytes <= self.packet_bytes:
-            raise ValueError(
-                "the unap model assumes RTS/CTS-protected data: "
-                "rts_threshold_bytes must be <= packet_bytes"
+            raise SpecError(
+                "UnapParams.rts_threshold_bytes must be <= packet_bytes (the model "
+                f"assumes RTS/CTS-protected data); got {self.rts_threshold_bytes}"
             )
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "n_stations": self.n_stations,
-            "packet_bytes": self.packet_bytes,
-            "rate_bps": self.rate_bps,
-            "offered_load_bps": self.offered_load_bps,
-            "duration_s": self.duration_s,
-            "rts_threshold_bytes": self.rts_threshold_bytes,
-            "power_policy": self.power_policy,
-        }
 
 
 # ---------------------------------------------------------------------------
 # Prediction records
 
 
+class _Record:
+    def as_record(self) -> Dict[str, Any]:
+        """Every field in declaration order, dicts copied."""
+        record = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            record[f.name] = dict(value) if isinstance(value, dict) else value
+        return record
+
+
 @dataclass(frozen=True)
-class ThroughputPrediction:
+class ThroughputPrediction(_Record):
     """Aggregate goodput prediction for one PSM/CAM parameter point."""
 
     predictor: str
@@ -284,20 +236,9 @@ class ThroughputPrediction:
     exchange_time_s: float
     params: Dict[str, Any]
 
-    def as_record(self) -> Dict[str, Any]:
-        return {
-            "predictor": self.predictor,
-            "throughput_bps": self.throughput_bps,
-            "capacity_bps": self.capacity_bps,
-            "saturated": self.saturated,
-            "beacon_overhead_frac": self.beacon_overhead_frac,
-            "exchange_time_s": self.exchange_time_s,
-            "params": dict(self.params),
-        }
-
 
 @dataclass(frozen=True)
-class EnergyPrediction:
+class EnergyPrediction(_Record):
     """Per-station WNIC energy prediction."""
 
     predictor: str
@@ -313,20 +254,9 @@ class EnergyPrediction:
     breakdown_w: Dict[str, float]
     params: Dict[str, Any]
 
-    def as_record(self) -> Dict[str, Any]:
-        return {
-            "predictor": self.predictor,
-            "wnic_power_w": self.wnic_power_w,
-            "energy_j": self.energy_j,
-            "duty_cycle": self.duty_cycle,
-            "saturated": self.saturated,
-            "breakdown_w": dict(self.breakdown_w),
-            "params": dict(self.params),
-        }
-
 
 @dataclass(frozen=True)
-class DutyCyclePrediction:
+class DutyCyclePrediction(_Record):
     """Beacon-period wakeup duty cycle of a PSM station."""
 
     predictor: str
@@ -338,20 +268,9 @@ class DutyCyclePrediction:
     saturated: bool
     params: Dict[str, Any]
 
-    def as_record(self) -> Dict[str, Any]:
-        return {
-            "predictor": self.predictor,
-            "duty_cycle": self.duty_cycle,
-            "awake_s_per_cycle": self.awake_s_per_cycle,
-            "cycle_s": self.cycle_s,
-            "wakeups_per_s": self.wakeups_per_s,
-            "saturated": self.saturated,
-            "params": dict(self.params),
-        }
-
 
 @dataclass(frozen=True)
-class TcpEnergyPrediction:
+class TcpEnergyPrediction(_Record):
     """Per-STA power and goodput for a saturated TCP transfer in CAM."""
 
     predictor: str
@@ -363,17 +282,6 @@ class TcpEnergyPrediction:
     rx_utilisation: float
     breakdown_w: Dict[str, float]
     params: Dict[str, Any]
-
-    def as_record(self) -> Dict[str, Any]:
-        return {
-            "predictor": self.predictor,
-            "wnic_power_w": self.wnic_power_w,
-            "throughput_bps": self.throughput_bps,
-            "tx_utilisation": self.tx_utilisation,
-            "rx_utilisation": self.rx_utilisation,
-            "breakdown_w": dict(self.breakdown_w),
-            "params": dict(self.params),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +331,7 @@ def bianchi_fixed_point(
     conditional collision probability.  Solved by bisection on ``p``
     (the composed map is monotone), exact for ``n == 1``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _STATIONS.check("bianchi_fixed_point.n", n)
     w = cw_min + 1
     stages = max(0, int(round(math.log2((cw_max + 1) / w))))
 
@@ -883,17 +790,15 @@ def unap_station_energy(params: UnapParams) -> EnergyPrediction:
     )
 
 
-def predict(predictor: str, overrides: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Evaluate a named predictor with keyword overrides; returns the
-    prediction record (the CLI entry point)."""
+def predictor_entry(predictor: str) -> Any:
+    """The :data:`repro.analytic.PREDICTORS` entry named ``predictor``."""
     from repro.analytic import PREDICTORS
 
-    try:
-        entry = PREDICTORS[predictor]
-    except KeyError:
-        raise ValueError(
-            f"unknown predictor {predictor!r}; "
-            f"known: {', '.join(sorted(PREDICTORS))}"
-        ) from None
-    params = entry.params_type(**(overrides or {}))
-    return entry.fn(params).as_record()
+    Domain(str, choices=tuple(sorted(PREDICTORS))).check("predictor", predictor)
+    return PREDICTORS[predictor]
+
+
+def predict(predictor: str, overrides: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    """Evaluate a named predictor with keyword overrides; returns the
+    prediction record."""
+    return predictor_entry(predictor).evaluate(overrides or {})

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro._domain import Domain, SpecError
 from repro.analytic.crossval import model_overrides
 from repro.analytic.models import predict
 from repro.exp.grid import expand_grid
@@ -140,10 +141,9 @@ def score_grid(
     derived parameters, translated through the shared parameter space
     (:func:`repro.analytic.crossval.model_overrides`).
     """
-    if mode not in SCORE_MODES:
-        raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
+    Domain(str, choices=SCORE_MODES).check("score_grid.mode", mode)
     if mode == "target" and target is None:
-        raise ValueError("mode='target' needs a target value")
+        raise SpecError("score_grid.target must be set for mode='target'; got None")
     swept_points = (
         [dict(entry) for entry in spec.points_override]
         if spec.points_override is not None
@@ -195,8 +195,7 @@ def refine_campaign(
     subsequence of the full campaign's, so every run key (and therefore
     every cached result) is shared between the two.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
+    Domain(float, gt=0, le=1).check("refine_campaign.fraction", fraction)
     scored = score_grid(
         spec, predictor, metric, mode=mode, target=target, param_map=param_map
     )

@@ -5,8 +5,10 @@ Each factory maps one scenario's keyword arguments onto a
 ``WorldBuilder(hotspot_world(...)).run()``.  The scenario registry
 (:mod:`repro.exp.scenarios`) derives every built-in runnable from these
 factories the same way, so campaigns and direct callers build identical
-worlds.  Validation (and its error messages) lives here, so an invalid
-spec fails before anything is simulated.
+worlds.  A spec validates its own fields (:mod:`repro._domain`); a
+factory checks only the parameters no spec field holds.  Either way an
+invalid spec fails with a :class:`~repro._domain.SpecError` before
+anything is simulated.
 
 These are also the reference examples for writing new scenarios as
 specs — a new workload is a ~20-line factory, not a hand-wired runner.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+from repro._domain import Domain, SpecError
 from repro.build.spec import (
     FleetSpec,
     InterfaceSpec,
@@ -25,6 +28,14 @@ from repro.build.spec import (
 )
 from repro.core.server import InterfaceSelectionPolicy
 from repro.faults import ClientChurn, FaultPlan, RadioOutage
+
+_POSITIVE = Domain(float, gt=0)
+_NON_NEGATIVE = Domain(float, ge=0)
+_PACKET_BYTES = Domain(int, gt=0)
+_LISTEN_INTERVAL = Domain(int, ge=1)
+_DIRECTION = Domain(str, choices=("downlink", "uplink"))
+_UNAP_POLICY = Domain(str, choices=("unap", "cam"))
+_BASELINE_INTERFACE = Domain(str, choices=("wlan", "bluetooth"))
 
 
 def hotspot_world(
@@ -46,10 +57,6 @@ def hotspot_world(
     label: Optional[str] = None,
 ) -> WorldSpec:
     """The paper's system: Hotspot-scheduled bursts, interface switching."""
-    if n_clients < 1:
-        raise ValueError("need at least one client")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
     iface_specs = []
     if "bluetooth" in interfaces:
         iface_specs.append(
@@ -65,7 +72,7 @@ def hotspot_world(
     if "wlan" in interfaces:
         iface_specs.append(InterfaceSpec("wlan"))
     if not iface_specs:
-        raise ValueError(f"no known interfaces in {interfaces!r}")
+        raise SpecError(f"hotspot_world.interfaces names no known interface: {interfaces!r}")
     return WorldSpec(
         delivery="hotspot",
         duration_s=duration_s,
@@ -111,12 +118,12 @@ def faulty_hotspot_world(
     world's seeded streams — churn and interference times come from
     ``faults/*`` substreams, so plans are insensitive to foreign draws.
     """
-    if outage_start_s < 0:
-        raise ValueError("outage start must be >= 0")
-    if outage_duration_s < 0:
-        raise ValueError("outage duration must be >= 0")
+    _NON_NEGATIVE.check("faulty_hotspot_world.outage_start_s", outage_start_s)
+    _NON_NEGATIVE.check("faulty_hotspot_world.outage_duration_s", outage_duration_s)
     if not 0 <= churn_clients <= n_clients:
-        raise ValueError("churn_clients must be in [0, n_clients]")
+        raise SpecError(
+            f"faulty_hotspot_world.churn_clients must be in [0, {n_clients}]; got {churn_clients}"
+        )
 
     def plan_factory(streams) -> FaultPlan:
         plan = FaultPlan()
@@ -193,8 +200,7 @@ def unscheduled_world(
     platform=None,
 ) -> WorldSpec:
     """Figure-2 baseline: streaming with no power management at all."""
-    if interface not in ("wlan", "bluetooth"):
-        raise ValueError("interface must be 'wlan' or 'bluetooth'")
+    _BASELINE_INTERFACE.check("unscheduled_world.interface", interface)
     return WorldSpec(
         delivery="unscheduled",
         duration_s=duration_s,
@@ -252,16 +258,9 @@ def psm_crossval_world(
     saturates.  ``direction="downlink"`` drains AP-buffered frames via
     PSM; ``"uplink"`` sends from always-on CAM stations to the AP.
     """
-    if n_clients < 1:
-        raise ValueError("need at least one client")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if packet_bytes <= 0:
-        raise ValueError("packet_bytes must be positive")
-    if listen_interval < 1:
-        raise ValueError("listen interval must be >= 1")
-    if direction not in ("downlink", "uplink"):
-        raise ValueError("direction must be 'downlink' or 'uplink'")
+    _PACKET_BYTES.check("psm_crossval_world.packet_bytes", packet_bytes)
+    _LISTEN_INTERVAL.check("psm_crossval_world.listen_interval", listen_interval)
+    _DIRECTION.check("psm_crossval_world.direction", direction)
     return WorldSpec(
         delivery="psm",
         duration_s=duration_s,
@@ -308,14 +307,8 @@ def unap_hotspot_world(
     ``power_policy="cam"`` is the byte-for-byte identical assembly that
     never sleeps — the fair baseline for the energy-saving claim.
     """
-    if n_clients < 1:
-        raise ValueError("need at least one client")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if packet_bytes <= 0:
-        raise ValueError("packet_bytes must be positive")
-    if power_policy not in ("unap", "cam"):
-        raise ValueError("power_policy must be 'unap' or 'cam'")
+    _PACKET_BYTES.check("unap_hotspot_world.packet_bytes", packet_bytes)
+    _UNAP_POLICY.check("unap_hotspot_world.power_policy", power_policy)
     return WorldSpec(
         delivery="psm",
         duration_s=duration_s,
@@ -357,12 +350,7 @@ def pamas_world(
     ``threshold`` state-of-charge, sleeping progressively more as the
     battery drains below it.
     """
-    if n_clients < 1:
-        raise ValueError("need at least one client")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if capacity_j <= 0:
-        raise ValueError("battery capacity must be positive")
+    _POSITIVE.check("pamas_world.capacity_j", capacity_j)
     return WorldSpec(
         delivery="pamas",
         duration_s=duration_s,
@@ -387,12 +375,7 @@ def ecmac_world(
     platform=None,
 ) -> WorldSpec:
     """EC-MAC scheduled downlink: exact doze windows, no contention."""
-    if n_clients < 1:
-        raise ValueError("need at least one client")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if superframe_s <= 0:
-        raise ValueError("superframe must be positive")
+    _POSITIVE.check("ecmac_world.superframe_s", superframe_s)
     return WorldSpec(
         delivery="ecmac",
         duration_s=duration_s,
@@ -433,10 +416,6 @@ def city_grid_world(
     Bluetooth beacon load, so 10k-client populations stay tractable)
     roaming a ``grid_rows x grid_cols`` lattice of cells.
     """
-    if n_clients < 1:
-        raise ValueError("need at least one client")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
     scheduler_name = scheduler if isinstance(scheduler, str) else scheduler.name
     return WorldSpec(
         delivery="fleet",
@@ -490,14 +469,6 @@ def fleet_hotspot_world(
     label: Optional[str] = None,
 ) -> WorldSpec:
     """A multi-cell hotspot fleet with roaming random-waypoint clients."""
-    if n_clients < 1:
-        raise ValueError("need at least one client")
-    if n_aps < 1:
-        raise ValueError("need at least one access point")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if arena_depth_m <= 0:
-        raise ValueError("arena depth must be positive")
     scheduler_name = (
         scheduler if isinstance(scheduler, str) else scheduler.name
     )

@@ -24,15 +24,30 @@ what the golden-equivalence tests pin down.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+
+from repro._domain import Domain, SpecError, domain, validate
+from repro.apps.traffic import traffic_kinds
+from repro.mac.powersave import power_policy_names
 
 #: Delivery flavours the builder knows how to assemble.
 DELIVERY_MODES = ("hotspot", "unscheduled", "psm", "fleet", "pamas", "ecmac")
 
 #: Interface kinds the builder can construct.
 INTERFACE_KINDS = ("wlan", "bluetooth", "gprs")
+
+
+def _view(value: Any) -> Any:
+    """JSON-safe view of a field: tuples as lists, specs described."""
+    if isinstance(value, tuple):
+        return [_view(item) for item in value]
+    return value.describe() if hasattr(value, "describe") else value
+
+
+def _describe(spec: Any) -> Dict[str, Any]:
+    """Every field of ``spec`` in declaration order, as :func:`_view` shows it."""
+    return {f.name: _view(getattr(spec, f.name)) for f in fields(spec)}
 
 
 @dataclass(frozen=True)
@@ -57,34 +72,22 @@ class InterfaceSpec:
         delivery mode's historical default).
     """
 
-    kind: str
+    kind: str = domain(str, choices=INTERFACE_KINDS)
     quality_script: Optional[Tuple[Tuple[float, float], ...]] = None
-    effective_rate_bps: Optional[float] = None
-    power_policy: Optional[str] = None
+    effective_rate_bps: Optional[float] = domain(
+        float, gt=0, optional=True, default=None
+    )
+    power_policy: Optional[str] = domain(
+        str, choices=power_policy_names, optional=True, default=None
+    )
 
     def __post_init__(self) -> None:
-        if self.kind not in INTERFACE_KINDS:
-            raise ValueError(
-                f"unknown interface kind {self.kind!r}; known: {INTERFACE_KINDS}"
-            )
+        validate(self)
         if self.quality_script is not None:
-            object.__setattr__(
-                self,
-                "quality_script",
-                tuple((float(t), float(q)) for t, q in self.quality_script),
-            )
+            script = tuple((float(t), float(q)) for t, q in self.quality_script)
+            object.__setattr__(self, "quality_script", script or None)
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "quality_script": (
-                [list(point) for point in self.quality_script]
-                if self.quality_script
-                else None
-            ),
-            "effective_rate_bps": self.effective_rate_bps,
-            "power_policy": self.power_policy,
-        }
+    describe = _describe
 
 
 @dataclass(frozen=True)
@@ -98,13 +101,12 @@ class TrafficSpec:
     substream, so the same spec and seed replay the same arrivals.
     """
 
-    kind: str = "mp3"
-    bitrate_bps: float = 128_000.0
+    kind: str = domain(str, choices=traffic_kinds, default="mp3")
+    bitrate_bps: float = domain(float, gt=0, default=128_000.0)
     options: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.bitrate_bps <= 0:
-            raise ValueError("bitrate must be positive")
+        validate(self)
         if isinstance(self.options, dict):
             object.__setattr__(self, "options", tuple(sorted(self.options.items())))
 
@@ -144,22 +146,19 @@ class NodeSpec:
         Contracted stream rate; defaults to the traffic bitrate.
     """
 
-    name: str
-    interfaces: Tuple[InterfaceSpec, ...]
+    name: str = domain(str, nonempty=True)
+    interfaces: Tuple[InterfaceSpec, ...] = domain(nonempty=True)
     traffic: TrafficSpec = TrafficSpec()
-    buffer_bytes: int = 96_000
-    prebuffer_s: float = 1.0
-    weight: float = 1.0
-    prefetch_s: float = 30.0
-    stream_rate_bps: Optional[float] = None
+    buffer_bytes: int = domain(int, gt=0, default=96_000)
+    prebuffer_s: float = domain(float, ge=0, default=1.0)
+    weight: float = domain(float, gt=0, default=1.0)
+    prefetch_s: float = domain(float, ge=0, default=30.0)
+    stream_rate_bps: Optional[float] = domain(
+        float, gt=0, optional=True, default=None
+    )
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("node needs a name")
-        if not self.interfaces:
-            raise ValueError(f"node {self.name!r} needs at least one interface")
-        if self.buffer_bytes <= 0:
-            raise ValueError("buffer must be positive")
+        validate(self)
         object.__setattr__(self, "interfaces", tuple(self.interfaces))
 
     @property
@@ -170,17 +169,7 @@ class NodeSpec:
             else self.traffic.bitrate_bps
         )
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "interfaces": [spec.describe() for spec in self.interfaces],
-            "traffic": self.traffic.describe(),
-            "buffer_bytes": self.buffer_bytes,
-            "prebuffer_s": self.prebuffer_s,
-            "weight": self.weight,
-            "prefetch_s": self.prefetch_s,
-            "stream_rate_bps": self.stream_rate_bps,
-        }
+    describe = _describe
 
 
 @dataclass(frozen=True)
@@ -193,38 +182,34 @@ class FleetSpec:
     and the arena depth follows the grid height).
     """
 
-    n_aps: int = 4
-    ap_spacing_m: float = 50.0
-    arena_depth_m: float = 30.0
-    deployment: str = "linear"
-    grid_rows: int = 0
-    grid_cols: int = 0
+    n_aps: int = domain(int, ge=1, default=4)
+    ap_spacing_m: float = domain(float, gt=0, default=50.0)
+    arena_depth_m: float = domain(float, gt=0, default=30.0)
+    deployment: str = domain(str, choices=("linear", "grid"), default="linear")
+    grid_rows: int = domain(int, ge=0, default=0)
+    grid_cols: int = domain(int, ge=0, default=0)
     speed_range_m_s: Tuple[float, float] = (0.5, 2.0)
     pause_range_s: Tuple[float, float] = (0.0, 5.0)
-    coverage_threshold: float = 0.05
-    handoff_check_interval_s: float = 1.0
-    hysteresis_margin: float = 0.1
-    min_dwell_s: float = 5.0
+    coverage_threshold: float = domain(float, ge=0, le=1, default=0.05)
+    handoff_check_interval_s: float = domain(float, gt=0, default=1.0)
+    hysteresis_margin: float = domain(float, ge=0, default=0.1)
+    min_dwell_s: float = domain(float, ge=0, default=5.0)
     handoff_latency_range_s: Tuple[float, float] = (0.05, 0.2)
-    gauge_interval_s: float = 5.0
-    load_aware_selection: bool = True
+    gauge_interval_s: float = domain(float, ge=0, default=5.0)
+    load_aware_selection: bool = domain(bool, default=True)
 
     def __post_init__(self) -> None:
-        if self.deployment not in ("linear", "grid"):
-            raise ValueError(
-                f"unknown deployment {self.deployment!r}; known: linear, grid"
-            )
+        validate(self)
         if self.deployment == "grid":
             if self.grid_rows < 1 or self.grid_cols < 1:
-                raise ValueError("grid deployment needs rows >= 1 and cols >= 1")
+                raise SpecError(
+                    "FleetSpec.grid_rows and grid_cols must be >= 1 for a grid "
+                    f"deployment; got {self.grid_rows}x{self.grid_cols}"
+                )
             object.__setattr__(self, "n_aps", self.grid_rows * self.grid_cols)
             object.__setattr__(
                 self, "arena_depth_m", self.grid_rows * self.ap_spacing_m
             )
-        if self.n_aps < 1:
-            raise ValueError("need at least one access point")
-        if self.arena_depth_m <= 0:
-            raise ValueError("arena depth must be positive")
         object.__setattr__(
             self, "speed_range_m_s", tuple(self.speed_range_m_s)
         )
@@ -233,24 +218,7 @@ class FleetSpec:
             self, "handoff_latency_range_s", tuple(self.handoff_latency_range_s)
         )
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "n_aps": self.n_aps,
-            "ap_spacing_m": self.ap_spacing_m,
-            "arena_depth_m": self.arena_depth_m,
-            "deployment": self.deployment,
-            "grid_rows": self.grid_rows,
-            "grid_cols": self.grid_cols,
-            "speed_range_m_s": list(self.speed_range_m_s),
-            "pause_range_s": list(self.pause_range_s),
-            "coverage_threshold": self.coverage_threshold,
-            "handoff_check_interval_s": self.handoff_check_interval_s,
-            "hysteresis_margin": self.hysteresis_margin,
-            "min_dwell_s": self.min_dwell_s,
-            "handoff_latency_range_s": list(self.handoff_latency_range_s),
-            "gauge_interval_s": self.gauge_interval_s,
-            "load_aware_selection": self.load_aware_selection,
-        }
+    describe = _describe
 
 
 @dataclass
@@ -291,55 +259,43 @@ class WorldSpec:
         else stays constantly awake).
     """
 
-    delivery: str = "hotspot"
-    duration_s: float = 60.0
-    seed: int = 0
+    delivery: str = domain(str, choices=DELIVERY_MODES, default="hotspot")
+    duration_s: float = domain(float, gt=0, default=60.0)
+    seed: int = domain(int, default=0)
     clients: Tuple[NodeSpec, ...] = ()
-    label: Optional[str] = None
+    label: Optional[str] = domain(str, optional=True, default=None)
     scheduler: Union[str, Any] = "edf"
-    epoch_s: float = 0.25
-    min_burst_bytes: int = 20_000
-    utilisation_cap: float = 0.9
+    epoch_s: float = domain(float, gt=0, default=0.25)
+    min_burst_bytes: int = domain(int, gt=0, default=20_000)
+    utilisation_cap: float = domain(float, gt=0, le=1, default=0.9)
     interface_policy: Optional[Any] = None
     platform: Optional[Any] = None
     fault_plan: Optional[Union[Any, Callable[..., Any]]] = None
     fleet: Optional[FleetSpec] = None
-    power_policy: Optional[str] = None
+    power_policy: Optional[str] = domain(
+        str, choices=power_policy_names, optional=True, default=None
+    )
     #: Free-form metadata carried through to ``ScenarioResult.extras``
     #: untouched (must stay JSON-serialisable and deterministic).
     extras: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"unknown delivery mode {self.delivery!r}; known: {DELIVERY_MODES}"
-            )
-        if not 0 <= self.duration_s < math.inf:
-            raise ValueError(
-                f"duration_s must be finite and >= 0, got {self.duration_s!r}"
-            )
+        validate(self)
         if self.delivery == "fleet" and self.fleet is None:
             self.fleet = FleetSpec()
-        if self.power_policy is not None:
-            from repro.mac.powersave import power_policy_names
-
-            if self.power_policy not in power_policy_names():
-                raise ValueError(
-                    f"unknown power policy {self.power_policy!r}; "
-                    f"known: {power_policy_names()}"
-                )
         self.clients = tuple(self.clients)
         names = [node.name for node in self.clients]
         if len(set(names)) != len(names):
-            raise ValueError("client names must be unique")
+            repeated = next(n for i, n in enumerate(names) if n in names[:i])
+            raise SpecError(
+                f"WorldSpec.clients must have unique names; {repeated!r} repeats"
+            )
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe view of the spec (for docs, CLIs and artifacts)."""
-        scheduler = (
-            self.scheduler
-            if isinstance(self.scheduler, str)
-            else getattr(self.scheduler, "name", str(self.scheduler))
-        )
+        scheduler = self.scheduler
+        if not isinstance(scheduler, str):
+            scheduler = getattr(scheduler, "name", str(scheduler))
         return {
             "delivery": self.delivery,
             "duration_s": self.duration_s,
@@ -355,6 +311,9 @@ class WorldSpec:
         }
 
 
+_COUNT = Domain(int, ge=1)
+
+
 def uniform_nodes(
     count: int,
     interfaces: Sequence[InterfaceSpec],
@@ -367,8 +326,7 @@ def uniform_nodes(
     The common case for paper-style experiments — every client streams
     the same workload over the same interface set.
     """
-    if count < 1:
-        raise ValueError("need at least one client")
+    _COUNT.check("uniform_nodes.count", count)
     return tuple(
         NodeSpec(
             name=name_format.format(index=index),

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import package_version
+from repro._domain import Domain
 from repro.core.outcome import VOLATILE_TIMING_FIELDS
 from repro.exp.progress import CampaignProgress, ProgressLog, StderrProgress
 from repro.exp.spec import CampaignSpec, RunSpec, canonical_params
@@ -353,12 +354,12 @@ def run_campaign(
     quarantine line that is retried — not served — by the next
     invocation).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if retry_backoff_s < 0:
-        raise ValueError("retry backoff must be >= 0")
+    Domain(int, ge=1).check("run_campaign.jobs", jobs)
+    Domain(int, ge=0).check("run_campaign.retries", retries)
+    Domain(float, ge=0).check("run_campaign.retry_backoff_s", retry_backoff_s)
+    Domain(float, gt=0, optional=True).check(
+        "run_campaign.run_timeout_s", run_timeout_s
+    )
     if obs is not None and jobs != 1:
         raise ValueError("a shared obs session requires jobs=1")
     if obs is not None and spec.collect_metrics:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro._domain import SpecError, domain, validate
 from repro.exp.grid import expand_grid
 
 
@@ -164,42 +165,36 @@ class CampaignSpec:
         sub-grid (:meth:`refine_with_surrogate`).
     """
 
-    name: str
-    scenario: str
+    name: str = domain(str, nonempty=True)
+    scenario: str = domain(str)
     grid: Dict[str, Sequence[Any]] = field(default_factory=dict)
     base: Dict[str, Any] = field(default_factory=dict)
-    seeds: Sequence[int] = (0,)
+    seeds: Sequence[int] = domain(nonempty=True, default=(0,))
     derive: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
     collect_metrics: bool = False
-    timeseries_interval_s: Optional[float] = None
+    timeseries_interval_s: Optional[float] = domain(
+        float, gt=0, optional=True, default=None
+    )
     points_override: Optional[Sequence[Dict[str, Any]]] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("campaign needs a name")
-        if not self.seeds:
-            raise ValueError("campaign needs at least one seed")
+        validate(self)
         if self.points_override is not None:
             expected = set(self.grid)
             for entry in self.points_override:
                 if set(entry) != expected:
-                    raise ValueError(
+                    raise SpecError(
                         "points_override entries must provide exactly the "
                         f"grid keys {sorted(expected)}; got {sorted(entry)}"
                     )
-        if (
-            self.timeseries_interval_s is not None
-            and self.timeseries_interval_s <= 0
-        ):
-            raise ValueError("timeseries interval must be positive")
         for key, values in self.grid.items():
             if not values:
-                raise ValueError(f"grid axis {key!r} has no values")
+                raise SpecError(f"grid axis {key!r} has no values")
             if key in self.base:
-                raise ValueError(f"{key!r} is both a grid axis and a base param")
+                raise SpecError(f"{key!r} is both a grid axis and a base param")
         for reserved in ("seed", "obs"):
             if reserved in self.grid or reserved in self.base:
-                raise ValueError(
+                raise SpecError(
                     f"{reserved!r} is managed by the engine; "
                     "use `seeds` for replication"
                 )
@@ -222,7 +217,7 @@ class CampaignSpec:
                 derived = self.derive(dict(params))
                 overlap = set(derived) & set(params)
                 if overlap:
-                    raise ValueError(
+                    raise SpecError(
                         f"derive() may not override {sorted(overlap)}"
                     )
                 params.update(derived)

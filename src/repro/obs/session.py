@@ -21,7 +21,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import KernelProfiler
-from repro.obs.timeseries import TimeseriesRecorder, TimeseriesWriter
+from repro.obs.timeseries import INTERVAL, TimeseriesRecorder, TimeseriesWriter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.outcome import ScenarioResult
@@ -81,6 +81,7 @@ class ObsSession:
         self.timeseries_interval_s = timeseries_interval_s
         self._timeseries_writer: Optional[TimeseriesWriter] = None
         if timeseries_path:
+            INTERVAL.check("ObsSession.timeseries_interval_s", timeseries_interval_s)
             self._timeseries_writer = TimeseriesWriter.open(timeseries_path)
         if trace_path:
             self._writer = JsonlTraceWriter.open(trace_path).attach(self.bus)

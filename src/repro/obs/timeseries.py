@@ -34,6 +34,11 @@ from __future__ import annotations
 import json
 from typing import IO, Callable, List, Optional, Tuple
 
+from repro._domain import Domain
+
+#: A sampling cadence: simulated seconds between samples.
+INTERVAL = Domain(float, gt=0)
+
 #: Built-in kernel columns every recorder samples before its probes.
 KERNEL_COLUMNS = ("time_s", "events", "events_per_s", "queue_depth")
 
@@ -95,8 +100,7 @@ class TimeseriesRecorder:
         interval_s: float = 1.0,
         run: Optional[str] = None,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError("sampling interval must be positive")
+        INTERVAL.check("TimeseriesRecorder.interval_s", interval_s)
         self.writer = writer
         self.interval_s = float(interval_s)
         self.run = run

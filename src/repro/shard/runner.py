@@ -31,6 +31,7 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro._domain import Domain
 from repro.build.builder import fleet_floor_plan, fleet_label
 from repro.build.spec import WorldSpec
 from repro.shard.plan import partition_cells, placement_plan
@@ -265,8 +266,7 @@ def run_sharded_fleet(
     """
     if spec.delivery != "fleet":
         raise ValueError("run_sharded_fleet needs a fleet world spec")
-    if shards < 1:
-        raise ValueError("shard count must be >= 1")
+    Domain(int, ge=1).check("run_sharded_fleet.shards", shards)
     topology, _arena = fleet_floor_plan(spec.fleet)
     cell_names = [site.name for site in topology]
     plan = placement_plan(spec)

@@ -28,7 +28,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         "events": ("AllOf", "AnyOf", "Event", "Timeout"),
         "process": ("Interrupt", "Process"),
         "core": ("Simulator", "SimulationError"),
-        "resources": ("Resource", "Store"),
+        "resources": ("Store",),
         "stats": ("RunningStat", "TimeSeries", "TimeWeightedStat"),
         "streams": ("RandomStreams",),
     },

@@ -192,7 +192,7 @@ class TestRegistry:
         assert record["saturated"] is True
 
     def test_predict_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown predictor"):
+        with pytest.raises(ValueError, match="predictor must be one of"):
             predict("nope")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -5.0])
@@ -227,7 +227,7 @@ class TestRegistry:
         )
         out, err = capsys.readouterr()
         assert (status, out) == (2, "")
-        assert "n_stations must be finite" in err
+        assert "PsmParams.n_stations must be an integer >= 1" in err
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

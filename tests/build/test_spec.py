@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.__main__ import main
 from repro.build import (
     FleetSpec,
     InterfaceSpec,
@@ -17,7 +16,7 @@ from repro.build import (
 
 class TestInterfaceSpec:
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown interface kind"):
+        with pytest.raises(ValueError, match="InterfaceSpec.kind must be one of"):
             InterfaceSpec(kind="zigbee")
 
     def test_quality_script_normalised_to_float_tuples(self):
@@ -41,7 +40,7 @@ class TestTrafficSpec:
 
 class TestNodeSpec:
     def test_requires_interfaces(self):
-        with pytest.raises(ValueError, match="at least one interface"):
+        with pytest.raises(ValueError, match="NodeSpec.interfaces must be non-empty"):
             NodeSpec(name="c0", interfaces=())
 
     def test_contract_rate_defaults_to_traffic_bitrate(self):
@@ -63,7 +62,7 @@ class TestNodeSpec:
 
 class TestWorldSpec:
     def test_rejects_unknown_delivery(self):
-        with pytest.raises(ValueError, match="unknown delivery mode"):
+        with pytest.raises(ValueError, match="WorldSpec.delivery must be one of"):
             WorldSpec(delivery="multicast")
 
     def test_rejects_duplicate_client_names(self):
@@ -75,12 +74,6 @@ class TestWorldSpec:
     def test_rejects_non_finite_or_negative_duration(self, duration):
         with pytest.raises(ValueError, match="duration_s must be finite"):
             WorldSpec(duration_s=duration)
-
-    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "-5"])
-    def test_cli_rejects_duration_before_running(self, duration, capsys):
-        with pytest.raises(ValueError, match="duration_s must be finite"):
-            main(["fig2", f"--duration={duration}"])
-        assert capsys.readouterr().out == ""
 
     def test_fleet_delivery_gets_default_fleet_spec(self):
         spec = WorldSpec(delivery="fleet")
@@ -105,7 +98,7 @@ class TestWorldSpec:
 
 class TestUniformNodes:
     def test_rejects_empty_population(self):
-        with pytest.raises(ValueError, match="at least one client"):
+        with pytest.raises(ValueError, match="uniform_nodes.count must be an integer >= 1"):
             uniform_nodes(0, [InterfaceSpec("wlan")], TrafficSpec())
 
     def test_names_follow_format(self):

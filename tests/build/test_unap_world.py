@@ -20,7 +20,7 @@ def _unap(**overrides):
 
 class TestUnapHotspot:
     def test_unknown_power_policy_rejected_by_spec(self):
-        with pytest.raises(ValueError, match="power policy"):
+        with pytest.raises(ValueError, match="power_policy must be one of"):
             WorldSpec(delivery="hotspot", power_policy="bogus")
 
     def test_preset_accepts_only_unap_or_cam(self):

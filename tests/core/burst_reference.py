@@ -19,9 +19,91 @@ the burst in ``bursts_in_flight`` from the call either way);
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Any
+
 from repro.core import HotspotClient
 from repro.core.interfaces import ManagedInterface
-from repro.sim.resources import Resource
+from repro.sim.core import Simulator
+from repro.sim.events import Event
+
+
+class Request(Event):
+    """A pending claim on a :class:`Resource`; fires when granted.
+
+    Usable as a context manager so a release is never forgotten::
+
+        with resource.request() as req:
+            yield req
+            ... # holding the resource
+    """
+
+    __slots__ = ("resource",)
+
+    def __init__(self, resource: "Resource") -> None:
+        super().__init__(resource.sim)
+        self.resource = resource
+
+    def __enter__(self) -> "Request":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.resource.release(self)
+
+
+class Resource:
+    """A counted resource with a FIFO wait queue.
+
+    Parameters
+    ----------
+    sim:
+        Owning simulator.
+    capacity:
+        Number of simultaneous holders allowed (default 1).
+    """
+
+    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self._holders: set[Request] = set()
+        self._waiting: deque[Request] = deque()
+
+    @property
+    def count(self) -> int:
+        """Number of current holders."""
+        return len(self._holders)
+
+    @property
+    def queue_length(self) -> int:
+        """Number of requests waiting for the resource."""
+        return len(self._waiting)
+
+    def request(self) -> Request:
+        """Claim the resource; the returned event fires when granted."""
+        req = Request(self)
+        if len(self._holders) < self.capacity:
+            self._holders.add(req)
+            req.succeed(req)
+        else:
+            self._waiting.append(req)
+        return req
+
+    def release(self, request: Request) -> None:
+        """Release a previously granted (or still-queued) request."""
+        if request in self._holders:
+            self._holders.remove(request)
+            while self._waiting and len(self._holders) < self.capacity:
+                nxt = self._waiting.popleft()
+                self._holders.add(nxt)
+                nxt.succeed(nxt)
+        else:
+            # Cancelling a queued request is allowed and idempotent.
+            try:
+                self._waiting.remove(request)
+            except ValueError:
+                pass
 
 
 class ProcessManagedInterface(ManagedInterface):

@@ -94,7 +94,7 @@ class TestHeartbeats:
         beats = read_progress(str(tmp_path / "store" / "progress.jsonl"))
         failed = [b for b in beats if b.get("outcome") == "failed"]
         assert len(failed) == 1
-        assert failed[0]["error_type"] == "ValueError"
+        assert failed[0]["error_type"] == "SpecError"
         assert beats[-1]["failed"] == 1
 
     def test_stored_records_stay_free_of_wall_clock_fields(self, tmp_path):
@@ -198,7 +198,7 @@ class TestHtmlReport:
         assert len(data["runs"]) == 2
         failed = [r for r in data["runs"] if r["error"] is not None]
         assert len(failed) == 1
-        assert failed[0]["error"]["type"] == "ValueError"
+        assert failed[0]["error"]["type"] == "SpecError"
         # Heartbeat joins: labels and timing come from progress.jsonl.
         ok = next(r for r in data["runs"] if r["error"] is None)
         assert ok["label"].startswith("hb/")

@@ -167,7 +167,7 @@ class TestCampaignSpec:
             bad.runs()
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one seed"):
+        with pytest.raises(ValueError, match="CampaignSpec.seeds must be non-empty"):
             self.spec(seeds=[])
         with pytest.raises(ValueError, match="no values"):
             self.spec(grid={"x": []})

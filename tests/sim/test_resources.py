@@ -1,8 +1,10 @@
-"""Tests for Resource and Store."""
+"""Tests for Store, and for the test-only Resource the process-form
+reference in ``tests/core/burst_reference.py`` queues on."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Simulator, Store
+from tests.core.burst_reference import Resource
 
 
 def test_resource_grants_up_to_capacity():
