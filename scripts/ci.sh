@@ -6,6 +6,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
+# Every temp file and dir a step makes goes into tmp_paths; one handler
+# removes them all however the script ends.
+tmp_paths=()
+cleanup() { rm -rf "${tmp_paths[@]}"; }
+trap cleanup EXIT
+
 echo "== compile gate =="
 python -m compileall -q src
 
@@ -95,7 +101,7 @@ echo "== hash-seed independence check =="
 # its pinned digest, and a 2-point campaign must write the same
 # results.jsonl bytes.
 hash_dir="$(mktemp -d /tmp/repro-hash.XXXXXX)"
-trap 'rm -rf "$hash_dir"' EXIT
+tmp_paths+=("$hash_dir")
 for hash_seed in 0 1 12345; do
   PYTHONHASHSEED="$hash_seed" python - <<'EOF'
 import json
@@ -145,8 +151,6 @@ for hash_seed in 1 12345; do
          exit 1; }
 done
 echo "hash-seed check ok: the campaign store is byte-identical under all three salts"
-rm -rf "$hash_dir"
-trap - EXIT
 
 echo "== bad-input smoke check =="
 # A value outside a spec field's domain ends in one "error:" line and
@@ -162,7 +166,7 @@ echo "bad-input smoke ok: $bad_err"
 
 echo "== trace smoke check =="
 trace_file="$(mktemp /tmp/repro-trace.XXXXXX.jsonl)"
-trap 'rm -f "$trace_file"' EXIT
+tmp_paths+=("$trace_file")
 # With --profile as well, the profiler wraps step() on the traced
 # simulators, so its step count must equal the trace's dispatch records.
 profile_out="$(python -m repro fig2 --duration 10 --trace "$trace_file" --profile)"
@@ -230,7 +234,7 @@ EOF
 echo "== campaign smoke check =="
 campaign_dir="$(mktemp -d /tmp/repro-campaign.XXXXXX)"
 serial_dir="$(mktemp -d /tmp/repro-campaign-serial.XXXXXX)"
-trap 'rm -f "$trace_file"; rm -rf "$campaign_dir" "$serial_dir"' EXIT
+tmp_paths+=("$campaign_dir" "$serial_dir")
 campaign_args=(campaign --scenario hotspot
   --param burst_bytes=20000,40000 --param n_clients=1,2
   --set duration_s=5 --seeds 8 --name ci-smoke --json)
@@ -276,7 +280,7 @@ echo "== crash-resume smoke check (failing grid point) =="
 # (n_clients=0) no longer gets this far: the CLI rejects it before any
 # run is dispatched (tests/test_cli_errors.py).
 failure_dir="$(mktemp -d /tmp/repro-campaign-fail.XXXXXX)"
-trap 'rm -f "$trace_file"; rm -rf "$campaign_dir" "$serial_dir" "$failure_dir" "$faulty_dir"' EXIT
+tmp_paths+=("$failure_dir")
 failure_args=(campaign --scenario hotspot
   --param 'bluetooth_quality_script=[[[0.0,1.0]],[[0.0,2.0]]]'
   --set n_clients=1 --set duration_s=5
@@ -317,6 +321,7 @@ echo "crash-resume ok: partial results, quarantine retried, envelopes stable"
 
 echo "== faulty-hotspot smoke check =="
 faulty_dir="$(mktemp -d /tmp/repro-faulty.XXXXXX)"
+tmp_paths+=("$faulty_dir")
 python -m repro campaign --scenario faulty-hotspot \
   --set duration_s=60 --set n_clients=2 \
   --set outage_start_s=20 --set outage_duration_s=15 \
@@ -341,7 +346,7 @@ EOF
 
 echo "== fleet-hotspot smoke check =="
 fleet_dir="$(mktemp -d /tmp/repro-fleet.XXXXXX)"
-trap 'rm -f "$trace_file"; rm -rf "$campaign_dir" "$serial_dir" "$failure_dir" "$faulty_dir" "$fleet_dir"' EXIT
+tmp_paths+=("$fleet_dir")
 python -m repro fleet --duration 30 --json > "$fleet_dir/fleet.json"
 
 python - "$fleet_dir/fleet.json" <<'EOF'
@@ -367,20 +372,25 @@ print(f"fleet ok: {record['handoffs']} handoffs across "
 EOF
 
 echo "== sharded fleet smoke check (shards=1 vs shards=4 byte-identical) =="
-shard_a="$(mktemp -d /tmp/repro-shard-a.XXXXXX)"
-shard_b="$(mktemp -d /tmp/repro-shard-b.XXXXXX)"
-trap 'rm -f "$trace_file"; rm -rf "$campaign_dir" "$serial_dir" "$failure_dir" "$faulty_dir" "$fleet_dir" "$shard_a" "$shard_b"' EXIT
-shard_args=(fleet --clients 8 --aps 4 --duration 20 --json)
-python -m repro "${shard_args[@]}" --shards 1 --store "$shard_a" \
-  > "$shard_a/out.json"
-python -m repro "${shard_args[@]}" --shards 4 --store "$shard_b" \
-  > "$shard_b/out.json"
-diff "$shard_a/out.json" "$shard_b/out.json" \
-  || { echo "shard smoke: shards=1 vs shards=4 records differ"; exit 1; }
-diff "$shard_a/merged.json" "$shard_b/merged.json" \
-  || { echo "shard smoke: merged stores differ"; exit 1; }
-diff -r "$shard_a/shards" "$shard_b/shards" \
-  || { echo "shard smoke: per-cell partials differ"; exit 1; }
+# One fleet run per argument set at --shards 1 and at --shards 4: the
+# records, merged stores and per-cell partials must be byte-identical.
+# The first set is small enough to roam every client across shards;
+# the second is city-grid-1k trimmed to 5 s (the CLI defaults to the
+# edf scheduler and a 0.9 utilisation cap, as the preset does).
+check_shard_identity() {
+  shard_a="$(mktemp -d /tmp/repro-shard-a.XXXXXX)"
+  shard_b="$(mktemp -d /tmp/repro-shard-b.XXXXXX)"
+  tmp_paths+=("$shard_a" "$shard_b")
+  python -m repro "$@" --shards 1 --store "$shard_a" > "$shard_a/out.json"
+  python -m repro "$@" --shards 4 --store "$shard_b" > "$shard_b/out.json"
+  diff "$shard_a/out.json" "$shard_b/out.json" \
+    || { echo "shard smoke ($*): shards=1 vs shards=4 records differ"; exit 1; }
+  diff "$shard_a/merged.json" "$shard_b/merged.json" \
+    || { echo "shard smoke ($*): merged stores differ"; exit 1; }
+  diff -r "$shard_a/shards" "$shard_b/shards" \
+    || { echo "shard smoke ($*): per-cell partials differ"; exit 1; }
+}
+check_shard_identity fleet --clients 8 --aps 4 --duration 20 --json
 python - "$shard_a/out.json" <<'EOF'
 import json
 import sys
@@ -393,9 +403,12 @@ if not record["qos_maintained"]:
 print(f"shard ok: {record['handoffs']} cross-shard handoffs, "
       "1==4 workers byte-identical")
 EOF
+check_shard_identity fleet --grid 6x6 --clients 1000 --duration 5 --seed 0 --json
+echo "shard ok: city-grid 6x6 with 1000 clients, 1==4 workers byte-identical"
 
 echo "== μNap power-saving smoke check =="
 unap_dir="$(mktemp -d /tmp/repro-unap.XXXXXX)"
+tmp_paths+=("$unap_dir")
 # Same assembly, same seed, same traffic — only the power policy
 # differs.  μNap must save WNIC energy over the CAM baseline without
 # giving up a byte of throughput or the PSM-era QoS guard.
@@ -427,19 +440,10 @@ if unap["naps"]["mean"] <= 0 or unap["micro_doze_dwells"]["mean"] <= 0:
 print(f"unap ok: {saving:.1%} WNIC saving over CAM, QoS held, "
       f"{unap['naps']['mean']:.0f} naps")
 EOF
-rm -rf "$unap_dir"
-
-echo "== shard scaling gate =="
-bench_dir="$(mktemp -d /tmp/repro-bench.XXXXXX)"
-report_dir="$(mktemp -d /tmp/repro-report.XXXXXX)"
-trap 'rm -f "$trace_file"; rm -rf "$campaign_dir" "$serial_dir" "$failure_dir" "$faulty_dir" "$fleet_dir" "$shard_a" "$shard_b" "$bench_dir" "$report_dir"' EXIT
-# The 1k-client gate point, trimmed: identity is enforced everywhere,
-# the 2x speedup only where the machine has >= 4 CPUs.
-python benchmarks/bench_shard.py --point city-grid-1k --duration 5 \
-  --out "$bench_dir/BENCH_shard.json" > /dev/null
-python scripts/check_bench.py "$bench_dir/BENCH_shard.json"
 
 echo "== report smoke check =="
+report_dir="$(mktemp -d /tmp/repro-report.XXXXXX)"
+tmp_paths+=("$report_dir")
 report_args=(campaign --scenario hotspot
   --param n_clients=1,2 --set duration_s=5 --seeds 1
   --name ci-report --timeseries 1 --store "$report_dir" --json)
@@ -499,7 +503,7 @@ echo "== crossval smoke check (sim-vs-model agreement gate) =="
 crossval_dir="$(mktemp -d /tmp/repro-crossval.XXXXXX)"
 surrogate_a="$(mktemp -d /tmp/repro-surrogate-a.XXXXXX)"
 surrogate_b="$(mktemp -d /tmp/repro-surrogate-b.XXXXXX)"
-trap 'rm -f "$trace_file"; rm -rf "$campaign_dir" "$serial_dir" "$failure_dir" "$faulty_dir" "$fleet_dir" "$shard_a" "$shard_b" "$bench_dir" "$report_dir" "$crossval_dir" "$surrogate_a" "$surrogate_b"' EXIT
+tmp_paths+=("$crossval_dir" "$surrogate_a" "$surrogate_b")
 # Coarse grid, trimmed durations: the closed-form models must agree
 # with the simulator inside the 10% tolerance contract, or the command
 # exits non-zero and fails the gate.

@@ -316,10 +316,15 @@ def cmd_sweep_bursts(args: argparse.Namespace) -> int:
 
 
 def _parse_value(text: str) -> Any:
-    """Parse a CLI parameter value: JSON first, bare string otherwise."""
+    """Parse a CLI parameter value: JSON, else a float (``inf``, ``nan``),
+    else the bare string."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
         return text
 
 

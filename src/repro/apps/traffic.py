@@ -134,11 +134,20 @@ def _pull_plans(arrivals: Iterator[Arrival], now: float):
             landed = 0
 
 
+def _resumed(arrivals: Iterator[Arrival], start_s: float) -> Iterator[Arrival]:
+    """``arrivals`` without those due at or before ``start_s``."""
+    return (arrival for arrival in arrivals if arrival[0] > start_s)
+
+
 @lru_cache(maxsize=8)
-def _cbr_plans(bitrate_bps: float, until_s: float, start_s: float) -> tuple:
-    """The pull plans of a CBR :class:`Mp3Stream` started at ``start_s``:
-    a pure function of its arguments, so drawn once per process."""
-    return tuple(_pull_plans(Mp3Stream(bitrate_bps).arrivals(until_s), start_s))
+def _cbr_plans(bitrate_bps: float, until_s: float, start_s: float, resumed: bool) -> tuple:
+    """The pull plans of a CBR :class:`Mp3Stream` started (or, with
+    ``resumed``, resumed) at ``start_s``: a pure function of its
+    arguments, so drawn once per process."""
+    arrivals = Mp3Stream(bitrate_bps).arrivals(until_s)
+    if resumed:
+        arrivals = _resumed(arrivals, start_s)
+    return tuple(_pull_plans(arrivals, start_s))
 
 
 class ArrivalFeed:
@@ -156,8 +165,14 @@ class ArrivalFeed:
     tie-break therefore match the pump's, at a fraction of its dispatches.
 
     The draws are planned by :func:`_pull_plans`; a CBR MP3 stream's
-    plans are shared by every feed of its bitrate, run length and start
-    instant in the process (:func:`_cbr_plans`).
+    plans are shared by every feed of its bitrate, run length, start
+    instant and ``resumed`` flag in the process (:func:`_cbr_plans`).
+
+    ``resumed=True`` starts the feed of a client whose earlier arrivals
+    were credited elsewhere (a shard world adopting a migrant, whose
+    source replays the same seeded substream from t=0): arrivals at or
+    before the construction instant are dropped before anything is
+    planned, so none is credited twice.
 
     :meth:`settle` credits the arrivals whose entry sorts at or before
     the simulator's dispatching entry — outside :meth:`Simulator.run`,
@@ -165,12 +180,18 @@ class ArrivalFeed:
     have sunk by then.
     """
 
-    def __init__(self, source: TrafficSource, sim: "Simulator", until_s: float) -> None:
+    def __init__(
+        self, source: TrafficSource, sim: "Simulator", until_s: float, resumed: bool = False
+    ) -> None:
         self.sim = sim
+        now = sim.now
         if type(source) is Mp3Stream and not source.vbr_fraction:
-            self._plans = iter(_cbr_plans(source.bitrate_bps, until_s, sim.now))
+            self._plans = iter(_cbr_plans(source.bitrate_bps, until_s, now, resumed))
         else:
-            self._plans = _pull_plans(source.arrivals(until_s), sim.now)
+            arrivals = source.arrivals(until_s)
+            if resumed:
+                arrivals = _resumed(arrivals, now)
+            self._plans = _pull_plans(arrivals, now)
         #: Fire instant and sequence offset of each pending arrival in
         #: the current chunk, numbered from ``_base``; ``_sums[i]`` is
         #: the bytes of its first i.

@@ -20,9 +20,9 @@ half-consumed arrival generator deterministically would be fragile), so:
 - on departure, the snapshot's backlog read settles the feed; later
   arrivals stay uncredited in it while the client is away;
 - the world the client lands in starts its own feed from the barrier
-  time, skipping arrivals the client already received elsewhere (the
-  substream is identical, so the skipped prefix is exactly what the
-  previous worlds credited);
+  time with ``resumed=True``, skipping arrivals the client already
+  received elsewhere (the substream is identical, so the skipped prefix
+  is exactly what the previous worlds credited);
 - a client coming *home* finds its feed still running: settling it
   discards the bytes the visited worlds delivered before it is
   reattached to the restored session;
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.apps.traffic import ArrivalFeed, TrafficSource
+from repro.apps.traffic import ArrivalFeed
 from repro.build.builder import (
     assemble_fleet,
     attach_roaming_client,
@@ -58,26 +58,6 @@ from repro.sim.core import Simulator
 from repro.sim.streams import RandomStreams
 
 __all__ = ["CellWorld"]
-
-
-class _ResumedSource(TrafficSource):
-    """Skips the arrival prefix a migrating client already received.
-
-    The underlying source is rebuilt from the same seeded substream the
-    previous worlds used, so arrivals at or before the resume point are
-    exactly the bytes already credited elsewhere.  They must be filtered
-    *before* the :class:`ArrivalFeed` sees them — it credits past-due
-    arrivals immediately, which would double-deliver them.
-    """
-
-    def __init__(self, inner: TrafficSource, resume_after_s: float) -> None:
-        self.inner = inner
-        self.resume_after_s = resume_after_s
-
-    def arrivals(self, until_s: float):
-        for arrival in self.inner.arrivals(until_s):
-            if arrival[0] > self.resume_after_s:
-                yield arrival
 
 
 class CellWorld:
@@ -255,9 +235,8 @@ class CellWorld:
         register_radios(self, client)
         feed = self._feeds.get(name)
         if feed is None:
-            source = _ResumedSource(node_source(self, node), now)
             feed = self._feeds[name] = ArrivalFeed(
-                source, self.sim, until_s=self.spec.duration_s
+                node_source(self, node), self.sim, self.spec.duration_s, resumed=True
             )
         else:
             # Coming home: the feed never stopped.  Discard what it

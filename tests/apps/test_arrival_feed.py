@@ -5,9 +5,12 @@ its own kernel dispatch.  An :class:`ArrivalFeed` must report, at every
 backlog read, exactly the bytes the pump would have sunk by then —
 including reads at an arrival's very fire instant, which the pump
 decides by calendar order — while queueing one event per chunk, and
-leave ``events_scheduled`` (so every later tie-break) unchanged.
+leave ``events_scheduled`` (so every later tie-break) unchanged.  A
+feed built with ``resumed=True`` must match the pump of the same source
+with every arrival at or before its start dropped.
 """
 
+import math
 import random
 from itertools import islice
 
@@ -58,6 +61,21 @@ SOURCES = {
 }
 
 
+class _Uncached(TrafficSource):
+    """The same arrivals from a source the cache does not know: the feed
+    plans them itself.  With ``after_s``, only those after it: the
+    reference for a feed built with ``resumed=True``."""
+
+    def __init__(self, inner, after_s=-math.inf):
+        self.inner = inner
+        self.after_s = after_s
+
+    def arrivals(self, until_s):
+        for arrival in self.inner.arrivals(until_s):
+            if arrival[0] > self.after_s:
+                yield arrival
+
+
 def _fire_instants(source, start_s):
     """The pump's wake instant for every arrival (its ``now + (t - now)``
     chain, past-due arrivals sharing the previous wake)."""
@@ -70,7 +88,7 @@ def _fire_instants(source, start_s):
     return fires
 
 
-def _world(source_name, seed, lazy):
+def _world(source_name, seed, lazy, resumed=False):
     """Run one world; return what every backlog read saw, plus totals.
 
     Both worlds see the same reader program, drawn from ``seed``: timers
@@ -78,6 +96,8 @@ def _world(source_name, seed, lazy):
     the source starts (so before its reservations) or during the run
     (after them), some of which drain the backlog, create same-instant
     readers, or interrupt a watcher that reads from an urgent wakeup.
+    ``resumed`` starts a resumed feed, or pumps the source with its
+    arrivals up to the start dropped.
     """
     plan = random.Random(seed)
     start_s = plan.choice([0.0, 0.0, 0.37, 3.0])
@@ -127,12 +147,14 @@ def _world(source_name, seed, lazy):
     read("before-start")
     source = SOURCES[source_name](random.Random(seed))
     if lazy:
-        session.feed = ArrivalFeed(source, sim, until_s=UNTIL_S)
+        session.feed = ArrivalFeed(source, sim, until_s=UNTIL_S, resumed=resumed)
     else:
 
         def sink(nbytes, _kind):
             session.backlog_bytes += nbytes
 
+        if resumed:
+            source = _Uncached(source, after_s=start_s)
         source.start(sim, sink, until_s=UNTIL_S)
     for stop in sorted(plan.uniform(start_s, UNTIL_S) for _ in range(3)):
         sim.run(until=stop)
@@ -145,10 +167,11 @@ def _world(source_name, seed, lazy):
 @pytest.mark.parametrize("source_name", sorted(SOURCES))
 @pytest.mark.parametrize("seed", range(6))
 def test_feed_reads_match_the_eager_pump(source_name, seed):
-    reference, reference_events = _world(source_name, seed, lazy=False)
-    seen, events = _world(source_name, seed, lazy=True)
-    assert seen == reference
-    assert events == reference_events
+    for resumed in (False, True):
+        reference, reference_events = _world(source_name, seed, lazy=False, resumed=resumed)
+        seen, events = _world(source_name, seed, lazy=True, resumed=resumed)
+        assert seen == reference, f"resumed={resumed}"
+        assert events == reference_events, f"resumed={resumed}"
 
 
 @pytest.mark.parametrize("lazy", [False, True])
@@ -225,25 +248,14 @@ def test_session_without_feed_is_a_plain_counter():
 # -- the shared CBR plan cache --------------------------------------------------
 
 
-class _Uncached(TrafficSource):
-    """The same arrivals from a source the cache does not know: the feed
-    plans them itself."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def arrivals(self, until_s):
-        return self.inner.arrivals(until_s)
-
-
 class _RecordedFeed(ArrivalFeed):
     """Logs each pull: its instant, ``sim._seq`` after it, and the fire
     instant of the closing timeout it queued (None when the source ran
     dry), whose sequence number is then ``sim._seq``."""
 
-    def __init__(self, source, sim, until_s, pulls):
+    def __init__(self, source, sim, until_s, pulls, resumed=False):
         self.pulls = pulls
-        super().__init__(source, sim, until_s)
+        super().__init__(source, sim, until_s, resumed)
 
     def _pull(self, event):
         super()._pull(event)
@@ -251,18 +263,28 @@ class _RecordedFeed(ArrivalFeed):
         self.pulls.append((self.sim.now, self.sim._seq, closing))
 
 
+#: The instants an MP3 stream's frames arrive at (its repeated-addition
+#: chain, which ``k * MP3_FRAME_INTERVAL_S`` matches only for some k).
+_FRAME_TIMES = [time_s for time_s, _nbytes, _kind in Mp3Stream().arrivals(8.0)]
+
 # Durations in frames: shorter than a chunk, exactly one chunk, one more,
 # several chunks.
 cbr_worlds = st.fixed_dictionaries(
     {
         "bitrate_bps": st.sampled_from([8_000.0, 128_000.0, 320_000.0]),
         "frames": st.sampled_from([40, _PUMP_CHUNK, _PUMP_CHUNK + 1, 3 * _PUMP_CHUNK + 7]),
-        # Each feed's start: 0, a random instant, or a frame instant.
+        # Each feed's (start, resumed): 0, a random instant, a multiple of
+        # the frame interval or a frame's arrival instant; every feed is
+        # built twice, so the second of each pair hits the plan cache.
         "starts": st.lists(
-            st.one_of(
-                st.just(0.0),
-                st.floats(0.0, 8.0),
-                st.integers(1, 300).map(lambda k: k * MP3_FRAME_INTERVAL_S),
+            st.tuples(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(0.0, 8.0),
+                    st.integers(1, 300).map(lambda k: k * MP3_FRAME_INTERVAL_S),
+                    st.sampled_from(_FRAME_TIMES),
+                ),
+                st.booleans(),
             ),
             min_size=1,
             max_size=3,
@@ -287,9 +309,13 @@ def _cbr_world(world, cached):
     pulls = []
     settled = []
 
-    def source():
+    def source(start_s, resumed, cached):
+        """The feed's source; the uncached twin drops the resumed prefix
+        itself."""
         stream = Mp3Stream(bitrate_bps=world["bitrate_bps"])
-        return stream if cached else _Uncached(stream)
+        if cached:
+            return stream
+        return _Uncached(stream, after_s=start_s if resumed else -math.inf)
 
     def read(index):
         if index < len(feeds):
@@ -299,28 +325,34 @@ def _cbr_world(world, cached):
         if isinstance(when, int):
             if index >= len(world["starts"]):
                 continue
-            now = world["starts"][index]
-            for time_s, _nbytes, _kind in islice(source().arrivals(until_s), when + 1):
+            now, resumed = world["starts"][index]
+            arrivals = source(now, resumed, cached=False).arrivals(until_s)
+            for time_s, _nbytes, _kind in islice(arrivals, when + 1):
                 if time_s > now:
                     now = now + (time_s - now)
             when = now
         sim.bulk_timeouts([when])[0].callbacks.append(lambda _t, i=index: read(i))
-    for start_s in world["starts"]:
+    for start_s, resumed in world["starts"]:
         sim.run(until=start_s)
         log = []
         pulls.append(log)
-        feeds.append(_RecordedFeed(source(), sim, until_s, log))
+        feed_source = source(start_s, resumed, cached)
+        feeds.append(_RecordedFeed(feed_source, sim, until_s, log, cached and resumed))
     sim.run(until=max(until_s, sim.now) + 1.0)
     totals = [
         sum(v for i, _t, v in settled if i == n) + feed.settle()
         for n, feed in enumerate(feeds)
+    ]
+    pumped = [
+        source(start_s, resumed, cached=False).total_bytes(until_s)
+        for start_s, resumed in world["starts"]
     ]
     return {
         "settled": settled,
         "pulls": pulls,
         "totals": totals,
         "events": sim.events_scheduled,
-    }, Mp3Stream(bitrate_bps=world["bitrate_bps"]).total_bytes(until_s)
+    }, pumped
 
 
 @given(cbr_worlds)
@@ -329,12 +361,12 @@ def test_shared_cbr_plans_match_an_uncached_feed(world):
     _cbr_plans.cache_clear()
     cached, pumped = _cbr_world(world, cached=True)
     info = _cbr_plans.cache_info()
-    # One miss per distinct start instant, a hit for each feed after it.
+    # One miss per distinct (start, resumed), a hit for each feed after it.
     assert info.misses == len(set(world["starts"]))
     assert info.hits == len(world["starts"]) - info.misses
     reference, _ = _cbr_world(world, cached=False)
     assert cached == reference
-    assert cached["totals"] == [pumped] * len(world["starts"])
+    assert cached["totals"] == pumped
 
 
 def test_only_cbr_sources_are_cached_and_the_cache_stays_bounded():

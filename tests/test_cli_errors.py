@@ -20,6 +20,7 @@ PROBES = [
     (["campaign", "--jobs", "0"], "run_campaign.jobs"),
     (["campaign", "--seeds", "0"], "CampaignSpec.seeds"),
     (["campaign", "--set", "duration_s=nan"], "WorldSpec.duration_s"),
+    (["campaign", "--set", "duration_s=inf"], "got inf"),
     (["campaign", "--run-timeout", "nan"], "run_campaign.run_timeout_s"),
     (
         ["campaign", "--timeseries", "nan", "--store", "STORE"],
