@@ -93,13 +93,12 @@ done
 
 echo "== hash-seed independence check =="
 # run.py pins PYTHONHASHSEED=0 on its children, so the digest gate cannot
-# see a result that moves with the interpreter's hash salt.  Here two MAC
-# scenarios and four Hotspot ones (single cell, faults, fleet, city grid)
-# run at golden size under three salts, and each summary record,
-# sim_events included, must equal its checked-in golden.  Under each salt
-# the sharded city grid (city-grid-1k-shards2, seed 0) must also hash to
-# its pinned digest, and a 2-point campaign must write the same
-# results.jsonl bytes.
+# see a result that moves with the interpreter's hash salt.  Here every
+# scenario with a golden in tests/build/golden runs at golden size under
+# three salts, and each summary record, sim_events included, must equal
+# its checked-in golden.  Under each salt the sharded city grid
+# (city-grid-1k-shards2, seed 0) must also hash to its pinned digest, and
+# a 2-point campaign must write the same results.jsonl bytes.
 hash_dir="$(mktemp -d /tmp/repro-hash.XXXXXX)"
 tmp_paths+=("$hash_dir")
 for hash_seed in 0 1 12345; do
@@ -112,10 +111,7 @@ sys.path.insert(0, "scripts")
 from make_goldens import GOLDEN_SEEDS, golden_dir, golden_record  # noqa: E402
 
 salt = os.environ["PYTHONHASHSEED"]
-names = (
-    "psm-baseline", "unap-hotspot", "hotspot", "faulty-hotspot", "fleet-hotspot",
-    "city-grid",
-)
+names = sorted(f[: -len(".json")] for f in os.listdir(golden_dir()) if f.endswith(".json"))
 for name in names:
     with open(os.path.join(golden_dir(), f"{name}.json"), encoding="utf-8") as stream:
         golden = json.load(stream)["records"]

@@ -158,20 +158,28 @@ def _run_sweep(args: argparse.Namespace, spec: CampaignSpec) -> CampaignReport:
     return report
 
 
+def _run_world(obs: ObsSession | None, label: str, spec):
+    """Build and run ``spec``; ``obs`` (if any) records it as run ``label``."""
+    if obs is not None:
+        obs.begin_run(label)
+    result = WorldBuilder(spec).run(obs=obs)
+    if obs is not None:
+        obs.record(result)
+    return result
+
+
 def cmd_fig1(args: argparse.Namespace) -> int:
     obs = ObsSession.from_args(args)
-    if obs is not None:
-        obs.begin_run("fig1/hotspot")
-    result = WorldBuilder(
+    result = _run_world(
+        obs,
+        "fig1/hotspot",
         hotspot_world(
             n_clients=args.clients,
             duration_s=args.duration,
             bluetooth_quality_script=[(0.0, 1.0), (args.duration * 2 / 3, 0.2)],
             seed=args.seed,
-        )
-    ).run(obs=obs)
-    if obs is not None:
-        obs.record(result)
+        ),
+    )
     print(render_schedule_timeline(result.radios, 0.0, args.duration, columns=96))
     print(f"\nQoS maintained: {result.qos_maintained()}")
     _finish_obs(obs)
@@ -180,37 +188,28 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     obs = ObsSession.from_args(args)
-    if obs is not None:
-        obs.begin_run("fig2/unscheduled-wlan")
-    wlan = WorldBuilder(
-        unscheduled_world(
-            "wlan", n_clients=args.clients, duration_s=args.duration,
-            seed=args.seed,
+    wlan, bt = [
+        _run_world(
+            obs,
+            f"fig2/unscheduled-{interface}",
+            unscheduled_world(
+                interface, n_clients=args.clients, duration_s=args.duration,
+                seed=args.seed,
+            ),
         )
-    ).run(obs=obs)
-    if obs is not None:
-        obs.record(wlan)
-        obs.begin_run("fig2/unscheduled-bluetooth")
-    bt = WorldBuilder(
-        unscheduled_world(
-            "bluetooth", n_clients=args.clients, duration_s=args.duration,
-            seed=args.seed,
-        )
-    ).run(obs=obs)
-    if obs is not None:
-        obs.record(bt)
-        obs.begin_run("fig2/hotspot")
-    hotspot = WorldBuilder(
+        for interface in ("wlan", "bluetooth")
+    ]
+    hotspot = _run_world(
+        obs,
+        "fig2/hotspot",
         hotspot_world(
             n_clients=args.clients,
             duration_s=args.duration,
             scheduler=args.scheduler,
             bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
             seed=args.seed,
-        )
-    ).run(obs=obs)
-    if obs is not None:
-        obs.record(hotspot)
+        ),
+    )
     saving = wnic_power_saving_fraction(
         wlan.mean_wnic_power_w(), hotspot.mean_wnic_power_w()
     )
@@ -743,12 +742,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )["record"]
     else:
         obs = ObsSession.from_args(args)
-        if obs is not None:
-            obs.begin_run("fleet/city-grid" if args.grid else "fleet/fleet-hotspot")
-        result = WorldBuilder(spec).run(obs=obs)
-        if obs is not None:
-            obs.record(result)
-        record = result.summary_record()
+        label = "fleet/city-grid" if args.grid else "fleet/fleet-hotspot"
+        record = _run_world(obs, label, spec).summary_record()
     if args.json:
         print(dumps_strict(record, indent=2))
     else:
@@ -793,17 +788,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
         collect_metrics=True,
     )
     obs.registry_requested = args.metrics
-    obs.begin_run("trace/hotspot")
-    result = WorldBuilder(
+    result = _run_world(
+        obs,
+        "trace/hotspot",
         hotspot_world(
             n_clients=args.clients,
             duration_s=args.duration,
             scheduler=args.scheduler,
             bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
             seed=args.seed,
-        )
-    ).run(obs=obs)
-    obs.record(result)
+        ),
+    )
     print(top_kinds_table(obs.registry, top_n=args.top))
     print()
     print(radio_dwell_table(result.radios))

@@ -4,15 +4,19 @@ One builder replaces the hand-wired assembly that every scenario runner
 used to copy: Simulator + observability attachment, seeded
 :class:`~repro.sim.RandomStreams`, device platform, per-client
 interfaces and contracts, the delivery substrate (Hotspot server, bare
-radios, 802.11 PSM MAC, or a multi-cell fleet), traffic pumps, fault
-injector, and the teardown that collects :class:`ClientOutcome`\\ s into
-a :class:`ScenarioResult`.
+radios, a multi-cell fleet, PAMAS nodes, or a packet-level 802.11 PSM,
+μNap or EC-MAC MAC), traffic pumps, fault injector, and the teardown
+that collects :class:`ClientOutcome`\\ s into a :class:`ScenarioResult`.
+
+Every mode shares one managed-client path (:func:`build_managed_client`),
+one station path (:func:`_assemble_stations`) and one outcome path
+(:func:`_client_outcome`, :func:`_node_outcomes`, :func:`_result`).
 
 Determinism contract: building twice from the same spec and seed yields
 byte-identical ``summary_record()`` output.  Object construction order
 is part of that contract (simultaneous events tie-break on scheduling
-order), so the per-client assembly sequence below deliberately mirrors
-the historical scenario runners — the golden-equivalence tests pin it.
+order), so each assembly path builds its objects in spec order, in a
+fixed sequence per node — the golden-equivalence tests pin it.
 
 Usage::
 
@@ -44,7 +48,7 @@ from repro.core.server import ClientSession, HotspotServer
 from repro.devices import ipaq_3970, wlan_cf_card
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.energy import ClientEnergyReport, EnergyBreakdown
-from repro.metrics.qos import PlayoutBuffer
+from repro.metrics.qos import PlayoutBuffer, QosSummary
 from repro.phy.channel import ScriptedLinkQuality
 from repro.phy.radio import Radio
 from repro.sim import RandomStreams, Simulator
@@ -92,7 +96,7 @@ class World:
         self.association = None
         self.fleet = None
         self.handoff = None
-        # PSM layers (delivery="psm").
+        # Packet-level MAC layers (delivery="psm" or "ecmac").
         self.medium = None
         self.access_point = None
         self.stations: List["PsmStation"] = []
@@ -222,9 +226,7 @@ def _sleep_probe(sim, radio):
 def _make_interface(
     world: World, node: NodeSpec, ispec: InterfaceSpec, quality
 ) -> ManagedInterface:
-    factory = _INTERFACE_FACTORIES.get(ispec.kind)
-    if factory is None:
-        raise ValueError(f"unknown interface kind {ispec.kind!r}")
+    factory = _INTERFACE_FACTORIES[ispec.kind]  # the spec checked the kind
     kwargs = {"name": f"{node.name}/{ispec.kind}", "quality": quality}
     if ispec.effective_rate_bps is not None:
         kwargs["effective_rate_bps"] = ispec.effective_rate_bps
@@ -445,6 +447,108 @@ def attach_roaming_client(
     feed_traffic(world, node, world.fleet.session_of(node.name))
 
 
+# -- shared station and outcome paths ------------------------------------------
+
+
+def _deliver(world: World, index: int, nbytes: int) -> None:
+    """Credit ``nbytes`` that reached node ``index`` to its count and playout."""
+    world.byte_counts[index] += nbytes
+    world.playouts[index].deliver(world.sim.now, nbytes)
+
+
+def _assemble_stations(world: World, card, make_station, sink) -> None:
+    """Per node, in spec order: a ``card()`` radio, a :class:`PlayoutBuffer`,
+    the station ``make_station(index, node, radio)`` and a traffic pump
+    into ``sink(node, station)`` — the psm, μNap and EC-MAC station path."""
+    sim = world.sim
+    world.byte_counts = [0] * len(world.spec.clients)
+    for index, node in enumerate(world.spec.clients):
+        radio = Radio(sim, card(), name=f"{node.name}/wlan")
+        world.playouts.append(
+            PlayoutBuffer(
+                drain_rate_bps=node.contract_rate_bps,
+                prebuffer_s=node.prebuffer_s,
+            )
+        )
+        world.radios[radio.name] = radio
+        station = make_station(index, node, radio)
+        world.stations.append(station)
+        start_traffic(world, node, sink(node, station))
+
+
+def _client_outcome(client: HotspotClient, session=None) -> ClientOutcome:
+    """A managed client's outcome (hotspot, unscheduled, fleet);
+    ``session`` is its server-side session, if it has one."""
+    return ClientOutcome(
+        name=client.name,
+        qos=client.finish(),
+        energy=client.energy_report(MP3_DECODE_BUSY_FRACTION),
+        wnic_average_power_w=client.wnic_average_power_w(),
+        bursts=client.bursts_received,
+        bytes_received=client.bytes_received,
+        switchovers=session.switchovers if session is not None else 0,
+        interface_log=list(session.interface_log) if session is not None else [],
+    )
+
+
+def _node_outcomes(
+    world: World, busy_fraction: float, bursts_attr: Optional[str] = None
+) -> List[ClientOutcome]:
+    """One outcome per single-radio node (psm, pamas, ecmac), in spec order.
+
+    QoS comes from the node's playout buffer, or is an untested
+    (maintained) contract in a world without playouts; energy is its one
+    radio's plus the platform's at ``busy_fraction``; ``bursts`` reads its
+    station's ``bursts_attr`` counter (0 where there is none).
+    """
+    duration = world.spec.duration_s
+    outcomes = []
+    for index, radio in enumerate(world.radios.values()):
+        name = world.spec.clients[index].name
+        bursts = 0
+        if bursts_attr is not None:
+            bursts = getattr(world.stations[index], bursts_attr, 0)
+        outcomes.append(
+            ClientOutcome(
+                name=name,
+                qos=(
+                    world.playouts[index].finish(duration)
+                    if world.playouts
+                    else QosSummary()
+                ),
+                energy=ClientEnergyReport(
+                    client=name,
+                    radios=[EnergyBreakdown.of(radio)],
+                    platform=world.platform,
+                    platform_busy_fraction=busy_fraction,
+                    elapsed_s=duration,
+                ),
+                wnic_average_power_w=radio.average_power_w(),
+                bursts=bursts,
+                bytes_received=world.byte_counts[index] if world.byte_counts else 0,
+            )
+        )
+    return outcomes
+
+
+def _result(
+    world: World,
+    default_label: str,
+    outcomes: List[ClientOutcome],
+    extras: Dict[str, object],
+) -> ScenarioResult:
+    """Every mode's :class:`ScenarioResult`; ``extras`` is already merged
+    with the spec's in the mode's own key order."""
+    return ScenarioResult(
+        label=world.spec.label or default_label,
+        duration_s=world.spec.duration_s,
+        clients=outcomes,
+        radios=world.radios,
+        server=world.server,
+        extras=extras,
+    )
+
+
 # -- delivery modes ------------------------------------------------------------
 
 
@@ -501,21 +605,10 @@ class _HotspotMode(_DeliveryMode):
             world.injector.start()
 
     def collect(self, world: World) -> ScenarioResult:
-        outcomes = []
-        for client in world.clients:
-            session = world.server.sessions[client.name]
-            outcomes.append(
-                ClientOutcome(
-                    name=client.name,
-                    qos=client.finish(),
-                    energy=client.energy_report(MP3_DECODE_BUSY_FRACTION),
-                    wnic_average_power_w=client.wnic_average_power_w(),
-                    bursts=client.bursts_received,
-                    bytes_received=client.bytes_received,
-                    switchovers=session.switchovers,
-                    interface_log=list(session.interface_log),
-                )
-            )
+        sessions = world.server.sessions
+        outcomes = [
+            _client_outcome(client, sessions[client.name]) for client in world.clients
+        ]
         extras: Dict[str, object] = {}
         if world.injector is not None:
             managed = [
@@ -526,19 +619,13 @@ class _HotspotMode(_DeliveryMode):
             extras = {
                 "faults_injected": world.injector.injected,
                 "radio_outages": sum(i.outages for i in managed),
-                "bursts_failed": sum(
-                    s.bursts_failed for s in world.server.sessions.values()
-                ),
+                "bursts_failed": sum(s.bursts_failed for s in sessions.values()),
             }
-        extras.update(world.spec.extras)
-        return ScenarioResult(
-            label=world.spec.label
-            or f"hotspot[{world.server.scheduler.name}]",
-            duration_s=world.spec.duration_s,
-            clients=outcomes,
-            radios=world.radios,
-            server=world.server,
-            extras=extras,
+        return _result(
+            world,
+            f"hotspot[{world.server.scheduler.name}]",
+            outcomes,
+            {**extras, **world.spec.extras},
         )
 
 
@@ -556,169 +643,104 @@ class _UnscheduledMode(_DeliveryMode):
 
     def _sink(self, world: World, client: HotspotClient, managed: ManagedInterface):
         sim = world.sim
+        # A frame costs the receive-vs-listen power delta for its airtime:
+        # rx/idle on the WLAN card, active/connected on Bluetooth.
+        receive, listen = (
+            ("rx", "idle")
+            if managed.radio.model.name == "wlan-cf"
+            else ("active", "connected")
+        )
 
         def deliver_frame(nbytes: int, kind: str, c=client, m=managed):
             c.playout.deliver(sim.now, nbytes)
             c.bytes_received += nbytes
-            if m.radio.model.name == "wlan-cf":
-                # Receive the frame: rx-vs-idle delta for its airtime.
-                airtime = nbytes * 8.0 / m.effective_rate_bps
-                delta = m.radio.model.power("rx") - m.radio.model.power("idle")
-                m.radio.add_energy_impulse(delta * airtime)
-            else:
-                # Bluetooth: active-vs-connected delta for the frame time.
-                airtime = nbytes * 8.0 / m.effective_rate_bps
-                delta = m.radio.model.power("active") - m.radio.model.power(
-                    "connected"
-                )
-                m.radio.add_energy_impulse(delta * airtime)
+            airtime = nbytes * 8.0 / m.effective_rate_bps
+            delta = m.radio.model.power(receive) - m.radio.model.power(listen)
+            m.radio.add_energy_impulse(delta * airtime)
 
         return deliver_frame
 
     def collect(self, world: World) -> ScenarioResult:
-        outcomes = [
-            ClientOutcome(
-                name=client.name,
-                qos=client.finish(),
-                energy=client.energy_report(MP3_DECODE_BUSY_FRACTION),
-                wnic_average_power_w=client.wnic_average_power_w(),
-                bursts=0,
-                bytes_received=client.bytes_received,
-            )
-            for client in world.clients
-        ]
-        return ScenarioResult(
-            label=world.spec.label or "unscheduled",
-            duration_s=world.spec.duration_s,
-            clients=outcomes,
-            radios=world.radios,
-            extras=dict(world.spec.extras),
-        )
+        outcomes = [_client_outcome(client) for client in world.clients]
+        return _result(world, "unscheduled", outcomes, dict(world.spec.extras))
 
 
 class _PsmMode(_DeliveryMode):
-    """Standard 802.11 power-save mode on the full packet-level MAC:
-    every frame flows through the AP, dozing stations fetch buffered
-    frames with the beacon/TIM/PS-Poll machinery."""
+    """802.11 on the packet-level MAC.  Downlink (the default): dozing
+    :class:`PsmStation`\\ s fetch AP-buffered frames via beacon/TIM/PS-Poll.
+    Uplink (``psm_direction`` extra): CAM :class:`DcfStation`\\ s push to
+    the AP.  ``power_policy`` ``"unap"``/``"cam"`` is the μNap world: uplink
+    senders with the fast-doze radio on a :class:`SpatialMedium`, where
+    every station overhears every frame and naps through others'
+    reservations (``"cam"``: the same world, never napping)."""
 
     def assemble(self, world: World) -> None:
-        from repro.mac import AccessPoint, DcfStation, Medium, PsmConfig, PsmStation
-
-        if world.spec.power_policy in ("unap", "cam"):
-            # The μNap world (and its fair always-awake baseline) shares
-            # the PSM mode's uplink plumbing but swaps the medium, the
-            # radio model and the power policy; a separate assembly path
-            # keeps the historical PSM event sequence byte-identical.
-            self._assemble_unap(world)
-            return
-        sim = world.sim
-        extras = world.spec.extras
-        # The psm-crossval preset parameterises the PSM stack through
-        # spec extras; their absence keeps the historical assembly (and
-        # its byte-identical goldens) untouched.
-        listen_interval = int(extras.get("psm_listen_interval") or 0)
-        uplink = extras.get("psm_direction") == "uplink"
-        psm = PsmConfig(listen_interval=listen_interval) if listen_interval else None
-        world.medium = Medium(sim)
-        world.byte_counts = [0] * len(world.spec.clients)
-        ap_receive = None
-        if uplink:
-            index_of = {n.name: i for i, n in enumerate(world.spec.clients)}
-
-            def ap_receive(frame):
-                i = index_of.get(frame.source)
-                if i is not None:
-                    world.byte_counts[i] += frame.payload_bytes
-                    world.playouts[i].deliver(sim.now, frame.payload_bytes)
-
-        world.access_point = AccessPoint(
-            sim,
-            world.medium,
-            "ap",
-            rng=world.streams.stream("ap"),
-            on_receive=ap_receive,
-        )
-        for index, node in enumerate(world.spec.clients):
-            radio = Radio(sim, wlan_cf_card(), name=f"{node.name}/wlan")
-            playout = PlayoutBuffer(
-                drain_rate_bps=node.contract_rate_bps,
-                prebuffer_s=node.prebuffer_s,
-            )
-            world.playouts.append(playout)
-            world.radios[radio.name] = radio
-
-            if uplink:
-                # CAM sender: a plain DCF station pushing to the AP,
-                # radio pinned awake (idle/tx) for the whole run.
-                station = DcfStation(
-                    sim,
-                    world.medium,
-                    node.name,
-                    rng=world.streams.stream(node.name),
-                    radio=radio,
-                )
-                world.stations.append(station)
-
-                def to_station(nbytes: int, kind: str, st=station):
-                    st.send("ap", nbytes)
-
-                start_traffic(world, node, to_station)
-                continue
-
-            def on_receive(frame, p=playout, i=index):
-                p.deliver(sim.now, frame.payload_bytes)
-                world.byte_counts[i] += frame.payload_bytes
-
-            station = PsmStation(
-                sim,
-                world.medium,
-                node.name,
-                world.access_point,
-                radio,
-                rng=world.streams.stream(node.name),
-                psm=psm,
-                on_receive=on_receive,
-            )
-            world.stations.append(station)
-
-            def to_ap(nbytes: int, kind: str, n=node.name):
-                world.access_point.send_data(n, nbytes)
-
-            start_traffic(world, node, to_ap)
-
-    def _assemble_unap(self, world: World) -> None:
-        """Uplink senders on a broadcast-overheard medium, policy-driven.
-
-        Every station is a plain CAM :class:`DcfStation` carrying the
-        μNap fast-doze radio; the spec's ``power_policy`` decides whether
-        it actually naps (``"unap"``) or stays awake (``"cam"``, the
-        fair baseline — identical assembly, never sleeps).  The
-        :class:`SpatialMedium` delivers every frame to every station, so
-        overheard RTS/CTS reservations and foreign data tails become nap
-        opportunities exactly as in the μNap paper.
-        """
         from repro.devices.profiles import unap_wlan_card
         from repro.mac import (
             AccessPoint,
             CamPolicy,
             DcfConfig,
             DcfStation,
+            Medium,
             MicroNapPolicy,
+            PsmConfig,
+            PsmStation,
             SpatialMedium,
         )
 
         sim = world.sim
         spec = world.spec
-        rts_threshold = spec.extras.get("rts_threshold_bytes")
-        world.medium = SpatialMedium(sim)
-        world.byte_counts = [0] * len(spec.clients)
-        index_of = {n.name: i for i, n in enumerate(spec.clients)}
+        extras = spec.extras
+        unap = spec.power_policy in ("unap", "cam")
+        uplink = unap or extras.get("psm_direction") == "uplink"
+        world.medium = SpatialMedium(sim) if unap else Medium(sim)
+        if uplink:
+            index_of = {n.name: i for i, n in enumerate(spec.clients)}
 
-        def ap_receive(frame):
-            i = index_of.get(frame.source)
-            if i is not None:
-                world.byte_counts[i] += frame.payload_bytes
-                world.playouts[i].deliver(sim.now, frame.payload_bytes)
+            def ap_receive(frame):
+                i = index_of.get(frame.source)
+                if i is not None:
+                    _deliver(world, i, frame.payload_bytes)
+
+            rts_threshold = extras.get("rts_threshold_bytes")
+            policy = {"unap": MicroNapPolicy, "cam": CamPolicy}.get(spec.power_policy)
+
+            def make_station(index, node, radio):
+                return DcfStation(
+                    sim,
+                    world.medium,
+                    node.name,
+                    rng=world.streams.stream(node.name),
+                    config=DcfConfig(rts_threshold_bytes=rts_threshold),
+                    radio=radio,
+                    power_policy=policy() if policy is not None else None,
+                )
+
+            def sink(node, station):
+                return lambda nbytes, kind: station.send("ap", nbytes)
+
+        else:
+            ap_receive = None
+            # The psm-crossval preset sets the listen interval through
+            # spec extras; without it stations keep the default config.
+            listen_interval = int(extras.get("psm_listen_interval") or 0)
+            psm = PsmConfig(listen_interval=listen_interval) if listen_interval else None
+
+            def make_station(index, node, radio):
+                return PsmStation(
+                    sim,
+                    world.medium,
+                    node.name,
+                    world.access_point,
+                    radio,
+                    rng=world.streams.stream(node.name),
+                    psm=psm,
+                    on_receive=lambda frame: _deliver(world, index, frame.payload_bytes),
+                )
+
+            def sink(node, station):
+                ap = world.access_point
+                return lambda nbytes, kind, n=node.name: ap.send_data(n, nbytes)
 
         world.access_point = AccessPoint(
             sim,
@@ -727,87 +749,31 @@ class _PsmMode(_DeliveryMode):
             rng=world.streams.stream("ap"),
             on_receive=ap_receive,
         )
-        for node in spec.clients:
-            radio = Radio(sim, unap_wlan_card(), name=f"{node.name}/wlan")
-            playout = PlayoutBuffer(
-                drain_rate_bps=node.contract_rate_bps,
-                prebuffer_s=node.prebuffer_s,
-            )
-            world.playouts.append(playout)
-            world.radios[radio.name] = radio
-            policy = (
-                MicroNapPolicy() if spec.power_policy == "unap" else CamPolicy()
-            )
-            station = DcfStation(
-                sim,
-                world.medium,
-                node.name,
-                rng=world.streams.stream(node.name),
-                config=DcfConfig(rts_threshold_bytes=rts_threshold),
-                radio=radio,
-                power_policy=policy,
-            )
-            world.stations.append(station)
-
-            def to_station(nbytes: int, kind: str, st=station):
-                st.send("ap", nbytes)
-
-            start_traffic(world, node, to_station)
+        card = unap_wlan_card if unap else wlan_cf_card
+        _assemble_stations(world, card, make_station, sink)
 
     def collect(self, world: World) -> ScenarioResult:
-        duration = world.spec.duration_s
-        outcomes = []
-        for index, radio in enumerate(world.radios.values()):
-            node = world.spec.clients[index]
-            qos = world.playouts[index].finish(duration)
-            outcomes.append(
-                ClientOutcome(
-                    name=node.name,
-                    qos=qos,
-                    energy=ClientEnergyReport(
-                        client=node.name,
-                        radios=[EnergyBreakdown.of(radio)],
-                        platform=world.platform,
-                        platform_busy_fraction=MP3_DECODE_BUSY_FRACTION,
-                        elapsed_s=duration,
-                    ),
-                    wnic_average_power_w=radio.average_power_w(),
-                    bursts=getattr(world.stations[index], "polls_sent", 0),
-                    bytes_received=world.byte_counts[index],
-                )
-            )
         extras: Dict[str, object] = dict(world.spec.extras)
-        naps = 0
-        napped_s = 0.0
-        nap_policies = 0
-        for station in world.stations:
-            policy = getattr(station, "power_policy", None)
-            if policy is not None and hasattr(policy, "naps"):
-                nap_policies += 1
-                naps += policy.naps
-                napped_s += policy.napped_s
-        if nap_policies:
+        policies = [
+            station.power_policy
+            for station in world.stations
+            if hasattr(getattr(station, "power_policy", None), "naps")
+        ]
+        if policies:
             # μNap evidence: nap counts plus the sub-10ms doze dwells
             # only micro-sleeping can produce (PSM dozes at ~100 ms).
-            extras["naps"] = naps
-            extras["napped_s"] = napped_s
+            extras["naps"] = sum(policy.naps for policy in policies)
+            extras["napped_s"] = sum(policy.napped_s for policy in policies)
             extras["micro_doze_dwells"] = sum(
                 sum(radio.dwell_histogram("doze")[:3])
                 for radio in world.radios.values()
             )
-        label = world.spec.label
-        if label is None:
-            label = (
-                f"unap-hotspot[{world.spec.power_policy}]"
-                if world.spec.power_policy in ("unap", "cam")
-                else "802.11-psm"
-            )
-        return ScenarioResult(
-            label=label,
-            duration_s=duration,
-            clients=outcomes,
-            radios=world.radios,
-            extras=extras,
+        policy = world.spec.power_policy
+        return _result(
+            world,
+            f"unap-hotspot[{policy}]" if policy in ("unap", "cam") else "802.11-psm",
+            _node_outcomes(world, MP3_DECODE_BUSY_FRACTION, "polls_sent"),
+            extras,
         )
 
 
@@ -831,21 +797,10 @@ class _FleetMode(_DeliveryMode):
         world.handoff.start()
 
     def collect(self, world: World) -> ScenarioResult:
-        outcomes = []
-        for client in world.clients:
-            session = world.fleet.session_of(client.name)
-            outcomes.append(
-                ClientOutcome(
-                    name=client.name,
-                    qos=client.finish(),
-                    energy=client.energy_report(MP3_DECODE_BUSY_FRACTION),
-                    wnic_average_power_w=client.wnic_average_power_w(),
-                    bursts=client.bursts_received,
-                    bytes_received=client.bytes_received,
-                    switchovers=session.switchovers,
-                    interface_log=list(session.interface_log),
-                )
-            )
+        outcomes = [
+            _client_outcome(client, world.fleet.session_of(client.name))
+            for client in world.clients
+        ]
         extras: Dict[str, object] = {
             "n_aps": world.spec.fleet.n_aps,
             "handoffs": world.handoff.handoffs,
@@ -856,13 +811,8 @@ class _FleetMode(_DeliveryMode):
             "cells": world.fleet.cell_summary(),
             "handoff_timeline": world.handoff.timeline_records(),
         }
-        extras.update(world.spec.extras)
-        return ScenarioResult(
-            label=fleet_label(world.spec),
-            duration_s=world.spec.duration_s,
-            clients=outcomes,
-            radios=world.radios,
-            extras=extras,
+        return _result(
+            world, fleet_label(world.spec), outcomes, {**extras, **world.spec.extras}
         )
 
 
@@ -873,7 +823,7 @@ class _PamasMode(_DeliveryMode):
     availability-versus-lifetime trade, not a QoS contract."""
 
     def assemble(self, world: World) -> None:
-        from repro.mac import PamasNode, aggressive_sleep_policy, linear_sleep_policy
+        from repro.mac import PamasNode, linear_sleep_policy
         from repro.phy.battery import Battery
 
         sim = world.sim
@@ -881,12 +831,7 @@ class _PamasMode(_DeliveryMode):
         capacity_j = float(extras.get("pamas_capacity_j") or 50.0)
         cycle_s = float(extras.get("pamas_cycle_s") or 1.0)
         threshold = float(extras.get("pamas_threshold") or 0.8)
-        duty = extras.get("pamas_duty")
-        policy = (
-            aggressive_sleep_policy(float(duty))
-            if duty is not None
-            else linear_sleep_policy(threshold=threshold)
-        )
+        policy = linear_sleep_policy(threshold=threshold)
         self.nodes: List[PamasNode] = []
         for node in world.spec.clients:
             radio = Radio(sim, wlan_cf_card(), name=f"{node.name}/wlan")
@@ -897,49 +842,20 @@ class _PamasMode(_DeliveryMode):
             )
 
     def collect(self, world: World) -> ScenarioResult:
-        from repro.metrics.qos import QosSummary
-
-        duration = world.spec.duration_s
-        outcomes = []
-        deaths = 0
-        availability_total = 0.0
-        for index, radio in enumerate(world.radios.values()):
-            node_spec = world.spec.clients[index]
-            pamas = self.nodes[index]
-            if pamas.stats.died_at_s is not None:
-                deaths += 1
-            availability_total += pamas.stats.availability
-            outcomes.append(
-                ClientOutcome(
-                    name=node_spec.name,
-                    # No stream contract in a PAMAS world; the default
-                    # summary reports an untested (maintained) contract.
-                    qos=QosSummary(),
-                    energy=ClientEnergyReport(
-                        client=node_spec.name,
-                        radios=[EnergyBreakdown.of(radio)],
-                        platform=world.platform,
-                        platform_busy_fraction=0.0,
-                        elapsed_s=duration,
-                    ),
-                    wnic_average_power_w=radio.average_power_w(),
-                    bursts=0,
-                    bytes_received=0,
-                )
-            )
+        nodes = self.nodes
         extras: Dict[str, object] = {
-            "nodes_died": deaths,
+            "nodes_died": sum(node.stats.died_at_s is not None for node in nodes),
             "mean_availability": (
-                availability_total / len(self.nodes) if self.nodes else 0.0
+                sum(node.stats.availability for node in nodes) / len(nodes)
+                if nodes
+                else 0.0
             ),
         }
-        extras.update(world.spec.extras)
-        return ScenarioResult(
-            label=world.spec.label or "pamas",
-            duration_s=duration,
-            clients=outcomes,
-            radios=world.radios,
-            extras=extras,
+        return _result(
+            world,
+            "pamas",
+            _node_outcomes(world, 0.0),
+            {**extras, **world.spec.extras},
         )
 
 
@@ -953,76 +869,38 @@ class _EcMacMode(_DeliveryMode):
         from repro.mac import EcMacConfig, EcMacCoordinator, EcMacStation, Medium
 
         sim = world.sim
-        extras = world.spec.extras
-        superframe_s = float(extras.get("ecmac_superframe_s") or 0.050)
-        config = EcMacConfig(superframe_s=superframe_s)
+        superframe_s = float(world.spec.extras.get("ecmac_superframe_s") or 0.050)
         world.medium = Medium(sim)
-        world.byte_counts = [0] * len(world.spec.clients)
-        self.coordinator = EcMacCoordinator(
-            sim, world.medium, "ecmac-ap", config=config
+        coordinator = self.coordinator = EcMacCoordinator(
+            sim, world.medium, "ecmac-ap", config=EcMacConfig(superframe_s=superframe_s)
         )
-        for index, node in enumerate(world.spec.clients):
-            radio = Radio(sim, wlan_cf_card(), name=f"{node.name}/wlan")
-            playout = PlayoutBuffer(
-                drain_rate_bps=node.contract_rate_bps,
-                prebuffer_s=node.prebuffer_s,
-            )
-            world.playouts.append(playout)
-            world.radios[radio.name] = radio
 
-            def on_receive(frame, p=playout, i=index):
-                p.deliver(sim.now, frame.payload_bytes)
-                world.byte_counts[i] += frame.payload_bytes
-
-            station = EcMacStation(
+        def make_station(index, node, radio):
+            return EcMacStation(
                 sim,
                 world.medium,
                 node.name,
-                self.coordinator,
+                coordinator,
                 radio,
-                on_receive=on_receive,
+                on_receive=lambda frame: _deliver(world, index, frame.payload_bytes),
             )
-            world.stations.append(station)
 
-            def to_coordinator(nbytes: int, kind: str, n=node.name):
-                self.coordinator.send_data(n, nbytes)
+        def sink(node, station):
+            return lambda nbytes, kind, n=node.name: coordinator.send_data(n, nbytes)
 
-            start_traffic(world, node, to_coordinator)
+        _assemble_stations(world, wlan_cf_card, make_station, sink)
 
     def collect(self, world: World) -> ScenarioResult:
-        duration = world.spec.duration_s
-        outcomes = []
-        for index, radio in enumerate(world.radios.values()):
-            node = world.spec.clients[index]
-            station = world.stations[index]
-            outcomes.append(
-                ClientOutcome(
-                    name=node.name,
-                    qos=world.playouts[index].finish(duration),
-                    energy=ClientEnergyReport(
-                        client=node.name,
-                        radios=[EnergyBreakdown.of(radio)],
-                        platform=world.platform,
-                        platform_busy_fraction=MP3_DECODE_BUSY_FRACTION,
-                        elapsed_s=duration,
-                    ),
-                    wnic_average_power_w=radio.average_power_w(),
-                    bursts=getattr(station, "schedules_heard", 0),
-                    bytes_received=world.byte_counts[index],
-                )
-            )
         extras: Dict[str, object] = {
             "superframes": self.coordinator.superframes,
             "frames_scheduled": self.coordinator.frames_scheduled,
             "ecmac_retransmissions": self.coordinator.retransmissions,
         }
-        extras.update(world.spec.extras)
-        return ScenarioResult(
-            label=world.spec.label or "ec-mac",
-            duration_s=duration,
-            clients=outcomes,
-            radios=world.radios,
-            extras=extras,
+        return _result(
+            world,
+            "ec-mac",
+            _node_outcomes(world, MP3_DECODE_BUSY_FRACTION, "schedules_heard"),
+            {**extras, **world.spec.extras},
         )
 
 

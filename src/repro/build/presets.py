@@ -304,8 +304,8 @@ def unap_hotspot_world(
     medium with RTS/CTS protection, so each data exchange announces a
     NAV reservation the *other* stations can nap through.
     ``power_policy="unap"`` naps (the μNap technique);
-    ``power_policy="cam"`` is the byte-for-byte identical assembly that
-    never sleeps — the fair baseline for the energy-saving claim.
+    ``power_policy="cam"`` builds the same stations, medium and radios
+    but never sleeps — the fair baseline for the energy-saving claim.
     """
     _PACKET_BYTES.check("unap_hotspot_world.packet_bytes", packet_bytes)
     _UNAP_POLICY.check("unap_hotspot_world.power_policy", power_policy)
@@ -316,7 +316,7 @@ def unap_hotspot_world(
         label=f"unap-hotspot[{power_policy}]",
         clients=uniform_nodes(
             n_clients,
-            [InterfaceSpec("wlan", power_policy=power_policy)],
+            [InterfaceSpec("wlan")],
             TrafficSpec(
                 "poisson",
                 bitrate_bps=offered_load_bps,

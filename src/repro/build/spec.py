@@ -65,20 +65,12 @@ class InterfaceSpec:
         client's cell association instead.
     effective_rate_bps:
         Override the interface's default burst goodput.
-    power_policy:
-        Name of a registered :mod:`repro.mac.powersave` policy to drive
-        this interface's doze/wake decisions (``"cam"``, ``"psm"``,
-        ``"unap"``).  ``None`` inherits the world-level policy (or the
-        delivery mode's historical default).
     """
 
     kind: str = domain(str, choices=INTERFACE_KINDS)
     quality_script: Optional[Tuple[Tuple[float, float], ...]] = None
     effective_rate_bps: Optional[float] = domain(
         float, gt=0, optional=True, default=None
-    )
-    power_policy: Optional[str] = domain(
-        str, choices=power_policy_names, optional=True, default=None
     )
 
     def __post_init__(self) -> None:
@@ -231,8 +223,10 @@ class WorldSpec:
         How bytes reach clients: ``"hotspot"`` (the paper's scheduled
         bursts under a server resource manager), ``"unscheduled"``
         (Figure-2 baseline, WNIC always listening), ``"psm"``
-        (standard 802.11 PSM on the packet-level MAC) or ``"fleet"``
-        (many hotspot cells with roaming, requires ``fleet``).
+        (standard 802.11 PSM on the packet-level MAC), ``"fleet"``
+        (many hotspot cells with roaming, requires ``fleet``),
+        ``"pamas"`` (battery-aware independent sleeping, no traffic) or
+        ``"ecmac"`` (EC-MAC scheduled superframes).
     duration_s / seed:
         Run length and master random seed.
     clients:
@@ -252,11 +246,11 @@ class WorldSpec:
     fleet:
         The :class:`FleetSpec` for ``delivery="fleet"``.
     power_policy:
-        World-default :mod:`repro.mac.powersave` policy name applied to
-        every wlan interface that does not override it (``"cam"``,
-        ``"psm"``, ``"unap"``).  ``None`` keeps each delivery mode's
-        historical behaviour (PSM stations run static PSM, everything
-        else stays constantly awake).
+        A :mod:`repro.mac.powersave` policy name, for ``delivery="psm"``
+        only (any other delivery raises :class:`SpecError`).  ``"unap"``
+        builds the μNap world of uplink senders that nap through
+        overheard reservations, ``"cam"`` the same world never napping;
+        ``None`` or ``"psm"`` keeps standard 802.11 PSM stations.
     """
 
     delivery: str = domain(str, choices=DELIVERY_MODES, default="hotspot")
@@ -281,6 +275,11 @@ class WorldSpec:
 
     def __post_init__(self) -> None:
         validate(self)
+        if self.power_policy is not None and self.delivery != "psm":
+            raise SpecError(
+                "WorldSpec.power_policy applies only to delivery='psm'; "
+                f"got {self.power_policy!r} with delivery={self.delivery!r}"
+            )
         if self.delivery == "fleet" and self.fleet is None:
             self.fleet = FleetSpec()
         self.clients = tuple(self.clients)

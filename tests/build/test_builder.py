@@ -136,6 +136,43 @@ class TestCustomWorlds:
         record = WorldBuilder(spec).run().summary_record()
         assert record["experiment"] == "e1"
 
+    @pytest.mark.parametrize(
+        "delivery, policy, label, extras",
+        [
+            ("hotspot", None, "hotspot[edf]", []),
+            ("unscheduled", None, "unscheduled", []),
+            ("psm", None, "802.11-psm", []),
+            ("psm", "unap", "unap-hotspot[unap]", ["naps", "napped_s", "micro_doze_dwells"]),
+            ("psm", "cam", "unap-hotspot[cam]", []),
+            (
+                "fleet",
+                None,
+                "fleet-hotspot[edf]",
+                [
+                    "n_aps", "handoffs", "handoff_suspensions", "handoffs_declined",
+                    "association_churn", "admission_rejections", "cells",
+                    "handoff_timeline",
+                ],
+            ),
+            ("pamas", None, "pamas", ["nodes_died", "mean_availability"]),
+            ("ecmac", None, "ec-mac", ["superframes", "frames_scheduled", "ecmac_retransmissions"]),
+        ],
+    )
+    def test_unlabelled_spec_gets_the_mode_default(self, delivery, policy, label, extras):
+        # Every preset sets a label and extras; a hand-built spec sets
+        # neither, so the mode's default label and its own extras show.
+        spec = WorldSpec(
+            delivery=delivery,
+            duration_s=2.0,
+            seed=1,
+            clients=uniform_nodes(2, [InterfaceSpec("wlan")], TrafficSpec()),
+            power_policy=policy,
+        )
+        result = WorldBuilder(spec).run()
+        assert result.label == label
+        assert list(result.extras) == extras
+        assert [c.name for c in result.clients] == ["client0", "client1"]
+
     def test_registry_runner_matches_builder_direct(self):
         via_registry = get_scenario("hotspot")(n_clients=2, duration_s=5.0, seed=3)
         via_builder = WorldBuilder(_short_hotspot()).run()

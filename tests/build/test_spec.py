@@ -1,15 +1,18 @@
 """WorldSpec and friends: validation, normalisation, description."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from repro._domain import SpecError
 from repro.build import (
     FleetSpec,
     InterfaceSpec,
     NodeSpec,
     TrafficSpec,
     WorldSpec,
+    hotspot_world,
     uniform_nodes,
 )
 
@@ -74,6 +77,18 @@ class TestWorldSpec:
     def test_rejects_non_finite_or_negative_duration(self, duration):
         with pytest.raises(ValueError, match="duration_s must be finite"):
             WorldSpec(duration_s=duration)
+
+    @pytest.mark.parametrize("policy", ["cam", "psm", "unap"])
+    @pytest.mark.parametrize("delivery", ["hotspot", "unscheduled", "fleet", "pamas", "ecmac"])
+    def test_power_policy_outside_psm_rejected(self, delivery, policy):
+        # Only the psm world reads power_policy; anywhere else it was a
+        # validated knob that changed nothing.
+        with pytest.raises(SpecError, match=r"^WorldSpec\.power_policy applies only to "):
+            WorldSpec(delivery=delivery, power_policy=policy)
+
+    def test_power_policy_rejected_on_a_hotspot_preset(self):
+        with pytest.raises(SpecError, match=r"^WorldSpec\.power_policy "):
+            replace(hotspot_world(n_clients=2, duration_s=10), power_policy="unap")
 
     def test_fleet_delivery_gets_default_fleet_spec(self):
         spec = WorldSpec(delivery="fleet")

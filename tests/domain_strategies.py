@@ -43,6 +43,7 @@ CROSS_FIELD: Dict[type, Callable[[Mapping[str, Any]], bool]] = {
     FleetSpec: lambda kw: kw["deployment"] != "grid"
     or kw["grid_rows"] >= 1 <= kw["grid_cols"],
     UnapParams: lambda kw: kw["rts_threshold_bytes"] <= kw["packet_bytes"],
+    WorldSpec: lambda kw: kw["power_policy"] is None or kw["delivery"] == "psm",
 }
 
 
