@@ -678,7 +678,6 @@ class _PsmMode(_DeliveryMode):
         from repro.devices.profiles import unap_wlan_card
         from repro.mac import (
             AccessPoint,
-            CamPolicy,
             DcfConfig,
             DcfStation,
             Medium,
@@ -703,7 +702,7 @@ class _PsmMode(_DeliveryMode):
                     _deliver(world, i, frame.payload_bytes)
 
             rts_threshold = extras.get("rts_threshold_bytes")
-            policy = {"unap": MicroNapPolicy, "cam": CamPolicy}.get(spec.power_policy)
+            nap = spec.power_policy == "unap"
 
             def make_station(index, node, radio):
                 return DcfStation(
@@ -713,7 +712,7 @@ class _PsmMode(_DeliveryMode):
                     rng=world.streams.stream(node.name),
                     config=DcfConfig(rts_threshold_bytes=rts_threshold),
                     radio=radio,
-                    power_policy=policy() if policy is not None else None,
+                    power_policy=MicroNapPolicy() if nap else None,
                 )
 
             def sink(node, station):
@@ -721,10 +720,7 @@ class _PsmMode(_DeliveryMode):
 
         else:
             ap_receive = None
-            # The psm-crossval preset sets the listen interval through
-            # spec extras; without it stations keep the default config.
-            listen_interval = int(extras.get("psm_listen_interval") or 0)
-            psm = PsmConfig(listen_interval=listen_interval) if listen_interval else None
+            psm = PsmConfig(listen_interval=int(extras.get("psm_listen_interval", 1)))
 
             def make_station(index, node, radio):
                 return PsmStation(
@@ -757,7 +753,7 @@ class _PsmMode(_DeliveryMode):
         policies = [
             station.power_policy
             for station in world.stations
-            if hasattr(getattr(station, "power_policy", None), "naps")
+            if station.power_policy is not None
         ]
         if policies:
             # μNap evidence: nap counts plus the sub-10ms doze dwells
@@ -828,9 +824,9 @@ class _PamasMode(_DeliveryMode):
 
         sim = world.sim
         extras = world.spec.extras
-        capacity_j = float(extras.get("pamas_capacity_j") or 50.0)
-        cycle_s = float(extras.get("pamas_cycle_s") or 1.0)
-        threshold = float(extras.get("pamas_threshold") or 0.8)
+        capacity_j = float(extras.get("pamas_capacity_j", 50.0))
+        cycle_s = float(extras.get("pamas_cycle_s", 1.0))
+        threshold = float(extras.get("pamas_threshold", 0.8))
         policy = linear_sleep_policy(threshold=threshold)
         self.nodes: List[PamasNode] = []
         for node in world.spec.clients:
@@ -869,7 +865,7 @@ class _EcMacMode(_DeliveryMode):
         from repro.mac import EcMacConfig, EcMacCoordinator, EcMacStation, Medium
 
         sim = world.sim
-        superframe_s = float(world.spec.extras.get("ecmac_superframe_s") or 0.050)
+        superframe_s = float(world.spec.extras.get("ecmac_superframe_s", 0.050))
         world.medium = Medium(sim)
         coordinator = self.coordinator = EcMacCoordinator(
             sim, world.medium, "ecmac-ap", config=EcMacConfig(superframe_s=superframe_s)

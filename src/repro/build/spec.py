@@ -29,13 +29,27 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro._domain import Domain, SpecError, domain, validate
 from repro.apps.traffic import traffic_kinds
-from repro.mac.powersave import power_policy_names
 
 #: Delivery flavours the builder knows how to assemble.
 DELIVERY_MODES = ("hotspot", "unscheduled", "psm", "fleet", "pamas", "ecmac")
 
 #: Interface kinds the builder can construct.
 INTERFACE_KINDS = ("wlan", "bluetooth", "gprs")
+
+#: Station power policies a ``psm`` world can run.
+POWER_POLICIES = ("cam", "psm", "unap")
+
+#: The builder's knobs in ``WorldSpec.extras``, each held to the rule its
+#: consumer enforces; any other key passes through untouched.
+_EXTRAS = {
+    "psm_listen_interval": Domain(int, ge=1),  # PsmStation
+    "psm_direction": Domain(str, choices=("downlink", "uplink")),
+    "rts_threshold_bytes": Domain(int, ge=0, optional=True),  # DcfConfig
+    "pamas_capacity_j": Domain(float, gt=0),  # Battery
+    "pamas_cycle_s": Domain(float, gt=0),  # PamasNode
+    "pamas_threshold": Domain(float, gt=0, le=1),  # linear_sleep_policy
+    "ecmac_superframe_s": Domain(float, gt=0),  # EcMacConfig
+}
 
 
 def _view(value: Any) -> Any:
@@ -246,7 +260,7 @@ class WorldSpec:
     fleet:
         The :class:`FleetSpec` for ``delivery="fleet"``.
     power_policy:
-        A :mod:`repro.mac.powersave` policy name, for ``delivery="psm"``
+        One of :data:`POWER_POLICIES`, for ``delivery="psm"``
         only (any other delivery raises :class:`SpecError`).  ``"unap"``
         builds the μNap world of uplink senders that nap through
         overheard reservations, ``"cam"`` the same world never napping;
@@ -267,14 +281,19 @@ class WorldSpec:
     fault_plan: Optional[Union[Any, Callable[..., Any]]] = None
     fleet: Optional[FleetSpec] = None
     power_policy: Optional[str] = domain(
-        str, choices=power_policy_names, optional=True, default=None
+        str, choices=POWER_POLICIES, optional=True, default=None
     )
     #: Free-form metadata carried through to ``ScenarioResult.extras``
-    #: untouched (must stay JSON-serialisable and deterministic).
+    #: untouched (must stay JSON-serialisable and deterministic); the
+    #: builder's own knobs among them are checked against ``_EXTRAS``.
     extras: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         validate(self)
+        for key, value in self.extras.items():
+            rule = _EXTRAS.get(key)
+            if rule is not None:
+                rule.check(f"WorldSpec.extras[{key!r}]", value)
         if self.power_policy is not None and self.delivery != "psm":
             raise SpecError(
                 "WorldSpec.power_policy applies only to delivery='psm'; "

@@ -4,9 +4,8 @@ Implements every MAC-level technique the paper's survey names:
 
 - :mod:`repro.mac.dcf` — the 802.11 distributed coordination function
   (CSMA/CA with binary exponential backoff) as the contention substrate;
-- :mod:`repro.mac.powersave` — the pluggable :class:`PowerPolicy` seam all
-  station doze/wake decisions route through (CAM, static PSM, μNap
-  micro-sleeps), with a registry for naming policies in specs;
+- :mod:`repro.mac.powersave` — μNap micro-sleeps, the observer a DCF
+  station may take to doze through other stations' reservations;
 - :mod:`repro.mac.psm` — the 802.11 power-saving standard: beacons carry a
   traffic-indication map, dozing stations wake per beacon and PS-Poll for
   buffered frames;
@@ -28,14 +27,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         "frames": ("Dot11Timing", "Frame", "FrameKind"),
         "medium": ("Medium",),
         "dcf": ("DcfConfig", "DcfStation"),
-        "powersave": (
-            "CamPolicy",
-            "MicroNapPolicy",
-            "PowerPolicy",
-            "StaticPsmPolicy",
-            "power_policy_names",
-            "register_power_policy",
-        ),
+        "powersave": ("MicroNapPolicy",),
         "psm": ("AccessPoint", "PsmConfig", "PsmStation"),
         "ecmac": (
             "EcMacConfig",

@@ -30,7 +30,7 @@ from repro.sim.resources import Store
 from repro.sim.streams import Random, RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mac.powersave import PowerPolicy
+    from repro.mac.powersave import MicroNapPolicy
     from repro.phy.radio import Radio
     from repro.sim.core import Simulator
 
@@ -78,10 +78,10 @@ class DcfStation:
         Callback ``f(frame)`` invoked for each *new* (deduplicated) data
         frame addressed to this station.
     power_policy:
-        Optional :class:`~repro.mac.powersave.PowerPolicy` that observes
-        MAC events (NAV reservations, exchange completions) and may run
-        its own doze/wake driver.  ``None`` keeps the historical
-        always-on behaviour with zero dispatch overhead.
+        Optional :class:`~repro.mac.powersave.MicroNapPolicy` that hears
+        of overheard reservations and of this station's finished
+        exchanges, and naps through the former.  ``None`` keeps the
+        radio on with zero dispatch overhead.
     """
 
     def __init__(
@@ -93,7 +93,7 @@ class DcfStation:
         config: Optional[DcfConfig] = None,
         radio: Optional["Radio"] = None,
         on_receive: Optional[Callable[[Frame], None]] = None,
-        power_policy: Optional["PowerPolicy"] = None,
+        power_policy: Optional["MicroNapPolicy"] = None,
     ) -> None:
         self.sim = sim
         self.medium = medium

@@ -1,38 +1,4 @@
-"""Pluggable power-management policies for 802.11 stations.
-
-The paper surveys *techniques* (plural) for WLAN power saving, but the
-MAC layer used to hard-wire exactly one of them — 802.11 PSM — into
-:class:`~repro.mac.psm.PsmStation`.  This module turns the doze/wake
-decision into a *policy seam*: every station-side sleep decision routes
-through an installed :class:`PowerPolicy`, so PSM, μNap micro-sleeps and
-the CAM (constantly-awake) baseline are interchangeable ~100-line
-policies rather than forks of the station code.
-
-Policies implement a small hook contract (see :class:`PowerPolicy`):
-
-- ``on_beacon`` / ``on_tim_hit`` / ``on_tim_miss`` — beacon/TIM events
-  from the PSM machinery;
-- ``on_nav_set`` — the station overheard a reservation (an RTS/CTS
-  duration field, or the implicit SIFS+ACK tail of a foreign data
-  frame): the medium is spoken for until the given time;
-- ``on_exchange_end`` — the station's own frame exchange completed;
-- ``sleep_opportunity(now)`` — pure query: may the radio sleep *right
-  now*, and until when?  Returns ``(doze_until, state)`` or ``None``.
-
-Determinism rules (pinned by the golden-equivalence tests):
-
-- Hooks are invoked synchronously from the station's existing event
-  cascade and create no process.  The one event a hook may schedule is
-  μNap's zero-delay nap kick, queued behind everything already due in
-  the instant; its callback re-checks and runs the nap as a callback
-  chain.  Anything longer-lived is a driver process (PSM's cycles).
-- :class:`StaticPsmPolicy` reproduces the historical ``PsmStation``
-  sleep/wake loop *byte-identically* — its ``cycles`` generator is the
-  verbatim event sequence the checked-in goldens pin.
-- Policy dispatch stays off the DCF hot path: a station without a
-  policy (``power_policy=None``) takes exactly the pre-seam code path,
-  and the backoff countdown in ``DcfStation._contention`` never
-  consults the policy.
+"""μNap: micro-sleeps through other stations' reservations.
 
 μNap (:class:`MicroNapPolicy`) follows Azcorra et al., *μNap: Practical
 micro-sleeps for 802.11 WLANs* (PAPERS.md): a station that overhears a
@@ -44,11 +10,21 @@ sleep+wake transition round-trip and the energy break-even point implied
 by the card's transition costs (μNap's measured transition overheads are
 of the order of tens to hundreds of microseconds — see
 ``repro.devices.profiles.unap_wlan_card``).
+
+The policy is the one observer a :class:`~repro.mac.dcf.DcfStation`
+takes (``power_policy=``).  The station calls ``on_nav_set`` when it
+overhears a reservation and ``on_exchange_end`` when its own exchange
+finishes, synchronously and off the backoff countdown.  Neither hook
+creates a process: the one event a hook schedules is the zero-delay nap
+kick, queued behind everything already due in the instant, whose
+callback re-checks and runs the nap as a callback chain.  The policy
+draws no randomness.  802.11 PSM's doze/wake loop lives in
+:class:`~repro.mac.psm.PsmStation` itself.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.sim.events import Event
 from repro.sim.events import Timeout as _Timeout
@@ -57,135 +33,9 @@ from repro.sim.events import chain
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.dcf import DcfStation
     from repro.mac.frames import Frame
-    from repro.phy.radio import Radio
-
-#: What ``sleep_opportunity`` returns: sleep in ``state`` until
-#: ``doze_until`` (the policy has already budgeted the wake transition).
-SleepPlan = Tuple[float, str]
 
 
-class PowerPolicy:
-    """Base power policy: the hook contract, with no-op defaults.
-
-    Subclasses override the hooks they care about.  The base class *is*
-    the CAM baseline — it never sleeps — and doubles as the protocol
-    documentation; stations accept any object with these methods.
-    """
-
-    #: Registry name; also used in labels and reports.
-    name = "cam"
-
-    def __init__(self) -> None:
-        self.station: Optional["DcfStation"] = None
-
-    # -- lifecycle -----------------------------------------------------
-
-    def bind(self, station: "DcfStation") -> None:
-        """Attach to a station.  Called once, at station construction."""
-        if self.station is not None:
-            raise RuntimeError(
-                f"policy {self.name!r} is already bound to "
-                f"{self.station.address!r}"
-            )
-        self.station = station
-
-    @property
-    def radio(self) -> Optional["Radio"]:
-        return self.station.radio if self.station is not None else None
-
-    # -- hooks (synchronous; none spawns a process) ---------------------
-
-    def on_beacon(self, frame: "Frame") -> None:
-        """A beacon was received (whatever the TIM says)."""
-
-    def on_tim_hit(self, tim) -> None:
-        """The received TIM names this station."""
-
-    def on_tim_miss(self, tim) -> None:
-        """A beacon cycle ended without buffered traffic (or timed out)."""
-
-    def on_nav_set(self, nav_until: float, frame: "Frame") -> None:
-        """An overheard frame reserved the medium until ``nav_until``."""
-
-    def on_exchange_end(self, now: float) -> None:
-        """The station's own frame exchange (success or drop) finished."""
-
-    def sleep_opportunity(self, now: float) -> Optional[SleepPlan]:
-        """May the radio sleep right now?  ``(doze_until, state)`` or None."""
-        return None
-
-
-#: Back-compat alias making the baseline's role explicit in presets.
-CamPolicy = PowerPolicy
-
-
-class StaticPsmPolicy(PowerPolicy):
-    """Standard 802.11 PSM: doze between beacons, PS-Poll on TIM hits.
-
-    This is the historical ``PsmStation._power_save_cycles`` loop moved
-    behind the policy seam.  The event sequence (including every yield,
-    trace emission and ``sim._now`` read) is preserved verbatim — the
-    golden-equivalence tests require byte-identical summary records.
-    """
-
-    name = "psm"
-
-    def cycles(self, st):
-        """The PSM sleep/wake loop, driven by the station's process.
-
-        ``st`` is the owning :class:`~repro.mac.psm.PsmStation`; its
-        config, radio, and beacon/poll helpers are used in exactly the
-        order the pre-seam implementation did.
-        """
-        timing = st.timing
-        psm = st.psm
-        interval = timing.beacon_interval_s * psm.listen_interval
-        wake_number = 0
-        yield st.radio.transition_to("doze")
-        while True:
-            st.doze_cycles += 1
-            # Skip past any beacon times that already elapsed (e.g. after a
-            # poll session longer than one beacon interval).
-            wake_number = max(wake_number + 1, int(st.sim.now / interval) + 1)
-            # Sleep until just before the next target beacon time.
-            wake_at = wake_number * interval - psm.wake_guard_s
-            if wake_at > st.sim._now:
-                yield _Timeout(st.sim, wake_at - st.sim._now)
-            yield st.radio.transition_to("idle")
-            tim = yield from st._await_beacon()
-            if tim is not None and st.address in tim:
-                self.on_tim_hit(tim)
-                bus = st.sim.trace
-                if bus.enabled:
-                    bus.emit(
-                        "mac",
-                        st.address,
-                        "tim-wake",
-                        cycle=st.doze_cycles,
-                        tim_size=len(tim),
-                    )
-                yield from st._drain_ap_buffer()
-            else:
-                self.on_tim_miss(tim)
-            # Uplink frames queued while dozing go out in this window, and
-            # in-flight ACKs/retries must finish before the radio sleeps.
-            while not st.mac_quiescent:
-                yield _Timeout(st.sim, timing.slot_s)
-            yield st.radio.transition_to("doze")
-
-    def sleep_opportunity(self, now: float) -> Optional[SleepPlan]:
-        """Informational: doze until just before the next listened TBTT."""
-        st = self.station
-        if st is None:
-            return None
-        interval = st.timing.beacon_interval_s * st.psm.listen_interval
-        next_wake = (int(now / interval) + 1) * interval - st.psm.wake_guard_s
-        if next_wake <= now:
-            return None
-        return (next_wake, "doze")
-
-
-class MicroNapPolicy(PowerPolicy):
+class MicroNapPolicy:
     """μNap: doze through overheard reservations and inter-frame dead time.
 
     Opportunity sources (both arrive via :meth:`on_nav_set`):
@@ -212,18 +62,15 @@ class MicroNapPolicy(PowerPolicy):
         against scheduling jitter, default none).
     """
 
-    name = "unap"
-
     def __init__(
         self, min_nap_s: Optional[float] = None, guard_s: float = 0.0
     ) -> None:
-        super().__init__()
         if guard_s < 0:
             raise ValueError("guard must be >= 0")
         self._explicit_min_nap_s = min_nap_s
         self.guard_s = guard_s
+        self.station: Optional["DcfStation"] = None
         self.min_nap_s = min_nap_s if min_nap_s is not None else float("inf")
-        self._sleep_latency_s = 0.0
         self._wake_latency_s = 0.0
         self._reservation_until = 0.0
         self._napping = False
@@ -233,7 +80,12 @@ class MicroNapPolicy(PowerPolicy):
         self.naps_declined = 0
 
     def bind(self, station: "DcfStation") -> None:
-        super().bind(station)
+        """Attach to ``station``; called once, at station construction."""
+        if self.station is not None:
+            raise RuntimeError(
+                f"MicroNapPolicy is already bound to {self.station.address!r}"
+            )
+        self.station = station
         radio = station.radio
         if radio is None:
             raise ValueError("MicroNapPolicy requires a station with a radio")
@@ -242,7 +94,6 @@ class MicroNapPolicy(PowerPolicy):
         model._require("doze")
         down = model.transition("idle", "doze")
         up = model.transition("doze", "idle")
-        self._sleep_latency_s = down.latency_s
         self._wake_latency_s = up.latency_s
         if self._explicit_min_nap_s is None:
             self.min_nap_s = self._break_even_s(model, down, up) + self.guard_s
@@ -277,7 +128,8 @@ class MicroNapPolicy(PowerPolicy):
         # remainder once our own ACK business is done.
         self._maybe_nap()
 
-    def sleep_opportunity(self, now: float) -> Optional[SleepPlan]:
+    def sleep_opportunity(self, now: float) -> Optional[Tuple[float, str]]:
+        """May the radio nap right now?  ``(doze_until, state)`` or None."""
         st = self.station
         if st is None or self._napping:
             return None
@@ -359,27 +211,3 @@ class MicroNapPolicy(PowerPolicy):
             self._napping = False
 
         chain(radio.transition_to(state), dozing)
-
-
-# -- registry ------------------------------------------------------------
-
-PolicyFactory = Callable[..., PowerPolicy]
-
-_POWER_POLICIES: Dict[str, PolicyFactory] = {}
-
-
-def register_power_policy(name: str, factory: PolicyFactory) -> None:
-    """Register a policy factory (idempotent for the same factory)."""
-    existing = _POWER_POLICIES.get(name)
-    if existing is not None and existing is not factory:
-        raise ValueError(f"power policy {name!r} already registered")
-    _POWER_POLICIES[name] = factory
-
-
-def power_policy_names() -> List[str]:
-    return sorted(_POWER_POLICIES)
-
-
-register_power_policy("cam", CamPolicy)  # the radio never sleeps
-register_power_policy("psm", StaticPsmPolicy)  # doze between beacons
-register_power_policy("unap", MicroNapPolicy)  # doze through others' NAV

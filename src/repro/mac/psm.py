@@ -37,7 +37,6 @@ from repro.mac.frames import (
     FrameKind,
 )
 from repro.mac.medium import Medium
-from repro.mac.powersave import StaticPsmPolicy
 from repro.sim.events import AnyOf as _AnyOf
 from repro.sim.events import Event
 from repro.sim.events import Timeout as _Timeout
@@ -261,10 +260,6 @@ class PsmStation(DcfStation):
         The access point to poll.
     psm:
         Power-save knobs; ``None`` uses defaults.
-    power_policy:
-        The sleep/wake policy driving the radio.  ``None`` installs
-        :class:`~repro.mac.powersave.StaticPsmPolicy`, the standard PSM
-        loop; the policy must provide a ``cycles(station)`` generator.
     """
 
     def __init__(
@@ -278,13 +273,8 @@ class PsmStation(DcfStation):
         config: Optional[DcfConfig] = None,
         psm: Optional[PsmConfig] = None,
         on_receive: Optional[Callable[[Frame], None]] = None,
-        power_policy=None,
     ) -> None:
-        if power_policy is None:
-            power_policy = StaticPsmPolicy()
-        super().__init__(
-            sim, medium, address, rng, config, radio, on_receive, power_policy
-        )
+        super().__init__(sim, medium, address, rng, config, radio, on_receive)
         if radio is None:
             raise ValueError("PsmStation requires a radio")
         self.ap = ap
@@ -314,7 +304,6 @@ class PsmStation(DcfStation):
     def _handle_control(self, frame: Frame) -> None:
         if frame.kind is FrameKind.BEACON:
             self.beacons_heard += 1
-            self.power_policy.on_beacon(frame)
             if self._beacon_event is not None:
                 pending, self._beacon_event = self._beacon_event, None
                 pending.succeed(frame.payload)
@@ -330,15 +319,48 @@ class PsmStation(DcfStation):
 
     def _power_save_loop(self):
         try:
-            # The whole doze/wake decision sequence lives in the policy;
-            # StaticPsmPolicy.cycles is the historical PSM loop verbatim.
-            yield from self.power_policy.cycles(self)
+            yield from self._cycles()
         except Interrupt:
             # Clean shutdown: settle any in-flight transition, then wake.
             while self.radio.in_transition:
                 yield _Timeout(self.sim, self.timing.slot_s)
             if self.radio.state != "idle":
                 yield self.radio.transition_to("idle")
+
+    def _cycles(self):
+        """Doze between listened beacons; PS-Poll the AP on a TIM hit."""
+        timing = self.timing
+        psm = self.psm
+        interval = timing.beacon_interval_s * psm.listen_interval
+        wake_number = 0
+        yield self.radio.transition_to("doze")
+        while True:
+            self.doze_cycles += 1
+            # Skip past any beacon times that already elapsed (e.g. after a
+            # poll session longer than one beacon interval).
+            wake_number = max(wake_number + 1, int(self.sim.now / interval) + 1)
+            # Sleep until just before the next target beacon time.
+            wake_at = wake_number * interval - psm.wake_guard_s
+            if wake_at > self.sim._now:
+                yield _Timeout(self.sim, wake_at - self.sim._now)
+            yield self.radio.transition_to("idle")
+            tim = yield from self._await_beacon()
+            if tim is not None and self.address in tim:
+                bus = self.sim.trace
+                if bus.enabled:
+                    bus.emit(
+                        "mac",
+                        self.address,
+                        "tim-wake",
+                        cycle=self.doze_cycles,
+                        tim_size=len(tim),
+                    )
+                yield from self._drain_ap_buffer()
+            # Uplink frames queued while dozing go out in this window, and
+            # in-flight ACKs/retries must finish before the radio sleeps.
+            while not self.mac_quiescent:
+                yield _Timeout(self.sim, timing.slot_s)
+            yield self.radio.transition_to("doze")
 
     def _await_beacon(self):
         """Wait for the next beacon; returns its TIM or None on timeout."""

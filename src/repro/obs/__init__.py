@@ -21,7 +21,7 @@ from repro._namespace import lazy_namespace
 __getattr__, __dir__, __all__ = lazy_namespace(
     __name__,
     {
-        "bus": ("NULL_BUS", "TraceBus", "TraceEvent"),
+        "bus": ("TraceBus", "TraceEvent"),
         "export": (
             "JsonlTraceWriter",
             "MetricsCollector",

@@ -9,10 +9,10 @@ kinds are short event identifiers (``state``, ``beacon``, ``grant``).
 Design constraints, in order:
 
 1. **Zero overhead when disabled.**  Instrumented hot paths guard every
-   emit with a single ``if bus.enabled:`` check; :data:`NULL_BUS` (the
-   default bus on every :class:`~repro.sim.core.Simulator`) is permanently
-   disabled, so an un-instrumented run pays one attribute read and one
-   branch per potential event and allocates nothing.
+   emit with a single ``if bus.enabled:`` check; the default trace on
+   every :class:`~repro.sim.core.Simulator` is permanently disabled, so
+   an un-instrumented run pays one attribute read and one branch per
+   potential event and allocates nothing.
 2. **Bounded memory.**  Retained events live in a ring buffer
    (``collections.deque(maxlen=capacity)``); streaming consumers (JSONL
    export, metrics collection) subscribe instead of relying on retention.
@@ -186,25 +186,3 @@ class TraceBus:
     def __repr__(self) -> str:
         flag = "on" if self.enabled else "off"
         return f"<TraceBus {flag} retained={len(self)} emitted={self._emitted}>"
-
-
-class _NullTraceBus(TraceBus):
-    """The permanently disabled default bus every simulator starts with."""
-
-    def enable(self) -> None:
-        raise RuntimeError(
-            "NULL_BUS is shared by every simulator and cannot be enabled; "
-            "attach a fresh TraceBus instead (Simulator(trace=TraceBus()))"
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        # ``enabled`` is a plain attribute on TraceBus, so guard direct
-        # assignment too — the shared bus must stay off for everyone.
-        if name == "enabled" and value:
-            self.enable()
-        super().__setattr__(name, value)
-
-
-#: Shared disabled bus; ``Simulator`` uses it when no trace bus is given,
-#: so instrumentation guards cost a single attribute read + branch.
-NULL_BUS = _NullTraceBus(capacity=0, enabled=False)

@@ -90,6 +90,42 @@ class TestWorldSpec:
         with pytest.raises(SpecError, match=r"^WorldSpec\.power_policy "):
             replace(hotspot_world(n_clients=2, duration_s=10), power_policy="unap")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("psm_listen_interval", 0),
+            ("psm_listen_interval", "two"),
+            ("psm_listen_interval", 1.5),
+            ("psm_direction", "sideways"),
+            ("rts_threshold_bytes", -1),
+            ("rts_threshold_bytes", "500"),
+            ("pamas_capacity_j", 0),
+            ("pamas_capacity_j", math.inf),
+            ("pamas_cycle_s", -1.0),
+            ("pamas_threshold", 0.0),
+            ("pamas_threshold", 1.5),
+            ("ecmac_superframe_s", 0),
+            ("ecmac_superframe_s", None),
+        ],
+    )
+    def test_builder_extras_checked_at_validation(self, key, value):
+        pattern = rf"^WorldSpec\.extras\[{key!r}\] must be .*; got "
+        with pytest.raises(SpecError, match=pattern):
+            WorldSpec(extras={key: value})
+
+    @pytest.mark.parametrize(
+        "extras",
+        [
+            {"psm_listen_interval": 2, "psm_direction": "uplink"},
+            {"rts_threshold_bytes": None},
+            {"pamas_capacity_j": 5, "pamas_cycle_s": 0.5, "pamas_threshold": 1.0},
+            {"ecmac_superframe_s": 0.1},
+            {"anything_else": object(), "offered_load_bps": -1},
+        ],
+    )
+    def test_valid_and_unknown_extras_pass_through_untouched(self, extras):
+        assert WorldSpec(extras=extras).extras is extras
+
     def test_fleet_delivery_gets_default_fleet_spec(self):
         spec = WorldSpec(delivery="fleet")
         assert isinstance(spec.fleet, FleetSpec)

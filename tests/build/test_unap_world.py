@@ -4,18 +4,65 @@ energy ordering against the CAM baseline, and determinism."""
 import pytest
 
 from repro.build import (
+    InterfaceSpec,
+    TrafficSpec,
     WorldBuilder,
     WorldSpec,
     ecmac_world,
     pamas_world,
     unap_hotspot_world,
+    uniform_nodes,
 )
+from repro.core.outcome import VOLATILE_TIMING_FIELDS
+from repro.exp import dumps_strict
+from repro.mac import DcfStation, MicroNapPolicy, PsmStation
 
 
 def _unap(**overrides):
     kwargs = dict(n_clients=3, duration_s=2.0, seed=0)
     kwargs.update(overrides)
     return unap_hotspot_world(**kwargs)
+
+
+def _psm_spec(power_policy):
+    return WorldSpec(
+        delivery="psm",
+        duration_s=2.0,
+        seed=1,
+        clients=uniform_nodes(2, [InterfaceSpec("wlan")], TrafficSpec()),
+        power_policy=power_policy,
+    )
+
+
+class TestPolicyAssembly:
+    @pytest.mark.parametrize(
+        "policy, station_cls, nap",
+        [
+            (None, PsmStation, False),
+            ("psm", PsmStation, False),
+            ("cam", DcfStation, False),
+            ("unap", DcfStation, True),
+        ],
+    )
+    def test_each_policy_builds_its_stations(self, policy, station_cls, nap):
+        stations = WorldBuilder(_psm_spec(policy)).build().stations
+        assert [type(s) for s in stations] == [station_cls, station_cls]
+        for station in stations:
+            observer = station.power_policy
+            if nap:
+                assert type(observer) is MicroNapPolicy
+                assert observer.station is station
+            else:
+                assert observer is None
+
+    def test_psm_and_none_give_identical_records(self):
+        def record(policy):
+            summary = WorldBuilder(_psm_spec(policy)).run().summary_record()
+            return dumps_strict(
+                {k: v for k, v in summary.items() if k not in VOLATILE_TIMING_FIELDS}
+            )
+
+        assert record("psm") == record(None)
 
 
 class TestUnapHotspot:

@@ -1,32 +1,13 @@
-"""Power-policy seam: registry, hook contract, μNap timing math."""
+"""μNap: binding to one station and the nap timing math."""
 
 import pytest
 
 from repro.devices.profiles import unap_wlan_card
 from repro.mac import Medium
 from repro.mac.dcf import DcfStation
-from repro.mac.powersave import (
-    CamPolicy,
-    MicroNapPolicy,
-    PowerPolicy,
-    power_policy_names,
-    register_power_policy,
-)
+from repro.mac.powersave import MicroNapPolicy
 from repro.phy import Radio
 from repro.sim import Simulator
-
-
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert power_policy_names() == ["cam", "psm", "unap"]
-
-    def test_reregister_same_factory_is_idempotent(self):
-        register_power_policy("unap", MicroNapPolicy)
-        assert power_policy_names() == ["cam", "psm", "unap"]
-
-    def test_conflicting_factory_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_power_policy("cam", MicroNapPolicy)
 
 
 def _station(sim, policy, address="sta"):
@@ -39,29 +20,12 @@ def _station(sim, policy, address="sta"):
     )
 
 
-class TestPowerPolicyBase:
-    def test_base_policy_is_cam_and_never_sleeps(self):
-        policy = PowerPolicy()
-        assert policy.name == "cam"
-        assert CamPolicy is PowerPolicy
-        assert policy.sleep_opportunity(0.0) is None
-
-    def test_bind_twice_rejected(self):
-        sim = Simulator()
-        policy = PowerPolicy()
-        _station(sim, policy)
-        with pytest.raises(RuntimeError, match="already bound"):
-            policy.bind(object())
-
-    def test_hooks_are_no_ops(self):
-        sim = Simulator()
-        policy = _station(sim, PowerPolicy()).power_policy
-        policy.on_beacon(None)
-        policy.on_tim_hit(("sta",))
-        policy.on_tim_miss(None)
-        policy.on_nav_set(1.0, None)
-        policy.on_exchange_end(0.5)
-        assert policy.sleep_opportunity(0.0) is None
+def test_bind_twice_rejected():
+    sim = Simulator()
+    policy = MicroNapPolicy()
+    _station(sim, policy)
+    with pytest.raises(RuntimeError, match="already bound"):
+        policy.bind(object())
 
 
 class TestMicroNapTiming:

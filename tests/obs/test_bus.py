@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_BUS, TraceBus, TraceEvent
+from repro.obs import TraceBus, TraceEvent
 from repro.sim import Simulator
 
 
@@ -113,16 +113,6 @@ class TestEnablement:
         bus.enable()
         bus.emit("mac", "ap", "beacon")
         assert bus.emitted == 1
-
-    def test_null_bus_is_disabled_and_cannot_enable(self):
-        assert not NULL_BUS.enabled
-        with pytest.raises(RuntimeError):
-            NULL_BUS.enable()
-
-    def test_null_bus_rejects_direct_attribute_enable(self):
-        with pytest.raises(RuntimeError):
-            NULL_BUS.enabled = True
-        assert not NULL_BUS.enabled
 
     def test_enabled_is_a_plain_attribute_not_a_property(self):
         # The hot-path guard (`if bus.enabled:`) must cost one attribute

@@ -168,7 +168,6 @@ def test_analytic_models_load_no_mac_stations():
 @pytest.mark.parametrize(
     "package, registry",
     [
-        ("repro.mac", "power_policy_names()"),
         ("repro.apps", "traffic.traffic_kinds()"),
         ("repro.exp", "scenario_names()"),
     ],
@@ -304,10 +303,13 @@ def namespace_tables():
 
 
 def referenced_names(path):
+    """Names ``path`` reads: loads, attributes and imports.  A binding
+    such as ``NAME = ...`` is a definition, not a use."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if isinstance(node.ctx, ast.Load):
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
