@@ -218,7 +218,7 @@ class ArrivalFeed:
             # Reserve every sleep's number but the last, which the
             # chunk's closing timeout takes.
             sim._seq = base + sleeps - 1
-            sim.bulk_timeouts([fires[-1]])[0].callbacks.append(self._pull)
+            sim.timeout_at(fires[-1]).callbacks.append(self._pull)
         else:
             sim._seq = base + 1  # the drained pump process's completion
         self._fires, self._offsets, self._sums = fires, offsets, sums

@@ -716,7 +716,7 @@ class _PsmMode(_DeliveryMode):
                 )
 
             def sink(node, station):
-                return lambda nbytes, kind: station.send("ap", nbytes)
+                return lambda nbytes, kind: station.send("ap", nbytes, notify=False)
 
         else:
             ap_receive = None
@@ -736,7 +736,9 @@ class _PsmMode(_DeliveryMode):
 
             def sink(node, station):
                 ap = world.access_point
-                return lambda nbytes, kind, n=node.name: ap.send_data(n, nbytes)
+                return lambda nbytes, kind, n=node.name: ap.send_data(
+                    n, nbytes, notify=False
+                )
 
         world.access_point = AccessPoint(
             sim,

@@ -151,7 +151,7 @@ class BluetoothLink:
         at = self._sniff_origin_s + interval
         while at < self.sim.now:
             at += interval
-        self.sim.bulk_timeouts([at])[0].callbacks.append(self._sniff_attempt)
+        self.sim.timeout_at(at).callbacks.append(self._sniff_attempt)
 
     def _sniff_attempt(self, _timer) -> None:
         """Charge one receive attempt of a sniffing slave, arm the next.

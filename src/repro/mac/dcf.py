@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.mac.frames import BROADCAST, Dot11Timing, Frame, FrameKind
 from repro.mac.medium import Medium
-from repro.sim.events import AnyOf as _AnyOf
 from repro.sim.events import Event
+from repro.sim.events import FirstOf as _FirstOf
 from repro.sim.events import Timeout as _Timeout
 from repro.sim.events import chain
 from repro.sim.resources import Store
@@ -55,7 +55,8 @@ class DcfConfig:
 @dataclass(slots=True)
 class _QueuedFrame:
     frame: Frame
-    done: Event
+    #: Fires True/False on ACK/drop; None when nobody waits on the frame.
+    done: Optional[Event]
 
 
 class DcfStation:
@@ -158,8 +159,15 @@ class DcfStation:
         payload_bytes: int,
         payload: Any = None,
         more_data: bool = False,
-    ) -> Event:
-        """Queue a data frame; the event fires True/False on ACK/drop."""
+        *,
+        notify: bool = True,
+    ) -> Optional[Event]:
+        """Queue a data frame; the event fires True/False on ACK/drop.
+
+        With ``notify=False`` the frame is fire-and-forget: it goes out
+        exactly as before, but no completion event is made or triggered,
+        and the call returns None.
+        """
         controller = self.config.rate_controller
         rate = (
             controller.current_rate_bps if controller is not None
@@ -174,11 +182,14 @@ class DcfStation:
             more_data=more_data,
             payload=payload,
         )
-        return self.enqueue_frame(frame)
+        return self.enqueue_frame(frame, notify=notify)
 
-    def enqueue_frame(self, frame: Frame) -> Event:
-        """Queue an arbitrary pre-built frame (used by PSM/EC-MAC layers)."""
-        done = Event(self.sim)
+    def enqueue_frame(self, frame: Frame, *, notify: bool = True) -> Optional[Event]:
+        """Queue an arbitrary pre-built frame (used by PSM/EC-MAC layers).
+
+        ``notify`` as for :meth:`send`.
+        """
+        done = Event(self.sim) if notify else None
         self.frames_queued += 1
         self._queue.add(_QueuedFrame(frame, done))
         return done
@@ -293,7 +304,8 @@ class DcfStation:
                 self.bytes_sent += entry.frame.payload_bytes
             else:
                 self.frames_dropped += 1
-            entry.done.succeed(success)
+            if entry.done is not None:
+                entry.done.succeed(success)
             if self.power_policy is not None:
                 self.power_policy.on_exchange_end(self.sim.now)
 
@@ -337,7 +349,7 @@ class DcfStation:
             self._awaiting_ack = Event(self.sim)
             ack_event = self._awaiting_ack
             timeout = _Timeout(self.sim, timing.ack_timeout_s())
-            yield _AnyOf(self.sim, (ack_event, timeout))
+            yield _FirstOf(self.sim, ack_event, timeout)
             if ack_event._state == 2 and ack_event._ok:
                 if controller is not None:
                     controller.on_success()
@@ -393,7 +405,7 @@ class DcfStation:
         self._awaiting_cts = Event(self.sim)
         cts_event = self._awaiting_cts
         timeout = _Timeout(self.sim, self.timing.cts_timeout_s())
-        yield _AnyOf(self.sim, (cts_event, timeout))
+        yield _FirstOf(self.sim, cts_event, timeout)
         if cts_event._state == 2 and cts_event._ok:
             self.cts_received += 1
             return True
@@ -446,7 +458,7 @@ class DcfStation:
             for _ in range(backoff_slots):
                 end += slot_s
             busy = medium.wait_busy(address)
-            yield _AnyOf(sim, (sim.bulk_timeouts((end,))[0], busy))
+            yield _FirstOf(sim, sim.timeout_at(end), busy)
             if busy._state != 2:  # not processed: the timer won
                 if not busy._state:  # still pending: nobody will wait on it
                     medium.cancel_wait_busy(address, busy)

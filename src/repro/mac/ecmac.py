@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tu
 
 from repro.mac.frames import BROADCAST, Dot11Timing, Frame, FrameKind
 from repro.mac.medium import Medium
-from repro.sim.events import Event
+from repro.sim.events import Event, FirstOf
 from repro.sim.events import Timeout as _Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -370,7 +370,7 @@ class EcMacStation:
         self._schedule_event = Event(self.sim)
         pending = self._schedule_event
         timeout = self.sim.timeout(self.config.schedule_phase_s * 4)
-        yield self.sim.any_of([pending, timeout])
+        yield FirstOf(self.sim, pending, timeout)
         if pending.processed:
             return pending.value
         self._schedule_event = None

@@ -50,27 +50,14 @@ class MicroNapPolicy:
     break-even point; the wake transition is budgeted so the radio is
     listening again the instant the reservation expires.  Naps are only
     taken from a settled idle radio with a quiescent MAC — a station
-    that owes the air an ACK or has frames queued stays awake.
-
-    Parameters
-    ----------
-    min_nap_s:
-        Explicit floor on the opportunity window; ``None`` derives the
-        break-even from the bound radio's power model at bind time.
-    guard_s:
-        Extra margin added to the derived floor (a conservative stance
-        against scheduling jitter, default none).
+    that owes the air an ACK or has frames queued stays awake.  The
+    floor on the window, ``min_nap_s``, is the bound card's break-even.
     """
 
-    def __init__(
-        self, min_nap_s: Optional[float] = None, guard_s: float = 0.0
-    ) -> None:
-        if guard_s < 0:
-            raise ValueError("guard must be >= 0")
-        self._explicit_min_nap_s = min_nap_s
-        self.guard_s = guard_s
+    def __init__(self) -> None:
         self.station: Optional["DcfStation"] = None
-        self.min_nap_s = min_nap_s if min_nap_s is not None else float("inf")
+        #: Shortest window worth a nap; unbound, no window is.
+        self.min_nap_s = float("inf")
         self._wake_latency_s = 0.0
         self._reservation_until = 0.0
         self._napping = False
@@ -95,8 +82,7 @@ class MicroNapPolicy:
         down = model.transition("idle", "doze")
         up = model.transition("doze", "idle")
         self._wake_latency_s = up.latency_s
-        if self._explicit_min_nap_s is None:
-            self.min_nap_s = self._break_even_s(model, down, up) + self.guard_s
+        self.min_nap_s = self._break_even_s(model, down, up)
 
     def _break_even_s(self, model, down, up) -> float:
         """Smallest window where napping beats staying idle.

@@ -37,8 +37,8 @@ from repro.mac.frames import (
     FrameKind,
 )
 from repro.mac.medium import Medium
-from repro.sim.events import AnyOf as _AnyOf
 from repro.sim.events import Event
+from repro.sim.events import FirstOf as _FirstOf
 from repro.sim.events import Timeout as _Timeout
 from repro.sim.process import Interrupt
 from repro.sim.streams import Random
@@ -85,7 +85,7 @@ class AccessPoint(DcfStation):
     ) -> None:
         super().__init__(sim, medium, address, rng, config, radio, on_receive)
         self._ps_stations: set[str] = set()
-        self._buffers: Dict[str, Deque[Tuple[Frame, Event]]] = {}
+        self._buffers: Dict[str, Deque[Tuple[Frame, Optional[Event]]]] = {}
         self.beacons_sent = 0
         self.beacons_suppressed = 0
         self.ps_polls_served = 0
@@ -123,12 +123,19 @@ class AccessPoint(DcfStation):
     # -- downlink ---------------------------------------------------------------
 
     def send_data(
-        self, destination: str, payload_bytes: int, payload: Any = None
-    ) -> Event:
+        self,
+        destination: str,
+        payload_bytes: int,
+        payload: Any = None,
+        *,
+        notify: bool = True,
+    ) -> Optional[Event]:
         """Send (or buffer, for dozing stations) one downlink frame.
 
         The returned event fires with True/False once the frame is finally
-        delivered or dropped.
+        delivered or dropped.  With ``notify=False`` no such event exists
+        (nor, for a buffered frame, the relay that would trigger it) and
+        the call returns None.
         """
         if destination in self._ps_stations:
             frame = Frame(
@@ -139,10 +146,10 @@ class AccessPoint(DcfStation):
                 rate_bps=self.config.rate_bps,
                 payload=payload,
             )
-            done = Event(self.sim)
+            done = Event(self.sim) if notify else None
             self._buffers.setdefault(destination, deque()).append((frame, done))
             return done
-        return self.send(destination, payload_bytes, payload)
+        return self.send(destination, payload_bytes, payload, notify=notify)
 
     # -- beaconing ----------------------------------------------------------------
 
@@ -231,13 +238,16 @@ class AccessPoint(DcfStation):
                 payload_bytes=0,
                 rate_bps=self.config.rate_bps,
             )
-            self.enqueue_frame(empty)
+            self.enqueue_frame(empty, notify=False)
             return
         frame, done = buffer.popleft()
         frame.more_data = bool(buffer)
         self._transmit_buffered(frame, done)
 
-    def _transmit_buffered(self, frame: Frame, done: Event) -> None:
+    def _transmit_buffered(self, frame: Frame, done: Optional[Event]) -> None:
+        if done is None:
+            self.enqueue_frame(frame, notify=False)
+            return
         sent = self.enqueue_frame(frame)
 
         def forward(event: Event) -> None:
@@ -367,7 +377,7 @@ class PsmStation(DcfStation):
         self._beacon_event = Event(self.sim)
         beacon = self._beacon_event
         timeout = _Timeout(self.sim, self.psm.beacon_timeout_s)
-        yield _AnyOf(self.sim, (beacon, timeout))
+        yield _FirstOf(self.sim, beacon, timeout)
         if beacon.processed:
             return beacon.value
         self._beacon_event = None
@@ -392,7 +402,7 @@ class PsmStation(DcfStation):
             self._data_event = Event(self.sim)
             data = self._data_event
             timeout = _Timeout(self.sim, self.psm.poll_data_timeout_s)
-            yield _AnyOf(self.sim, (data, timeout))
+            yield _FirstOf(self.sim, data, timeout)
             if not data.processed:
                 self._data_event = None
                 retries += 1

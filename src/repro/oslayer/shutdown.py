@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.phy.radio import Radio
-from repro.sim.events import Event
+from repro.sim.events import Event, FirstOf
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -281,7 +281,7 @@ class DevicePowerManager:
         if delay is not None:
             if delay > 0:
                 timer = self.sim.timeout(delay)
-                yield self.sim.any_of([arrival, timer])
+                yield FirstOf(self.sim, arrival, timer)
             if not self._pending:
                 # Still idle after the timeout: sleep.
                 self.stats.sleeps += 1

@@ -25,7 +25,7 @@ from repro._namespace import lazy_namespace
 __getattr__, __dir__, __all__ = lazy_namespace(
     __name__,
     {
-        "events": ("AllOf", "AnyOf", "Event", "Timeout"),
+        "events": ("AllOf", "Event", "FirstOf", "Timeout"),
         "process": ("Interrupt", "Process"),
         "core": ("Simulator", "SimulationError"),
         "resources": ("Store",),

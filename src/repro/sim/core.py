@@ -51,7 +51,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Iterable, List, Optional, Sequence
 
-from repro.sim.events import _INF, NORMAL, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import _INF, NORMAL, AllOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: Default calendar bucket width in seconds.  Chosen so that typical MAC
@@ -169,16 +169,39 @@ class Simulator:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create a timeout firing at exactly the absolute time ``when``.
+
+        ``when`` must be finite and not precede the current time.  Unlike
+        ``self.timeout(when - self.now)``, the fire time is ``when``
+        itself, with no ``now + (when - now)`` round-trip through float
+        subtraction.
+        """
+        now = self._now
+        if when < now:
+            raise SimulationError(
+                f"timeout_at time must be >= now (got {when!r} before {now!r})"
+            )
+        if not when < _INF:
+            raise ValueError(f"timeout_at time must be finite (got {when!r})")
+        event = Timeout.__new__(Timeout)
+        event.sim = self
+        event.callbacks = []
+        event.delay = when - now
+        event._state = 1  # _TRIGGERED: fire time fixed at creation
+        event._ok = True
+        event._value = value
+        self._push(when, NORMAL, event)
+        return event
+
     def bulk_timeouts(self, times: Sequence[float], values: Any = None) -> List[Timeout]:
         """Batch-create timeouts firing at the given *absolute* times.
 
-        Equivalent to ``[self.timeout(t - self.now) for t in times]``
-        except that each event fires at exactly its requested absolute
-        time (no ``now + (t - now)`` round-trip through float
-        subtraction).  ``times`` must be finite, non-decreasing and must
-        not precede the current time; the whole batch is checked before
-        anything is queued.  Sequence numbers are assigned in list order,
-        preserving the deterministic same-instant tie-break.
+        :meth:`timeout_at` for each time in turn, except that the whole
+        batch is checked before anything is queued: ``times`` must be
+        finite, non-decreasing and must not precede the current time.
+        Sequence numbers are assigned in list order, preserving the
+        deterministic same-instant tie-break.
 
         Parameters
         ----------
@@ -201,29 +224,12 @@ class Simulator:
             if not when < _INF:
                 raise ValueError(f"bulk_timeouts times must be finite (got {when!r})")
             previous = when
-        now = self._now
-        push = self._push
-        created: List[Timeout] = []
-        append = created.append
-        for when, value in zip(times, values):
-            event = Timeout.__new__(Timeout)
-            event.sim = self
-            event.callbacks = []
-            event.delay = when - now
-            event._state = 1  # _TRIGGERED: fire time fixed at creation
-            event._ok = True
-            event._value = value
-            push(when, NORMAL, event)
-            append(event)
-        return created
+        timeout_at = self.timeout_at
+        return [timeout_at(when, value) for when, value in zip(times, values)]
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
         """Start a new :class:`Process` driving ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event firing when all of ``events`` have fired."""

@@ -6,7 +6,7 @@ moves through three states: *pending* (created, not yet triggered),
 run).  Events may succeed with a value or fail with an exception.
 
 :class:`Timeout` is an event that triggers after a fixed delay.
-:class:`AnyOf` / :class:`AllOf` combine several events into one.
+:class:`FirstOf` races two events; :class:`AllOf` joins several.
 
 Every trigger queues its event through ``Simulator._push``, the kernel's
 one calendar insert.  Delays are checked before any state changes: a
@@ -141,6 +141,60 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay!r}>"
 
 
+class FirstOf(Event):
+    """Fires when the first of two events is processed.
+
+    Its value is the winning event; a failing winner fails it with the
+    winner's exception.  The trigger happens at ``now`` from the
+    winner's dispatch, so every waiter resumes at the calendar position
+    an N-way first-of condition would take.  The race is decided at
+    construction when ``a`` (then ``b``) is already processed, and the
+    callback is detached from the loser once decided: a long-lived
+    event raced repeatedly (a shutdown event versus per-frame timeouts)
+    must not accumulate dead callbacks.
+    """
+
+    __slots__ = ("_a", "_b")
+
+    def __init__(self, sim: "Simulator", a: Event, b: Event) -> None:
+        if a.sim is not sim or b.sim is not sim:
+            raise ValueError("cannot mix events from different simulators")
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = _PENDING
+        if a._state == _PROCESSED:
+            self._decide(a)
+        elif b._state == _PROCESSED:
+            self._decide(b)
+        else:
+            self._a = a
+            self._b = b
+            # A fresh bound method each time keeps the race free of a
+            # reference cycle; list.remove finds it again by equality.
+            a.callbacks.append(self._first)
+            b.callbacks.append(self._first)
+
+    def _first(self, winner: Event) -> None:
+        if self._state:  # the same event raced against itself
+            return
+        loser = self._b if winner is self._a else self._a
+        if loser._state != _PROCESSED:
+            loser.callbacks.remove(self._first)
+        self._decide(winner)
+
+    def _decide(self, winner: Event) -> None:
+        self._state = _TRIGGERED
+        if winner._ok:
+            self._value = winner
+        else:
+            self._ok = False
+            self._value = winner._value
+        sim = self.sim
+        sim._push(sim._now, NORMAL, self)
+
+
 class Condition(Event):
     """Base for composite events over a set of sub-events.
 
@@ -149,18 +203,13 @@ class Condition(Event):
     value, in trigger order.  A failing sub-event fails the condition.
 
     Once the condition triggers, its callback is detached from every
-    still-pending sub-event: a long-lived event raced repeatedly (e.g. a
-    shutdown event versus per-frame timeouts) must not accumulate dead
-    callbacks from conditions that were decided long ago.
-
-    ``events`` may be a tuple, in which case it is used as-is without a
-    defensive copy (the hot composition path in the MAC layer builds a
-    fresh tuple per race).
+    still-pending sub-event, so an event that outlives the condition
+    keeps no dead callback.
     """
 
     __slots__ = ("_events", "_done_count", "_needed", "_cb")
 
-    #: Subclasses fire after one sub-event (AnyOf) or all of them (AllOf).
+    #: Fire after every sub-event (AllOf) or after the first.
     _NEEDS_ALL = True
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
@@ -169,7 +218,7 @@ class Condition(Event):
         self._value = None
         self._ok = True
         self._state = _PENDING
-        subs = events if type(events) is tuple else tuple(events)
+        subs = tuple(events)
         self._events = subs
         self._done_count = 0
         if not subs:
@@ -217,13 +266,6 @@ class Condition(Event):
         # triggered (their firing time is fixed at creation), so testing
         # `triggered` would wrongly include every pending timeout.
         return {e: e._value for e in self._events if e._state == _PROCESSED and e._ok}
-
-
-class AnyOf(Condition):
-    """Fires when any one of the sub-events fires."""
-
-    __slots__ = ()
-    _NEEDS_ALL = False
 
 
 class AllOf(Condition):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.sim.events import Event
+from repro.sim.events import Event, FirstOf
 from repro.transport.path import NetworkPath, Segment
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -288,7 +288,7 @@ class TcpSender:
             self._ack_event = Event(self.sim)
             ack_event = self._ack_event
             rto = self.sim.timeout(self._rto * self._rto_backoff)
-            yield self.sim.any_of([ack_event, rto])
+            yield FirstOf(self.sim, ack_event, rto)
             if not ack_event.processed and self.snd_una < self.total_bytes:
                 # Retransmission timeout: Reno collapses to one segment.
                 self._ack_event = None

@@ -26,8 +26,8 @@ transmits into the collision, as a real station would.
 from __future__ import annotations
 
 from repro.mac import DcfStation
-from repro.sim.events import AnyOf as _AnyOf
 from repro.sim.events import Timeout as _Timeout
+from tests.sim.any_of_reference import AnyOf as _AnyOf
 
 
 def per_slot_contention(self, contention_window: int):

@@ -40,22 +40,6 @@ class TestMicroNapTiming:
         # the 300us physical round trip.
         assert policy.min_nap_s == pytest.approx(300e-6)
 
-    def test_explicit_floor_wins_over_derivation(self):
-        sim = Simulator()
-        policy = MicroNapPolicy(min_nap_s=1e-3)
-        _station(sim, policy)
-        assert policy.min_nap_s == 1e-3
-
-    def test_guard_widens_the_derived_floor(self):
-        sim = Simulator()
-        policy = MicroNapPolicy(guard_s=1e-4)
-        _station(sim, policy)
-        assert policy.min_nap_s == pytest.approx(4e-4)
-
-    def test_negative_guard_rejected(self):
-        with pytest.raises(ValueError, match="guard"):
-            MicroNapPolicy(guard_s=-1e-6)
-
     def test_requires_a_radio(self):
         sim = Simulator()
         with pytest.raises(ValueError, match="requires a station with a radio"):

@@ -6,6 +6,8 @@ longer schedule: the stale ``wait_busy`` event a backoff leaves behind
 when its timer wins, and the completion event of every queue put.
 """
 
+from typing import Optional
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +28,8 @@ from tests.mac.test_dcf import TIMING, _boundary, _FixedDraw
 class _ReferenceStation(ProcessResponseDcfStation):
     """Process responses, and a queue put that schedules its event."""
 
-    def enqueue_frame(self, frame: Frame) -> Event:
-        done = Event(self.sim)
+    def enqueue_frame(self, frame: Frame, *, notify: bool = True) -> Optional[Event]:
+        done = Event(self.sim) if notify else None
         self.frames_queued += 1
         self._queue.put(_QueuedFrame(frame, done))
         return done
@@ -400,9 +402,10 @@ def _exchange(flavour, rts):
 
 def test_one_data_ack_exchange_schedules_exactly():
     # The two sender loops' bootstraps, the get of the queued frame, the
-    # DIFS timer and its AnyOf, the DATA airtime, the SIFS timer, the ACK
-    # timeout, the ACK airtime, the ACK-wait event and its AnyOf, and the
-    # send's done event: 12.  (b's get waits forever without an event.)
+    # DIFS timer and its FirstOf, the DATA airtime, the SIFS timer, the
+    # ACK timeout, the ACK airtime, the ACK-wait event and its FirstOf,
+    # and the send's done event: 12.  (b's get waits forever without an
+    # event.)
     assert _exchange(CHAIN, rts=False) == 12
     # The process answering with the ACK adds its bootstrap and its
     # completion; the queue put its completion; and the busy waiter the
@@ -412,8 +415,8 @@ def test_one_data_ack_exchange_schedules_exactly():
 
 def test_one_rts_cts_exchange_schedules_exactly():
     # The exchange above plus the RTS airtime, the CTS timeout, the
-    # CTS's SIFS timer and airtime, the CTS-wait event and its AnyOf, and
-    # the SIFS before the DATA: 12 + 7.
+    # CTS's SIFS timer and airtime, the CTS-wait event and its FirstOf,
+    # and the SIFS before the DATA: 12 + 7.
     assert _exchange(CHAIN, rts=True) == 19
     # Two answering processes (CTS, ACK), the put, the stale waiter.
     assert _exchange(REFERENCE, rts=True) == 19 + 2 * 2 + 1 + 1

@@ -65,6 +65,7 @@ _NON_FINITE_TRIGGERS = {
     "succeed": lambda sim, event, x: event.succeed(delay=x),
     "fail": lambda sim, event, x: event.fail(RuntimeError("boom"), delay=x),
     "bulk_timeouts": lambda sim, event, x: sim.bulk_timeouts([sim.now + 1.0, x]),
+    "timeout_at": lambda sim, event, x: sim.timeout_at(x),
 }
 
 
@@ -77,6 +78,9 @@ _NON_FINITE_TRIGGERS = {
         ("bulk_timeouts", NAN, ValueError),
         ("bulk_timeouts", INF, ValueError),
         ("bulk_timeouts", -INF, SimulationError),  # precedes now
+        ("timeout_at", NAN, ValueError),
+        ("timeout_at", INF, ValueError),
+        ("timeout_at", -INF, SimulationError),  # precedes now
     ],
 )
 def test_non_finite_delay_rejected_before_any_state_changes(entry, value, error):
@@ -96,6 +100,27 @@ def test_non_finite_delay_rejected_before_any_state_changes(entry, value, error)
     sim.run()
     assert event.processed and event.value == "late"
     assert sim.events_scheduled == scheduled + 1
+
+
+def test_timeout_at_fires_at_exactly_the_given_time():
+    sim = Simulator()
+    fired = []
+
+    def proc(sim):
+        yield sim.timeout(0.3)
+        # 0.3 + (0.9 - 0.3) rounds to 0.9000000000000001.
+        assert sim.now + (0.9 - sim.now) != 0.9
+        timer = sim.timeout_at(0.9, value="v")
+        fired.append((yield timer))
+        fired.append(sim.now)
+        with pytest.raises(SimulationError):
+            sim.timeout_at(0.5)  # before now
+        yield sim.timeout_at(sim.now)  # now itself is allowed
+        fired.append(sim.now)
+
+    sim.process(proc(sim))
+    sim.run()
+    assert fired == ["v", 0.9, 0.9]
 
 
 def test_same_time_events_fire_in_schedule_order():

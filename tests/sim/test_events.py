@@ -1,8 +1,8 @@
-"""Tests for Event, AnyOf and AllOf."""
+"""Tests for Event, FirstOf and AllOf."""
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import FirstOf, Simulator
 
 
 def test_event_starts_pending():
@@ -76,19 +76,19 @@ def test_waiting_on_failed_event_raises_in_process():
     assert seen == ["link down"]
 
 
-def test_any_of_fires_on_first():
+def test_first_of_fires_on_first():
     sim = Simulator()
     seen = []
 
     def proc(sim):
         fast = sim.timeout(1.0, value="fast")
         slow = sim.timeout(5.0, value="slow")
-        result = yield sim.any_of([fast, slow])
-        seen.append((sim.now, list(result.values())))
+        winner = yield FirstOf(sim, slow, fast)
+        seen.append((sim.now, winner is fast, winner.value))
 
     sim.process(proc(sim))
     sim.run()
-    assert seen == [(1.0, ["fast"])]
+    assert seen == [(1.0, True, "fast")]
 
 
 def test_all_of_waits_for_every_event():
@@ -126,12 +126,40 @@ def test_condition_over_already_processed_event():
     def proc(sim):
         done = sim.timeout(1.0, value="x")
         yield sim.timeout(2.0)  # let `done` be processed first
-        result = yield sim.any_of([done, sim.timeout(10.0)])
-        seen.append((sim.now, list(result.values())))
+        for race in (FirstOf(sim, done, sim.timeout(10.0)),
+                     FirstOf(sim, sim.timeout(10.0), done)):
+            winner = yield race
+            seen.append((sim.now, winner.value))
 
     sim.process(proc(sim))
     sim.run(until=5.0)
-    assert seen == [(2.0, ["x"])]
+    assert seen == [(2.0, "x"), (2.0, "x")]
+
+
+def test_first_of_decides_for_the_first_processed_side():
+    sim = Simulator()
+    a, b = sim.timeout(0.0, value="a"), sim.timeout(0.0, value="b")
+    sim.run()
+    race = FirstOf(sim, a, b)
+    assert race.triggered and race.value is a
+    assert FirstOf(sim, b, a).value is b
+
+
+def test_first_of_failure_propagates():
+    sim = Simulator()
+    seen = []
+
+    def waiter(sim, event):
+        try:
+            yield FirstOf(sim, sim.timeout(10.0), event)
+        except ValueError as exc:
+            seen.append((sim.now, str(exc)))
+
+    event = sim.event()
+    sim.process(waiter(sim, event))
+    event.fail(ValueError("bad"), delay=1.0)
+    sim.run()
+    assert seen == [(1.0, "bad")]
 
 
 def test_condition_failure_propagates():
@@ -157,8 +185,12 @@ def test_condition_failure_propagates():
 
 def test_condition_rejects_foreign_events():
     sim_a, sim_b = Simulator(), Simulator()
+    for mixed in ((sim_a.event(), sim_b.event()), (sim_b.event(), sim_a.event())):
+        with pytest.raises(ValueError):
+            FirstOf(sim_a, *mixed)
     with pytest.raises(ValueError):
-        sim_a.any_of([sim_b.event()])
+        sim_a.all_of([sim_b.event()])
+    assert sim_a.events_scheduled == 0
 
 
 def test_condition_detaches_from_losing_sub_events():
@@ -169,11 +201,11 @@ def test_condition_detaches_from_losing_sub_events():
 
     def racer(sim):
         for _ in range(50):
-            yield sim.any_of([sim.timeout(0.001), shutdown])
+            yield FirstOf(sim, sim.timeout(0.001), shutdown)
 
     sim.process(racer(sim))
     sim.run(until=1.0)
-    assert len(shutdown.callbacks) <= 1
+    assert shutdown.callbacks == []
 
 
 def test_all_of_detaches_after_failure():
