@@ -117,20 +117,20 @@ def _psm_world(notify, n_buffered, n_direct):
         ap.frames_queued, ap.frames_delivered, ap.frames_dropped,
         ap.retransmissions, ap.bytes_sent, ap.ps_polls_served,
         medium.frames_sent, medium.frames_delivered, medium.frames_collided,
-        medium.busy_time_s, received,
+        medium.busy_time_s,
         [(s.radio.state, s.radio.transition_count) for s in stations],
     )
-    return sim, counts, returned
+    return sim, counts, received, returned
 
 
 @pytest.mark.parametrize("n_buffered, n_direct", [(1, 0), (0, 3), (9, 4)])
 def test_ap_frames_without_notify_save_the_completion_and_the_relay(
     n_buffered, n_direct
 ):
-    sim_n, counts_n, events = _psm_world(True, n_buffered, n_direct)
-    sim_f, counts_f, nones = _psm_world(False, n_buffered, n_direct)
+    sim_n, counts_n, received_n, events = _psm_world(True, n_buffered, n_direct)
+    sim_f, counts_f, received_f, nones = _psm_world(False, n_buffered, n_direct)
     assert counts_f == counts_n
-    assert counts_n[10] == {
+    assert received_f == received_n == {
         "doze": list(range(n_buffered)), "awake": list(range(n_direct))
     }
     assert all(event.processed and event.value is True for event in events)
