@@ -48,8 +48,8 @@ def run_burst_sweep():
     return rows
 
 
-def test_bench_burst_size(benchmark, emit):
-    rows = run_once(benchmark, run_burst_sweep)
+def test_bench_burst_size(emit):
+    rows = run_once(run_burst_sweep)
     emit(
         format_table(
             ["min burst (B)", "mean burst (B)", "mean WNIC power (W)", "QoS"],

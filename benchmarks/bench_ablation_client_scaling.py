@@ -42,8 +42,8 @@ def run_scaling():
     return rows
 
 
-def test_bench_client_scaling(benchmark, emit):
-    rows = run_once(benchmark, run_scaling)
+def test_bench_client_scaling(emit):
+    rows = run_once(run_scaling)
     emit(
         format_table(
             ["clients", "per-client WNIC power (W)", "QoS", "underruns", "stream served"],

@@ -39,8 +39,8 @@ def run_epoch_sweep():
     return rows
 
 
-def test_bench_epoch(benchmark, emit):
-    rows = run_once(benchmark, run_epoch_sweep)
+def test_bench_epoch(emit):
+    rows = run_once(run_epoch_sweep)
     emit(
         format_table(
             ["epoch (s)", "mean WNIC power (W)", "QoS", "total stall (s)", "rounds"],

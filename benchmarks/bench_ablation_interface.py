@@ -57,8 +57,8 @@ def run_interface_sweep():
     return rows
 
 
-def test_bench_interface(benchmark, emit):
-    rows = run_once(benchmark, run_interface_sweep)
+def test_bench_interface(emit):
+    rows = run_once(run_interface_sweep)
     emit(
         format_table(
             ["policy", "mean WNIC power (W)", "QoS", "switchovers"],

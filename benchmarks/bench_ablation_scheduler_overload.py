@@ -76,8 +76,8 @@ def run_overload_sweep():
     return [run_overload(name) for name in ("fifo", "round-robin", "edf", "wfq")]
 
 
-def test_bench_scheduler_overload(benchmark, emit):
-    rows = run_once(benchmark, run_overload_sweep)
+def test_bench_scheduler_overload(emit):
+    rows = run_once(run_overload_sweep)
     emit(
         format_table(
             ["scheduler", "worst light client served", "hog served", "total stall (s)"],

@@ -45,8 +45,8 @@ def run_scheduler_sweep():
     return rows
 
 
-def test_bench_schedulers(benchmark, emit):
-    rows = run_once(benchmark, run_scheduler_sweep)
+def test_bench_schedulers(emit):
+    rows = run_once(run_scheduler_sweep)
     emit(
         format_table(
             ["scheduler", "mean WNIC power (W)", "QoS", "underruns", "bursts"],

@@ -57,8 +57,8 @@ def run_surrogate_screen():
     return refined, time.perf_counter() - t0
 
 
-def test_bench_analytic_eval_rate(benchmark, emit):
-    count, elapsed = run_once(benchmark, run_predictor_sweep)
+def test_bench_analytic_eval_rate(emit):
+    count, elapsed = run_once(run_predictor_sweep)
     rate = count / elapsed
     emit(
         f"Analytic predictor evaluations: {count} in {elapsed * 1e3:.1f} ms "
@@ -70,8 +70,8 @@ def test_bench_analytic_eval_rate(benchmark, emit):
     assert rate > 10_000
 
 
-def test_bench_analytic_surrogate_screen(benchmark, emit):
-    refined, elapsed = run_once(benchmark, run_surrogate_screen)
+def test_bench_analytic_surrogate_screen(emit):
+    refined, elapsed = run_once(run_surrogate_screen)
     emit(
         f"Surrogate screen: {len(refined.scored)} points scored, "
         f"{len(refined.selected)} dispatched "

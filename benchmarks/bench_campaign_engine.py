@@ -48,9 +48,9 @@ def run_burst_campaign(store_dir):
     return report
 
 
-def test_bench_campaign_burst_grid(benchmark, emit, tmp_path):
+def test_bench_campaign_burst_grid(emit, tmp_path):
     store_dir = str(tmp_path / "store")
-    report = run_once(benchmark, run_burst_campaign, store_dir)
+    report = run_once(run_burst_campaign, store_dir)
     summaries = aggregate(report.results)
     emit(
         summary_table(

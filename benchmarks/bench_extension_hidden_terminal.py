@@ -55,8 +55,8 @@ def run_hidden_terminal_comparison():
     return [run_configuration(None), run_configuration(500)]
 
 
-def test_bench_hidden_terminal(benchmark, emit):
-    rows = run_once(benchmark, run_hidden_terminal_comparison)
+def test_bench_hidden_terminal(emit):
+    rows = run_once(run_hidden_terminal_comparison)
     emit(
         format_table(
             ["configuration", "delivered", "drops", "retries", "collisions", "airtime (s)"],

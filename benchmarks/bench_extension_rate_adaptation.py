@@ -89,8 +89,8 @@ def run_rate_adaptation():
     ]
 
 
-def test_bench_rate_adaptation(benchmark, emit):
-    rows = run_once(benchmark, run_rate_adaptation)
+def test_bench_rate_adaptation(emit):
+    rows = run_once(run_rate_adaptation)
     emit(
         format_table(
             ["policy", "delivered", "retries", "goodput (b/s)", "energy/frame (J)"],

@@ -32,8 +32,8 @@ def run_figure1():
     return result, text
 
 
-def test_bench_fig1_schedule(benchmark, emit):
-    result, text = run_once(benchmark, run_figure1)
+def test_bench_fig1_schedule(emit):
+    result, text = run_once(run_figure1)
     emit("Figure 1: sample schedule (3 clients, Hotspot-managed)\n" + text)
     # Every client's bursts are disjoint from its sleep: transfers happen,
     # and the dominant state is a low-power one.

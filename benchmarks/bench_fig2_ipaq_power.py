@@ -42,8 +42,8 @@ def run_figure2():
     return rows, wlan, hotspot
 
 
-def test_bench_fig2_ipaq_power(benchmark, emit):
-    rows, wlan, hotspot = run_once(benchmark, run_figure2)
+def test_bench_fig2_ipaq_power(emit):
+    rows, wlan, hotspot = run_once(run_figure2)
     saving = wnic_power_saving_fraction(rows[0][1], rows[-1][1])
     emit(
         format_table(

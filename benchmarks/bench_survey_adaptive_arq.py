@@ -76,8 +76,8 @@ def run_adaptive():
     return [run_policy(p) for p in policies]
 
 
-def test_bench_adaptive_arq(benchmark, emit):
-    rows = run_once(benchmark, run_adaptive)
+def test_bench_adaptive_arq(emit):
+    rows = run_once(run_adaptive)
     emit(
         format_table(
             ["policy", "frames delivered", "energy/frame (J)", "mode switches"],

@@ -66,8 +66,8 @@ def run_sweep():
     return [run_aggregation_point(t) for t in (None, 1_000, 4_000, 16_000)]
 
 
-def test_bench_aggregation(benchmark, emit):
-    rows = run_once(benchmark, run_sweep)
+def test_bench_aggregation(emit):
+    rows = run_once(run_sweep)
     emit(
         format_table(
             ["aggregation threshold (B)", "power (W)", "PS-Polls", "doze time (s)", "bytes delivered"],

@@ -81,10 +81,8 @@ def run_arq_fec():
     return rows, (sim_clean_arq, sim_dirty_arq, sim_dirty_fec)
 
 
-def test_bench_arq_fec(benchmark, emit):
-    rows, (sim_clean_arq, sim_dirty_arq, sim_dirty_fec) = run_once(
-        benchmark, run_arq_fec
-    )
+def test_bench_arq_fec(emit):
+    rows, (sim_clean_arq, sim_dirty_arq, sim_dirty_fec) = run_once(run_arq_fec)
     emit(
         format_table(
             ["BER", "ARQ (J/bit)", "FEC light", "FEC medium", "FEC heavy"],

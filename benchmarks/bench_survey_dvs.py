@@ -38,8 +38,8 @@ def run_dvs():
     return rows
 
 
-def test_bench_dvs(benchmark, emit):
-    rows = run_once(benchmark, run_dvs)
+def test_bench_dvs(emit):
+    rows = run_once(run_dvs)
     emit(
         format_table(
             ["U at f_max", "chosen f (MHz)", "V (V)", "energy saving", "EDF feasible"],

@@ -103,8 +103,8 @@ def run_comparison():
     return replicate(run_psm_network), replicate(run_ecmac_network)
 
 
-def test_bench_ecmac(benchmark, emit):
-    psm, ecmac = run_once(benchmark, run_comparison)
+def test_bench_ecmac(emit):
+    psm, ecmac = run_once(run_comparison)
     rows = []
     for label, result in (("802.11 PSM", psm), ("EC-MAC", ecmac)):
         rows.append(

@@ -74,8 +74,8 @@ def run_listen_fraction():
     return rows, full, half
 
 
-def test_bench_listen_fraction(benchmark, emit):
-    rows, full, half = run_once(benchmark, run_listen_fraction)
+def test_bench_listen_fraction(emit):
+    rows, full, half = run_once(run_listen_fraction)
     tx_saving = 1.0 - half["energy_j"] / full["energy_j"]
     emit(
         format_table(

@@ -89,8 +89,8 @@ def run_shutdown():
     ]
 
 
-def test_bench_os_shutdown(benchmark, emit):
-    rows = run_once(benchmark, run_shutdown)
+def test_bench_os_shutdown(emit):
+    rows = run_once(run_shutdown)
     emit(
         format_table(
             ["policy", "energy (J)", "sleeps", "added latency (s)"],

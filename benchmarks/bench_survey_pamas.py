@@ -46,8 +46,8 @@ def run_pamas():
     return blind + aware
 
 
-def test_bench_pamas(benchmark, emit):
-    rows = run_once(benchmark, run_pamas)
+def test_bench_pamas(emit):
+    rows = run_once(run_pamas)
     emit(
         format_table(
             ["policy", "initial charge (J)", "lifetime (s)", "availability"],

@@ -67,8 +67,8 @@ def run_prediction():
     return rows
 
 
-def test_bench_prediction(benchmark, emit):
-    rows = run_once(benchmark, run_prediction)
+def test_bench_prediction(emit):
+    rows = run_once(run_prediction)
     emit(
         format_table(
             ["channel", "predictor", "accuracy", "energy/frame (J)", "goodput"],

@@ -73,8 +73,8 @@ def run_proxy():
     return rows, proxy
 
 
-def test_bench_proxy(benchmark, emit):
-    rows, proxy = run_once(benchmark, run_proxy)
+def test_bench_proxy(emit):
+    rows, proxy = run_once(run_proxy)
     emit(
         format_table(
             ["configuration", "bytes delivered", "WNIC energy (J)", "audio intact"],

@@ -66,8 +66,8 @@ def run_psm_sweep():
     return [run_psm_point(li) for li in (0, 1, 2, 4, 8)]
 
 
-def test_bench_psm(benchmark, emit):
-    rows = run_once(benchmark, run_psm_sweep)
+def test_bench_psm(emit):
+    rows = run_once(run_psm_sweep)
     emit(
         format_table(
             ["listen interval", "avg power (W)", "mean latency (s)", "delivered"],

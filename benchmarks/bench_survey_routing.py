@@ -72,8 +72,8 @@ def run_routing():
     return rows
 
 
-def test_bench_routing(benchmark, emit):
-    rows = run_once(benchmark, run_routing)
+def test_bench_routing(emit):
+    rows = run_once(run_routing)
     emit(
         format_table(
             ["policy", "packets before first death", "first-route energy (J)"],

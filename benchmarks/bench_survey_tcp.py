@@ -116,8 +116,8 @@ def run_tcp_sweep():
     return rows
 
 
-def test_bench_tcp(benchmark, emit):
-    rows = run_once(benchmark, run_tcp_sweep)
+def test_bench_tcp(emit):
+    rows = run_once(run_tcp_sweep)
     emit(
         format_table(
             ["wireless loss", "plain TCP (b/s)", "snoop (b/s)", "split (b/s)"],

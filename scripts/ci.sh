@@ -26,6 +26,12 @@ fi
 echo "== tier-1 test suite =="
 python -m pytest tests/ -q
 
+echo "== survey and ablation benches =="
+# Each bench regenerates one figure or table of the paper, a survey claim
+# or a design ablation, and asserts its shape (who wins, by roughly how
+# much).  About 6 s.
+python -m pytest benchmarks --ignore=benchmarks/e2e -q
+
 echo "== e2e benchmark drivers =="
 # The benchmark's public-call drivers (presets, WorldBuilder, campaigns
 # through the scenario registry) on trimmed workloads.

@@ -884,7 +884,9 @@ class _EcMacMode(_DeliveryMode):
             )
 
         def sink(node, station):
-            return lambda nbytes, kind, n=node.name: coordinator.send_data(n, nbytes)
+            return lambda nbytes, kind, n=node.name: coordinator.send_data(
+                n, nbytes, notify=False
+            )
 
         _assemble_stations(world, wlan_cf_card, make_station, sink)
 

@@ -493,13 +493,13 @@ def fleet_hotspot_world(
             n_aps=n_aps,
             ap_spacing_m=ap_spacing_m,
             arena_depth_m=arena_depth_m,
-            speed_range_m_s=tuple(speed_range_m_s),
-            pause_range_s=tuple(pause_range_s),
+            speed_range_m_s=speed_range_m_s,
+            pause_range_s=pause_range_s,
             coverage_threshold=coverage_threshold,
             handoff_check_interval_s=handoff_check_interval_s,
             hysteresis_margin=hysteresis_margin,
             min_dwell_s=min_dwell_s,
-            handoff_latency_range_s=tuple(handoff_latency_range_s),
+            handoff_latency_range_s=handoff_latency_range_s,
             gauge_interval_s=gauge_interval_s,
             load_aware_selection=True,
         ),

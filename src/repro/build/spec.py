@@ -51,6 +51,15 @@ _EXTRAS = {
     "ecmac_superframe_s": Domain(float, gt=0),  # EcMacConfig
 }
 
+#: ``FleetSpec``'s ``(low, high)`` pairs, each low end held to the rule
+#: its consumer enforces (and ``low <= high``).
+_FLEET_RANGES = {
+    "speed_range_m_s": Domain(float, gt=0),  # RandomWaypoint
+    "pause_range_s": Domain(float, ge=0),  # RandomWaypoint
+    "handoff_latency_range_s": Domain(float, ge=0),  # HandoffManager
+}
+_ANY_FLOAT = Domain(float)
+
 
 def _view(value: Any) -> Any:
     """JSON-safe view of a field: tuples as lists, specs described."""
@@ -216,13 +225,24 @@ class FleetSpec:
             object.__setattr__(
                 self, "arena_depth_m", self.grid_rows * self.ap_spacing_m
             )
-        object.__setattr__(
-            self, "speed_range_m_s", tuple(self.speed_range_m_s)
-        )
-        object.__setattr__(self, "pause_range_s", tuple(self.pause_range_s))
-        object.__setattr__(
-            self, "handoff_latency_range_s", tuple(self.handoff_latency_range_s)
-        )
+        for name, low_domain in _FLEET_RANGES.items():
+            value = getattr(self, name)
+            try:
+                pair = tuple(value)
+            except TypeError:  # not iterable
+                pair = ()
+            if not (
+                len(pair) == 2
+                and low_domain.test(pair[0])
+                and _ANY_FLOAT.test(pair[1])
+                and pair[0] <= pair[1]
+            ):
+                low = "0 < low" if low_domain.lo_open else "0 <= low"
+                raise SpecError(
+                    f"FleetSpec.{name} must be a finite (low, high) pair with "
+                    f"{low} <= high; got {value!r}"
+                )
+            object.__setattr__(self, name, pair)
 
     describe = _describe
 

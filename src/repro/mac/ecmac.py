@@ -90,7 +90,7 @@ class EcMacCoordinator:
         self.config = config or EcMacConfig()
         self.radio = radio
         self.on_receive = on_receive
-        self._downlink: Dict[str, Deque[Tuple[Frame, Event]]] = {}
+        self._downlink: Dict[str, Deque[Tuple[Frame, Optional[Event]]]] = {}
         self._uplink_requests: Dict[str, int] = {}
         self._stations: List[str] = []
         self._acks_received: set[str] = set()
@@ -115,9 +115,19 @@ class EcMacCoordinator:
     # -- traffic ------------------------------------------------------------
 
     def send_data(
-        self, destination: str, payload_bytes: int, payload: Any = None
-    ) -> Event:
-        """Queue one downlink frame; event fires True once transmitted."""
+        self,
+        destination: str,
+        payload_bytes: int,
+        payload: Any = None,
+        *,
+        notify: bool = True,
+    ) -> Optional[Event]:
+        """Queue one downlink frame; event fires True once transmitted.
+
+        With ``notify=False`` the frame is fire-and-forget: it is served
+        exactly as before, but no completion event is made or triggered,
+        and the call returns None.
+        """
         frame = Frame(
             kind=FrameKind.DATA,
             source=self.address,
@@ -126,7 +136,7 @@ class EcMacCoordinator:
             rate_bps=self.config.rate_bps,
             payload=payload,
         )
-        done = Event(self.sim)
+        done = Event(self.sim) if notify else None
         self._downlink.setdefault(destination, deque()).append((frame, done))
         return done
 
@@ -243,7 +253,8 @@ class EcMacCoordinator:
             yield self.sim.timeout(ack_wait)
             if entry.station in self._acks_received:
                 buffered.popleft()
-                done.succeed(True)
+                if done is not None:
+                    done.succeed(True)
             else:
                 # The station missed this window (dozing or collision);
                 # keep the frame for the next superframe's schedule.

@@ -5,35 +5,14 @@ Scheduling is deterministic: queue entries are ordered by
 monotonically, so events scheduled for the same instant fire in the order
 they were scheduled (kernel-internal wakeups first).
 
-Queue structure (calendar queue)
---------------------------------
-The pending set is split into two tiers so the hot path pushes into a
-small heap instead of one global heap spanning the whole horizon:
-
-- ``_current`` — a heap holding every entry whose bucket index equals
-  ``_cur_idx`` (the bucket the clock is currently inside).
-- ``_buckets`` — a calendar of *unsorted* lists keyed by bucket index
-  (``int(time * _scale)``), for entries beyond the current bucket.
-  Insertion is a plain ``list.append``.  ``_order`` is a heap of the
-  occupied bucket indices — the far-future overflow structure that tells
-  the kernel which bucket to promote next.
-
-When ``_current`` drains, the lowest occupied bucket is promoted: its
-entries are heapified into ``_current`` and ``_cur_idx`` jumps straight
-to that bucket (empty buckets are never visited, so sparse horizons cost
-nothing).  Total order is preserved exactly because the bucket index
-``int(t * scale)`` is monotone in ``t``: every entry in a future bucket
-compares strictly greater on time than every entry in ``_current``, and
-entries with equal time always share a bucket, where the heap breaks
-ties by ``(priority, seq)`` as before.
-
-Every entry enters the calendar through :meth:`Simulator._push` and
-leaves it through :meth:`Simulator.step`; there is no other insert or
+The pending set is one binary heap of ``(time, priority, sequence,
+event)`` entries.  Every entry enters it through :meth:`Simulator._push`
+and leaves it through :meth:`Simulator.step`; there is no other insert or
 dispatch path.
 
 The dispatching entry
 ---------------------
-``Simulator._dispatching`` publishes the calendar entry
+``Simulator._dispatching`` publishes the heap entry
 ``(time, priority, sequence, event)`` of the latest non-urgent dispatch;
 :meth:`Simulator.run` resets it to ``None`` when it returns.  Consumers that settle
 deferred work lazily (:class:`repro.apps.traffic.ArrivalFeed`) compare
@@ -48,17 +27,11 @@ which keeps every later tie-break and ``events_scheduled`` unchanged.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.sim.events import _INF, NORMAL, AllOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
-
-#: Default calendar bucket width in seconds.  Chosen so that typical MAC
-#: timescales (µs slots, ms frame times) land in the current bucket —
-#: the fast path — while beacon intervals and session timers spread over
-#: the calendar instead of bloating one heap.
-_DEFAULT_BUCKET_WIDTH_S = 1e-3
 
 
 class SimulationError(RuntimeError):
@@ -95,30 +68,12 @@ class Simulator:
         Optional :class:`repro.obs.bus.TraceBus` to bind; without one,
         ``self.trace`` is a permanently disabled sentinel and
         instrumentation costs one attribute read + branch per site.
-    bucket_width_s:
-        Calendar bucket width.  Purely a performance knob: any positive
-        width yields the identical dispatch order.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        trace: Any = None,
-        bucket_width_s: float = _DEFAULT_BUCKET_WIDTH_S,
-    ) -> None:
-        if bucket_width_s <= 0:
-            raise ValueError(f"bucket width must be positive: {bucket_width_s!r}")
+    def __init__(self, start_time: float = 0.0, trace: Any = None) -> None:
         self._now = float(start_time)
-        self._scale = 1.0 / bucket_width_s
-        self._cur_idx = int(self._now * self._scale)
-        #: Heap of entries in the current bucket (the only sorted tier).
-        self._current: List[tuple] = []
-        #: Unsorted future buckets keyed by ``int(t * _scale)``.
-        self._buckets: dict[int, List[tuple]] = {}
-        #: Heap of occupied future-bucket indices (promotion order).
-        self._order: List[int] = []
-        #: Pending entries in future buckets (current tier uses ``len``).
-        self._future_count = 0
+        #: Heap of pending ``(time, priority, seq, event)`` entries.
+        self._heap: List[tuple] = []
         self._seq = 0
         #: Entry of the latest non-urgent dispatch; run() resets it to None.
         self._dispatching: Optional[tuple] = None
@@ -157,7 +112,7 @@ class Simulator:
     @property
     def queue_depth(self) -> int:
         """Events currently pending in the queue (instantaneous backlog)."""
-        return len(self._current) + self._future_count
+        return len(self._heap)
 
     # -- event factories -------------------------------------------------------
 
@@ -245,58 +200,25 @@ class Simulator:
         self._push(self._now + delay, priority, event)
 
     def _push(self, when: float, priority: int, event: Event) -> None:
-        """Insert an entry into the calendar: the kernel's only insert.
+        """Insert an entry into the heap: the kernel's only insert.
 
-        Entries in the current bucket go onto the ``_current`` heap, later
-        ones onto their (created on first use) future bucket.  Callers
-        validate ``when``; the bucket index is computed before any state
-        changes, so a failing insert leaves the kernel untouched.
+        Callers validate ``when``.
         """
-        idx = int(when * self._scale)
         seq = self._seq + 1
         self._seq = seq
-        if idx <= self._cur_idx:
-            heappush(self._current, (when, priority, seq, event))
-            return
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = bucket = []
-            heappush(self._order, idx)
-        bucket.append((when, priority, seq, event))
-        self._future_count += 1
-
-    def _advance(self) -> bool:
-        """Promote the lowest occupied future bucket into ``_current``.
-
-        Returns False when no future bucket exists (queue fully drained).
-        Only called with ``_current`` empty, so the promoted entries are
-        exactly the next slice of the global order.
-        """
-        order = self._order
-        if not order:
-            return False
-        idx = heappop(order)
-        bucket = self._buckets.pop(idx)
-        self._cur_idx = idx
-        self._future_count -= len(bucket)
-        current = self._current
-        current.extend(bucket)
-        heapify(current)
-        return True
+        heappush(self._heap, (when, priority, seq, event))
 
     # -- run loop ----------------------------------------------------------------
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if not self._current and not self._advance():
-            return _INF
-        return self._current[0][0]
+        heap = self._heap
+        return heap[0][0] if heap else _INF
 
     def _peek_event(self) -> Optional[Event]:
         """The next event to dispatch, without dispatching it (profilers)."""
-        if not self._current and not self._advance():
-            return None
-        return self._current[0][3]
+        heap = self._heap
+        return heap[0][3] if heap else None
 
     def step(self) -> None:
         """Process exactly one event.
@@ -310,9 +232,10 @@ class Simulator:
         SimulationError
             If the queue is empty.
         """
-        if not self._current and not self._advance():
+        heap = self._heap
+        if not heap:
             raise SimulationError("step() on an empty event queue")
-        entry = heappop(self._current)
+        entry = heappop(heap)
         when, priority, _seq, event = entry
         self._now = when
         if priority:
@@ -323,7 +246,7 @@ class Simulator:
                 "kernel",
                 "dispatch",
                 event=type(event).__name__,
-                queued=len(self._current) + self._future_count,
+                queued=len(heap),
             )
         callbacks = event.callbacks
         event.callbacks = []  # further appends would never run
@@ -348,11 +271,10 @@ class Simulator:
                 f"run(until={until!r}) is in the past (now={self._now!r})"
             )
         bound = _INF if until is None else until
-        current = self._current  # _advance refills this same list
-        advance = self._advance
+        heap = self._heap
         step = self.step
         try:
-            while (current or advance()) and current[0][0] <= bound:
+            while heap and heap[0][0] <= bound:
                 step()
         finally:
             self._dispatching = None

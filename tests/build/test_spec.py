@@ -12,6 +12,7 @@ from repro.build import (
     NodeSpec,
     TrafficSpec,
     WorldSpec,
+    fleet_hotspot_world,
     hotspot_world,
     uniform_nodes,
 )
@@ -125,6 +126,43 @@ class TestWorldSpec:
     )
     def test_valid_and_unknown_extras_pass_through_untouched(self, extras):
         assert WorldSpec(extras=extras).extras is extras
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("speed_range_m_s", (2.0, -1.0)),
+            ("speed_range_m_s", (0.0, 1.0)),
+            ("speed_range_m_s", (2.0, 1.0)),
+            ("speed_range_m_s", (0.5, math.inf)),
+            ("speed_range_m_s", (math.nan, 1.0)),
+            ("speed_range_m_s", (1.0,)),
+            ("pause_range_s", (5.0, 0.0)),
+            ("pause_range_s", (-1.0, 5.0)),
+            ("pause_range_s", (True, 5.0)),
+            ("handoff_latency_range_s", (0.2, 0.05)),
+            ("handoff_latency_range_s", (-0.1, 0.2)),
+            ("handoff_latency_range_s", 0.1),
+        ],
+    )
+    def test_fleet_range_pairs_checked_at_validation(self, field, value):
+        pattern = rf"^FleetSpec\.{field} must be a finite \(low, high\) pair .*; got "
+        with pytest.raises(SpecError, match=pattern):
+            FleetSpec(**{field: value})
+        # Presets build the spec eagerly, before any WorldBuilder call.
+        with pytest.raises(SpecError, match=pattern):
+            fleet_hotspot_world(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("speed_range_m_s", [1.0, 1.0]),
+            ("pause_range_s", (0, 0)),
+            ("handoff_latency_range_s", (0.0, 0.3)),
+        ],
+    )
+    def test_fleet_range_pairs_at_the_bounds_pass(self, field, value):
+        spec = FleetSpec(**{field: value})
+        assert getattr(spec, field) == tuple(value)
 
     def test_fleet_delivery_gets_default_fleet_spec(self):
         spec = WorldSpec(delivery="fleet")

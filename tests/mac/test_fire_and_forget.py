@@ -4,13 +4,26 @@ A frame queued with ``notify=False`` goes out exactly as one queued with
 a completion event; the kernel schedules one event fewer per frame (the
 completion nobody waits on), and two fewer per frame the access point
 buffers for a dozing station (the completion and the relay that fed it).
+EC-MAC's coordinator follows the same rule for its scheduled downlink.
 """
 
 import pytest
 
-from repro.build import WorldBuilder, psm_baseline_world, unap_hotspot_world
+from repro.build import (
+    WorldBuilder,
+    ecmac_world,
+    psm_baseline_world,
+    unap_hotspot_world,
+)
 from repro.devices import wlan_cf_card
-from repro.mac import AccessPoint, DcfStation, Medium, PsmStation
+from repro.mac import (
+    AccessPoint,
+    DcfStation,
+    EcMacCoordinator,
+    EcMacStation,
+    Medium,
+    PsmStation,
+)
 from repro.mac.frames import FrameKind
 from repro.phy import Radio
 from repro.sim import RandomStreams, Simulator
@@ -139,6 +152,63 @@ def test_ap_frames_without_notify_save_the_completion_and_the_relay(
     assert saved == 2 * n_buffered + n_direct
 
 
+def _ecmac_world(notify, n_frames):
+    """``n_frames`` downlink frames for two EC-MAC stations over a channel
+    that loses every third data frame, so some wait a superframe."""
+    sim = Simulator()
+    lost = {"count": 0}
+
+    def error_model(frame, now):
+        if frame.kind is FrameKind.DATA:
+            lost["count"] += 1
+            return lost["count"] % 3 != 0
+        return True
+
+    medium = Medium(sim, error_model=error_model)
+    coordinator = EcMacCoordinator(sim, medium)
+    received = {"s0": [], "s1": []}
+    stations = [
+        EcMacStation(
+            sim, medium, name, coordinator, Radio(sim, wlan_cf_card(), name=name),
+            on_receive=lambda frame, name=name: received[name].append(frame.payload),
+        )
+        for name in received
+    ]
+    returned = []
+
+    def traffic(sim):
+        for index in range(n_frames):
+            yield sim.timeout(0.017 * (index % 3))
+            returned.append(coordinator.send_data(
+                f"s{index % 2}", SIZES[index % 8], payload=index, notify=notify
+            ))
+
+    sim.process(traffic(sim))
+    sim.run(until=2.0)
+    counts = (
+        coordinator.superframes, coordinator.frames_scheduled,
+        coordinator.retransmissions,
+        medium.frames_sent, medium.frames_delivered, medium.busy_time_s,
+        [(s.radio.state, s.radio.transition_count, s.frames_received)
+         for s in stations],
+    )
+    return sim, counts, received, returned
+
+
+@pytest.mark.parametrize("n_frames", [1, 12])
+def test_ecmac_frames_without_notify_save_one_event_each(n_frames):
+    sim_n, counts_n, received_n, events = _ecmac_world(True, n_frames)
+    sim_f, counts_f, received_f, nones = _ecmac_world(False, n_frames)
+    assert counts_f == counts_n
+    assert received_f == received_n
+    assert sorted(received_n["s0"] + received_n["s1"]) == list(range(n_frames))
+    if n_frames > 2:
+        assert counts_n[2] > 0  # some frames missed a window and waited
+    assert all(event.processed and event.value is True for event in events)
+    assert nones == [None] * n_frames
+    assert sim_n.events_scheduled - sim_f.events_scheduled == n_frames
+
+
 def _notify_flags(monkeypatch, spec):
     """Run ``spec`` and return ``{(station type, notify)}`` of every data
     frame queued."""
@@ -163,3 +233,16 @@ def test_psm_world_sink_queues_fire_and_forget_frames(monkeypatch):
 def test_unap_world_sink_queues_fire_and_forget_frames(monkeypatch):
     spec = unap_hotspot_world(n_clients=2, duration_s=1.0, seed=0)
     assert _notify_flags(monkeypatch, spec) == {("DcfStation", False)}
+
+
+def test_ecmac_world_sink_queues_fire_and_forget_frames(monkeypatch):
+    seen = set()
+    send_data = EcMacCoordinator.send_data
+
+    def recording(self, destination, payload_bytes, payload=None, *, notify=True):
+        seen.add(notify)
+        return send_data(self, destination, payload_bytes, payload, notify=notify)
+
+    monkeypatch.setattr(EcMacCoordinator, "send_data", recording)
+    WorldBuilder(ecmac_world(n_clients=2, duration_s=2.0)).run()
+    assert seen == {False}

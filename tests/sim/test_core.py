@@ -86,7 +86,7 @@ _NON_FINITE_TRIGGERS = {
 def test_non_finite_delay_rejected_before_any_state_changes(entry, value, error):
     sim = Simulator()
     sim.timeout(0.5)
-    sim.timeout(5.0)  # a future calendar bucket
+    sim.timeout(5.0)  # a second, later entry
     event = sim.event()
     scheduled, depth = sim.events_scheduled, sim.queue_depth
     with pytest.raises(error):

@@ -1,10 +1,10 @@
-"""Kernel-ordering property tests: calendar queue vs a reference heap.
+"""Kernel-ordering property tests: ``Simulator`` vs a reference heap.
 
-The calendar-queue scheduler in ``Simulator`` must dispatch in *exactly*
-the total order a single global heap over ``(time, priority, seq)`` would
-produce — the scenario goldens byte-pin this, and these tests pin it at
-the kernel level with random schedules, cascading (run-time) schedules
-and bulk timeouts, with and without a trace and a profiler attached.
+``Simulator`` must dispatch in *exactly* the total order a single global
+heap over ``(time, priority, seq)`` produces — the scenario goldens
+byte-pin this, and these tests pin it at the kernel level with random
+schedules, cascading (run-time) schedules and bulk timeouts, with and
+without a trace and a profiler attached.
 """
 
 import heapq
@@ -19,8 +19,7 @@ from repro.sim.core import Simulator as CoreSimulator
 from repro.sim.events import NORMAL, URGENT, Event
 from repro.sim.resources import Store
 
-# Delays that straddle the default 1 ms bucket width from both sides,
-# including exact bucket multiples (the truncation boundary).
+# Sub-slot, frame-scale and long delays, with exact ties among them.
 delay_values = st.one_of(
     st.floats(min_value=0.0, max_value=1e-4, allow_nan=False, allow_infinity=False),
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -33,11 +32,9 @@ schedule_entries = st.lists(
     max_size=60,
 )
 
-bucket_widths = st.sampled_from([1e-6, 1e-3, 0.1, 1.0, 64.0])
-
 
 class ReferenceKernel:
-    """The pre-calendar scheduler: one global heap, nothing else."""
+    """The oracle scheduler: one global heap, nothing else."""
 
     def __init__(self):
         self._heap = []
@@ -85,11 +82,11 @@ def _run_program(sim, initial, program):
     return fired
 
 
-@given(schedule_entries, bucket_widths)
+@given(schedule_entries)
 @settings(max_examples=60)
-def test_flat_schedule_matches_reference_heap(entries, width):
+def test_flat_schedule_matches_reference_heap(entries):
     """Random up-front schedules dispatch in reference-heap order."""
-    sim = CoreSimulator(bucket_width_s=width)
+    sim = CoreSimulator()
     reference = ReferenceKernel()
     fired = []
     for tag, (delay, priority) in enumerate(entries):
@@ -106,11 +103,10 @@ def test_flat_schedule_matches_reference_heap(entries, width):
     st.lists(st.lists(st.tuples(delay_values, st.sampled_from([URGENT, NORMAL])),
                       max_size=4),
              min_size=1, max_size=12),
-    bucket_widths,
 )
 @settings(max_examples=60)
-def test_cascading_schedule_matches_reference_heap(roots, spawn_lists, width):
-    """Events scheduled *while running* (crossing buckets) keep the order.
+def test_cascading_schedule_matches_reference_heap(roots, spawn_lists):
+    """Events scheduled *while running* keep the order.
 
     Each schedule runs plain, traced, profiled and traced+profiled:
     tracing and profiling observe dispatch, neither may reorder it.
@@ -137,7 +133,7 @@ def test_cascading_schedule_matches_reference_heap(roots, spawn_lists, width):
 
     for traced, profiled in itertools.product((False, True), repeat=2):
         bus = TraceBus() if traced else None
-        sim = CoreSimulator(bucket_width_s=width, trace=bus)
+        sim = CoreSimulator(trace=bus)
         profiler = KernelProfiler()
         if profiled:
             profiler.install(sim)
@@ -210,12 +206,19 @@ def test_run_until_horizon_preserves_pending_order(delays, horizon):
     assert fired[: len(before_horizon)] == before_horizon
 
 
-def test_peek_advances_across_empty_buckets():
+def test_peek_over_sparse_horizon():
+    """peek() reports each next entry across long empty stretches."""
     sim = Simulator()
+    assert sim.peek() == float("inf")
     sim.timeout(5.0)
+    sim.timeout(1e4)
     assert sim.peek() == 5.0
-    sim.run()
+    sim.step()
     assert sim.now == 5.0
+    assert sim.peek() == 1e4
+    sim.run()
+    assert sim.now == 1e4
+    assert sim.peek() == float("inf")
 
 
 class TestStoreInterleaving:
