@@ -125,8 +125,8 @@ class EcMacCoordinator:
         """Queue one downlink frame; event fires True once transmitted.
 
         With ``notify=False`` the frame is fire-and-forget: it is served
-        exactly as before, but no completion event is made or triggered,
-        and the call returns None.
+        exactly like a notified frame, but no completion event is made or
+        triggered, and the call returns None.
         """
         frame = Frame(
             kind=FrameKind.DATA,

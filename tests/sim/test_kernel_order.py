@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.obs import KernelProfiler, TraceBus
 from repro.sim import Simulator
-from repro.sim.core import Simulator as CoreSimulator
 from repro.sim.events import NORMAL, URGENT, Event
 from repro.sim.resources import Store
 
@@ -86,7 +85,7 @@ def _run_program(sim, initial, program):
 @settings(max_examples=60)
 def test_flat_schedule_matches_reference_heap(entries):
     """Random up-front schedules dispatch in reference-heap order."""
-    sim = CoreSimulator()
+    sim = Simulator()
     reference = ReferenceKernel()
     fired = []
     for tag, (delay, priority) in enumerate(entries):
@@ -133,7 +132,7 @@ def test_cascading_schedule_matches_reference_heap(roots, spawn_lists):
 
     for traced, profiled in itertools.product((False, True), repeat=2):
         bus = TraceBus() if traced else None
-        sim = CoreSimulator(trace=bus)
+        sim = Simulator(trace=bus)
         profiler = KernelProfiler()
         if profiled:
             profiler.install(sim)
