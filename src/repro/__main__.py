@@ -56,6 +56,7 @@ from repro.exp import (
     aggregate,
     campaign_payload,
     dumps_strict,
+    recorded_run,
     run_campaign,
     scenario_entries,
     scenario_entry,
@@ -135,51 +136,62 @@ def _check_points(spec: CampaignSpec) -> None:
         factory(**params, seed=spec.seeds[0])
 
 
-def _run_sweep(args: argparse.Namespace, spec: CampaignSpec) -> CampaignReport:
-    """Run a sweep-shaped campaign honouring the obs/jobs/store flags."""
+def _run_campaign_command(
+    args: argparse.Namespace,
+    spec: CampaignSpec,
+    run=run_campaign,
+    obs: ObsSession | None = None,
+    **options: Any,
+):
+    """Run a campaign-shaped command through ``run`` (:func:`run_campaign`
+    or ``run_crossval``): check every grid point, force ``--jobs 1`` for a
+    shared ``obs`` session, open and close the ``--store``, and print the
+    status and failure lines to stderr."""
     _check_points(spec)
-    obs = ObsSession.from_args(args)
-    jobs = getattr(args, "jobs", 1)
-    if obs is not None and jobs != 1:
-        print(
-            "note: tracing requires in-process execution; forcing --jobs 1",
-            file=sys.stderr,
-        )
-        jobs = 1
-    store = ResultStore(args.store) if getattr(args, "store", None) else None
+    jobs = args.jobs
+    if obs is not None:
+        if jobs != 1:
+            print(
+                "note: tracing requires in-process execution; forcing --jobs 1",
+                file=sys.stderr,
+            )
+            jobs = 1
+        options["obs"] = obs
+    store = ResultStore(args.store) if args.store else None
     try:
-        report = run_campaign(spec, store=store, jobs=jobs, obs=obs)
+        report = run(spec, store=store, jobs=jobs, **options)
     finally:
         if store is not None:
             store.close()
-    if store is not None:
-        print(report.status_line(), file=sys.stderr)
+    # run_crossval wraps its simulator campaign in a CrossvalReport.
+    campaign = getattr(report, "campaign", report)
+    print(campaign.status_line(), file=sys.stderr)
+    _report_failures(campaign)
     _finish_obs(obs)
     return report
 
 
 def _run_world(obs: ObsSession | None, label: str, spec):
-    """Build and run ``spec``; ``obs`` (if any) records it as run ``label``."""
-    if obs is not None:
-        obs.begin_run(label)
-    result = WorldBuilder(spec).run(obs=obs)
-    if obs is not None:
-        obs.record(result)
-    return result
+    """Build and run ``spec`` as run ``label`` of ``obs``, as a campaign
+    runs a scenario on a shared session."""
+    return recorded_run(obs, label, lambda: WorldBuilder(spec).run(obs=obs))
+
+
+def _figure_world(args: argparse.Namespace, switch_s: float):
+    """The figures' Hotspot world: Bluetooth quality drops from 1.0 to
+    0.2 at ``switch_s``, which forces the switchover to WLAN."""
+    return hotspot_world(
+        n_clients=args.clients,
+        duration_s=args.duration,
+        scheduler=args.scheduler,
+        bluetooth_quality_script=[(0.0, 1.0), (switch_s, 0.2)],
+        seed=args.seed,
+    )
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
     obs = ObsSession.from_args(args)
-    result = _run_world(
-        obs,
-        "fig1/hotspot",
-        hotspot_world(
-            n_clients=args.clients,
-            duration_s=args.duration,
-            bluetooth_quality_script=[(0.0, 1.0), (args.duration * 2 / 3, 0.2)],
-            seed=args.seed,
-        ),
-    )
+    result = _run_world(obs, "fig1/hotspot", _figure_world(args, args.duration * 2 / 3))
     print(render_schedule_timeline(result.radios, 0.0, args.duration, columns=96))
     print(f"\nQoS maintained: {result.qos_maintained()}")
     _finish_obs(obs)
@@ -199,20 +211,11 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         )
         for interface in ("wlan", "bluetooth")
     ]
-    hotspot = _run_world(
-        obs,
-        "fig2/hotspot",
-        hotspot_world(
-            n_clients=args.clients,
-            duration_s=args.duration,
-            scheduler=args.scheduler,
-            bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
-            seed=args.seed,
-        ),
-    )
+    hotspot = _run_world(obs, "fig2/hotspot", _figure_world(args, args.duration * 3 / 4))
     saving = wnic_power_saving_fraction(
         wlan.mean_wnic_power_w(), hotspot.mean_wnic_power_w()
     )
+    configurations = (wlan, bt, hotspot)
     if args.json:
         payload = {
             "clients": args.clients,
@@ -225,91 +228,71 @@ def cmd_fig2(args: argparse.Namespace) -> int:
                     "device_power_w": r.mean_total_power_w(),
                     "qos_maintained": r.qos_maintained(),
                 }
-                for r in (wlan, bt, hotspot)
+                for r in configurations
             ],
             "wnic_saving_fraction": saving,
         }
         print(json.dumps(payload, indent=2))
-        _finish_obs(obs)
-        return 0
-    rows = [
-        [r.label, r.mean_wnic_power_w(), r.mean_total_power_w(), r.qos_maintained()]
-        for r in (wlan, bt, hotspot)
-    ]
-    print(
-        format_table(
-            ["configuration", "WNIC power (W)", "device power (W)", "QoS"],
-            rows,
-            title=f"Figure 2 ({args.clients} clients, {args.duration:.0f}s)",
+    else:
+        rows = [
+            [r.label, r.mean_wnic_power_w(), r.mean_total_power_w(), r.qos_maintained()]
+            for r in configurations
+        ]
+        print(
+            format_table(
+                ["configuration", "WNIC power (W)", "device power (W)", "QoS"],
+                rows,
+                title=f"Figure 2 ({args.clients} clients, {args.duration:.0f}s)",
+            )
         )
-    )
-    print(f"\nWNIC saving vs unscheduled WLAN: {saving * 100:.1f}%  [paper: 97%]")
+        print(f"\nWNIC saving vs unscheduled WLAN: {saving * 100:.1f}%  [paper: 97%]")
     _finish_obs(obs)
     return 0
 
 
-def cmd_sweep_schedulers(args: argparse.Namespace) -> int:
+#: The ablation sweeps over the Hotspot scenario, by command: the grid
+#: axis, its values, fixed parameters beyond the workload's, derived
+#: parameters, the axis's table header and the table title.
+_SWEEPS = {
+    "sweep-schedulers": (
+        "scheduler", scheduler_names, {}, None, "scheduler", "Scheduler sweep"
+    ),
+    "sweep-bursts": (
+        "burst_bytes",
+        lambda: [10_000, 20_000, 40_000, 80_000, 160_000],
+        {"interfaces": ["wlan"], "server_prefetch_s": 60.0},
+        lambda p: {"client_buffer_bytes": int(p["burst_bytes"] * 2.4)},
+        "min burst (B)",
+        "Burst-size sweep (WLAN-only)",
+    ),
+}
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    axis, values, fixed, derive, header, title = _SWEEPS[args.command]
     spec = CampaignSpec(
-        name="sweep-schedulers",
+        name=args.command,
         scenario="hotspot",
-        base={"n_clients": args.clients, "duration_s": args.duration},
-        grid={"scheduler": scheduler_names()},
+        base={"n_clients": args.clients, "duration_s": args.duration, **fixed},
+        grid={axis: values()},
+        derive=derive,
         seeds=[args.seed],
     )
-    report = _run_sweep(args, spec)
-    _report_failures(report)
+    report = _run_campaign_command(args, spec, obs=ObsSession.from_args(args))
     rows = [
-        [r.params["scheduler"], r.record["wnic_power_w"], r.record["qos_maintained"]]
+        [r.params[axis], r.record["wnic_power_w"], r.record["qos_maintained"]]
         for r in report.results
         if r.ok
     ]
     _emit_rows(
         args,
-        headers=["scheduler", "WNIC power (W)", "QoS"],
+        headers=[header, "WNIC power (W)", "QoS"],
         rows=rows,
         json_payload=[
-            {"scheduler": name, "wnic_power_w": power, "qos_maintained": qos}
-            for name, power, qos in rows
+            {axis: value, "wnic_power_w": power, "qos_maintained": qos}
+            for value, power, qos in rows
         ],
-        title="Scheduler sweep",
-    )
-    return 0
-
-
-def cmd_sweep_bursts(args: argparse.Namespace) -> int:
-    spec = CampaignSpec(
-        name="sweep-bursts",
-        scenario="hotspot",
-        base={
-            "n_clients": args.clients,
-            "duration_s": args.duration,
-            "interfaces": ["wlan"],
-            "server_prefetch_s": 60.0,
-        },
-        grid={"burst_bytes": [10_000, 20_000, 40_000, 80_000, 160_000]},
-        derive=lambda p: {"client_buffer_bytes": int(p["burst_bytes"] * 2.4)},
-        seeds=[args.seed],
-    )
-    report = _run_sweep(args, spec)
-    _report_failures(report)
-    rows = [
-        [
-            r.params["burst_bytes"],
-            r.record["wnic_power_w"],
-            r.record["qos_maintained"],
-        ]
-        for r in report.results
-        if r.ok
-    ]
-    _emit_rows(
-        args,
-        headers=["min burst (B)", "WNIC power (W)", "QoS"],
-        rows=rows,
-        json_payload=[
-            {"burst_bytes": burst, "wnic_power_w": power, "qos_maintained": qos}
-            for burst, power, qos in rows
-        ],
-        title="Burst-size sweep (WLAN-only)",
+        title=title,
     )
     return 0
 
@@ -391,25 +374,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         collect_metrics=args.metrics,
         timeseries_interval_s=args.timeseries,
     )
-    _check_points(spec)
-    store: Optional[ResultStore] = None
-    if args.store:
-        store = ResultStore(args.store)
-    try:
-        report = run_campaign(
-            spec,
-            store=store,
-            jobs=args.jobs,
-            refresh=args.fresh,
-            run_timeout_s=args.run_timeout,
-            retries=args.retries,
-            retry_backoff_s=args.retry_backoff,
-        )
-    finally:
-        if store is not None:
-            store.close()
-    print(report.status_line(), file=sys.stderr)
-    _report_failures(report)
+    report = _run_campaign_command(
+        args,
+        spec,
+        refresh=args.fresh,
+        run_timeout_s=args.run_timeout,
+        retries=args.retries,
+        retry_backoff_s=args.retry_backoff,
+    )
     summaries = aggregate(report.results)
     fields = (
         [f.strip() for f in args.fields.split(",") if f.strip()]
@@ -514,41 +486,44 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     )
     from repro.analytic.models import PsmParams, UnapParams
 
+    # Only the flags given go on, so each suite's defaults live in its
+    # spec builder alone.
+    given = {
+        "name": args.name or None,
+        "n_stations": args.n_clients,
+        "packet_bytes": args.packet_bytes,
+        "first_seed": args.seed,
+        "n_seeds": args.seeds,
+    }
     if args.suite == "unap":
-        spec = unap_crossval_spec(
-            name=args.name or "unap-crossval",
-            n_stations=args.n_clients if args.n_clients is not None else [4],
-            offered_load_bps=(
-                args.offered[0] if args.offered is not None else 256_000.0
-            ),
-            packet_bytes=args.packet_bytes,
+        psm_only = {
+            "--listen": args.listen,
+            "--direction": args.direction,
+            "--light-duration": args.light_duration,
+            "--surrogate-fraction": args.surrogate_fraction,
+        }
+        for flag, value in psm_only.items():
+            if value is not None:
+                print(f"error: {flag} applies to --suite psm only", file=sys.stderr)
+                return 2
+        if args.offered is not None and len(args.offered) != 1:
+            print("error: --offered takes one value with --suite unap", file=sys.stderr)
+            return 2
+        given.update(
+            offered_load_bps=args.offered[0] if args.offered else None,
             duration_s=args.saturated_duration,
-            first_seed=args.seed,
-            n_seeds=args.seeds,
         )
-        metrics = UNAP_METRICS
-        params_type: type = UnapParams
+        build, metrics, params_type = unap_crossval_spec, UNAP_METRICS, UnapParams
     else:
-        spec = psm_crossval_spec(
-            name=args.name or "psm-crossval",
-            n_stations=(
-                args.n_clients if args.n_clients is not None else [1, 2]
-            ),
-            offered_load_bps=(
-                args.offered
-                if args.offered is not None
-                else [128_000.0, 6_000_000.0]
-            ),
-            listen_interval=args.listen if args.listen is not None else [1, 2],
+        given.update(
+            offered_load_bps=args.offered,
+            listen_interval=args.listen,
             direction=args.direction,
-            packet_bytes=args.packet_bytes,
-            first_seed=args.seed,
-            n_seeds=args.seeds,
             light_duration_s=args.light_duration,
             saturated_duration_s=args.saturated_duration,
         )
-        metrics = DEFAULT_METRICS
-        params_type = PsmParams
+        build, metrics, params_type = psm_crossval_spec, DEFAULT_METRICS, PsmParams
+    spec = build(**{name: value for name, value in given.items() if value is not None})
     contract = (
         ToleranceContract(
             relative={m.name: args.tolerance for m in metrics}
@@ -557,13 +532,6 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         else DEFAULT_TOLERANCE
     )
     surrogate_payload: Optional[Dict[str, Any]] = None
-    if args.surrogate_fraction is not None and args.suite != "psm":
-        print(
-            "error: --surrogate-fraction pre-screens with the PSM "
-            "predictors and supports --suite psm only",
-            file=sys.stderr,
-        )
-        return 2
     if args.surrogate_fraction is not None:
         refinement = spec.refine_with_surrogate(
             predictor="psm-energy"
@@ -582,25 +550,15 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             f"({surrogate_payload['dispatch_fraction'] * 100:.0f}%)",
             file=sys.stderr,
         )
-    _check_points(spec)
-    store: Optional[ResultStore] = None
-    if args.store:
-        store = ResultStore(args.store)
-    try:
-        report = run_crossval(
-            spec,
-            contract=contract,
-            metrics=metrics,
-            store=store,
-            jobs=args.jobs,
-            refresh=args.fresh,
-            params_type=params_type,
-        )
-    finally:
-        if store is not None:
-            store.close()
-    print(report.campaign.status_line(), file=sys.stderr)
-    _report_failures(report.campaign)
+    report = _run_campaign_command(
+        args,
+        spec,
+        run=run_crossval,
+        contract=contract,
+        metrics=metrics,
+        refresh=args.fresh,
+        params_type=params_type,
+    )
     payload = report.as_payload()
     if surrogate_payload is not None:
         payload["surrogate"] = surrogate_payload
@@ -788,17 +746,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         collect_metrics=True,
     )
     obs.registry_requested = args.metrics
-    result = _run_world(
-        obs,
-        "trace/hotspot",
-        hotspot_world(
-            n_clients=args.clients,
-            duration_s=args.duration,
-            scheduler=args.scheduler,
-            bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
-            seed=args.seed,
-        ),
-    )
+    result = _run_world(obs, "trace/hotspot", _figure_world(args, args.duration * 3 / 4))
     print(top_kinds_table(obs.registry, top_n=args.top))
     print()
     print(radio_dwell_table(result.radios))
@@ -1044,53 +992,49 @@ def build_parser() -> argparse.ArgumentParser:
     crossval.add_argument(
         "--n-clients",
         type=_parse_int_list,
-        default=None,
         metavar="N1,N2,...",
         help="station-count axis (default: 1,2 for psm; 4 for unap)",
     )
     crossval.add_argument(
         "--offered",
         type=_parse_float_list,
-        default=None,
         metavar="B1,B2,...",
         help="per-station offered load axis, bits/s (default: 128e3,6e6 "
-        "for psm; 256e3 for unap, first value only)",
+        "for psm; 256e3 for unap, which takes one value)",
     )
     crossval.add_argument(
         "--listen",
         type=_parse_int_list,
-        default=None,
         metavar="L1,L2,...",
         help="listen-interval axis, psm suite only (default: 1,2)",
     )
     crossval.add_argument(
         "--direction",
-        default="downlink",
         choices=("downlink", "uplink"),
-        help="traffic direction (default: downlink)",
+        help="traffic direction, psm suite only (default: downlink)",
     )
     crossval.add_argument(
-        "--packet-bytes", type=int, default=1000, help="payload per frame"
+        "--packet-bytes", type=int, help="payload per frame (default: 1000)"
     )
     crossval.add_argument(
-        "--seed", type=int, default=0, help="first seed of the replication set"
+        "--seed", type=int, help="first seed of the replication set (default: 0)"
     )
     crossval.add_argument(
-        "--seeds", type=int, default=2, metavar="N", help="seeds per point"
+        "--seeds", type=int, metavar="N", help="seeds per point (default: 2)"
     )
     crossval.add_argument(
         "--light-duration",
         type=float,
-        default=30.0,
         metavar="SECONDS",
-        help="run length for unsaturated points (Poisson noise ~ 1/sqrt(T))",
+        help="run length for unsaturated points, psm suite only "
+        "(Poisson noise ~ 1/sqrt(T); default: 30)",
     )
     crossval.add_argument(
         "--saturated-duration",
         type=float,
-        default=10.0,
         metavar="SECONDS",
-        help="run length for saturated psm points and for the unap suite",
+        help="run length for saturated psm points and for the unap suite "
+        "(default: 10)",
     )
     crossval.add_argument(
         "--tolerance",
@@ -1234,8 +1178,8 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "fig1": cmd_fig1,
     "fig2": cmd_fig2,
-    "sweep-schedulers": cmd_sweep_schedulers,
-    "sweep-bursts": cmd_sweep_bursts,
+    "sweep-schedulers": cmd_sweep,
+    "sweep-bursts": cmd_sweep,
     "campaign": cmd_campaign,
     "analytic": cmd_analytic,
     "crossval": cmd_crossval,

@@ -28,7 +28,7 @@ Arrival = Tuple[float, int, str]
 #: Samples per MPEG-1 Layer III frame / the standard sample rate.
 MP3_FRAME_INTERVAL_S = 1152 / 44_100.0
 
-#: Arrivals batched per ``Simulator.bulk_timeouts`` call in the pump.
+#: Arrivals whose timeouts the pump queues in one batch.
 _PUMP_CHUNK = 256
 
 
@@ -57,12 +57,12 @@ class TrafficSource:
     ):
         """Pump arrivals into ``sink(nbytes, kind)`` in simulated time.
 
-        Arrivals are batched through :meth:`Simulator.bulk_timeouts` in
-        chunks: the sleep before each arrival is ``now + (t - now)``, and
-        since the pump wakes exactly at each hop's fire time the whole
-        chunk's fire times follow from the current clock before any hop
-        runs — bit-for-bit the same instants the one-timeout-per-arrival
-        pump produced.
+        Arrivals are batched in chunks whose timeouts are queued together
+        with :meth:`Simulator.timeout_at`: the sleep before each arrival
+        is ``now + (t - now)``, and since the pump wakes exactly at each
+        hop's fire time the whole chunk's fire times follow from the
+        current clock before any hop runs — bit-for-bit the same instants
+        the one-timeout-per-arrival pump produced.
         """
 
         def drain(chunk):
@@ -76,7 +76,7 @@ class TrafficSource:
                     flags.append(True)
                 else:
                     flags.append(False)
-            timeouts = iter(sim.bulk_timeouts(hops)) if hops else iter(())
+            timeouts = iter([sim.timeout_at(t) for t in hops])
             for sleeps, (_time_s, nbytes, kind) in zip(flags, chunk):
                 if sleeps:
                     yield next(timeouts)

@@ -398,7 +398,11 @@ class HotspotServer:
                 )
                 for channel, channel_requests in by_channel.items()
             ]
-            yield self.sim.all_of(serving)
+            # Join the channels one by one: a channel already done is
+            # passed at once, so the round ends in the dispatch of its
+            # last channel, with no join event of its own.
+            for process in serving:
+                yield process
 
     def _build_requests(self) -> List[BurstRequest]:
         requests: List[BurstRequest] = []

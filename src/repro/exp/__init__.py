@@ -63,10 +63,12 @@ __getattr__, __dir__, __all__ = lazy_namespace(
             "CampaignReport",
             "RunResult",
             "RunTimeoutError",
+            "WorkItem",
             "error_envelope",
             "execute_run",
             "execute_run_guarded",
             "guarded_call",
+            "recorded_run",
             "run_campaign",
         ),
         "scenarios": (

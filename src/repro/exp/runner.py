@@ -40,8 +40,10 @@ import signal
 import threading
 import time
 import traceback
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from repro import package_version
 from repro._domain import Domain
@@ -50,13 +52,18 @@ from repro.exp.progress import CampaignProgress, ProgressLog, StderrProgress
 from repro.exp.spec import CampaignSpec, RunSpec, canonical_params
 from repro.exp.store import ResultStore
 
-#: Payload shipped to a pool worker: (scenario, params, seed, metrics)
-#: optionally extended with (timeseries_interval_s, timeseries_path,
-#: label) — the short form stays valid so existing callers keep working.
-_WorkItem = Tuple[str, Dict[str, Any], int, bool]
+class WorkItem(NamedTuple):
+    """One pending run as shipped to :func:`execute_run` (pool-picklable);
+    ``timeseries_path`` None means the run samples no timeseries."""
 
-#: Work item plus its failure policy: (item, timeout_s, retries, backoff_s).
-_GuardedItem = Tuple[_WorkItem, Optional[float], int, float]
+    scenario: str
+    params: Dict[str, Any]
+    seed: int
+    collect_metrics: bool
+    timeseries_interval_s: Optional[float]
+    timeseries_path: Optional[str]
+    label: str
+
 
 #: Traceback frames kept in an error envelope (innermost last).
 _TRACEBACK_FRAMES = 4
@@ -144,43 +151,55 @@ class CampaignReport:
         )
 
 
-def execute_run(item: _WorkItem) -> Dict[str, Any]:
+def recorded_run(obs, label: str, call: Callable[[], Any]) -> Any:
+    """``call()`` as run ``label`` of the shared session ``obs``.
+
+    The run is begun on the session, its result recorded, and the run
+    ended in a ``finally``, so a raising run cannot leave its label on
+    later trace lines.  Without a session it is a plain ``call()``.
+    """
+    if obs is None:
+        return call()
+    obs.begin_run(label)
+    try:
+        return obs.record(call())
+    finally:
+        obs.end_run()
+
+
+def execute_run(item: WorkItem, obs=None) -> Dict[str, Any]:
     """Run one scenario and summarise it (top-level: pool-picklable).
 
-    When metrics collection is on, the run gets its own
-    :class:`~repro.obs.ObsSession` registry and the snapshot rides along
-    in the record under ``"metrics"``.  When a timeseries destination is
-    set, the session additionally samples the run's probes into that
-    file.  The session is closed on every exit path — a raising scenario
-    must not leave its collector attached to a shared trace bus.
+    ``obs`` is a caller's shared :class:`~repro.obs.ObsSession`: the run
+    goes through :func:`recorded_run` on it.  Without one, a run that
+    collects metrics or samples a timeseries gets a session of its own,
+    closed on every exit path; its metrics snapshot rides along in the
+    record under ``"metrics"``.
     """
-    scenario, params, seed, collect_metrics = item[:4]
-    ts_interval = item[4] if len(item) > 4 else None
-    ts_path = item[5] if len(item) > 5 else None
-    label = item[6] if len(item) > 6 else None
     from repro.exp.scenarios import get_scenario
 
-    fn = get_scenario(scenario)
-    obs = None
-    if collect_metrics or ts_path:
+    fn = get_scenario(item.scenario)
+    session = obs
+    if obs is None and (item.collect_metrics or item.timeseries_path):
         from repro.obs import ObsSession
 
-        obs = ObsSession(
-            collect_metrics=collect_metrics,
-            timeseries_path=ts_path,
-            timeseries_interval_s=ts_interval if ts_interval else 1.0,
+        session = ObsSession(
+            collect_metrics=item.collect_metrics,
+            timeseries_path=item.timeseries_path,
+            timeseries_interval_s=item.timeseries_interval_s or 1.0,
         )
-        if label:
-            obs.begin_run(label)
+        session.begin_run(item.label)
     try:
-        result = fn(**params, seed=seed, obs=obs)
+        result = recorded_run(
+            obs, item.label, lambda: fn(**item.params, seed=item.seed, obs=session)
+        )
         record = result.summary_record()
-        if collect_metrics:
-            record["metrics"] = obs.metrics_snapshot()
+        if item.collect_metrics:
+            record["metrics"] = session.metrics_snapshot()
         return record
     finally:
-        if obs is not None:
-            obs.close()
+        if session is not obs:
+            session.close()
 
 
 def error_envelope(exc: BaseException, attempts: int = 1) -> Dict[str, Any]:
@@ -259,21 +278,22 @@ def guarded_call(
 
 
 def execute_run_guarded(
-    guarded: _GuardedItem,
-    execute: Callable[[_WorkItem], Dict[str, Any]] = execute_run,
+    item: WorkItem,
+    timeout_s: Optional[float] = None,
+    retries: int = 0,
+    backoff_s: float = 0.0,
+    obs=None,
 ) -> Dict[str, Any]:
-    """Pool-picklable wrapper: ``execute`` (:func:`execute_run`) behind
-    the guard.
+    """:func:`execute_run` behind :func:`guarded_call` (pool-picklable).
 
     Besides the record/error, the outcome carries telemetry the runner
     folds into progress heartbeats: which process executed the run and
     the wall time it took (including retries) — measured here because
     only that process knows both.
     """
-    item, timeout_s, retries, backoff_s = guarded
     started = time.perf_counter()
     outcome = guarded_call(
-        lambda: execute(item),
+        lambda: execute_run(item, obs),
         timeout_s=timeout_s,
         retries=retries,
         backoff_s=backoff_s,
@@ -283,6 +303,24 @@ def execute_run_guarded(
 
     outcome["worker"] = multiprocessing.current_process().name
     return outcome
+
+
+def _outcomes(items: List[WorkItem], guarded, jobs: int, obs) -> Iterator[Dict[str, Any]]:
+    """``guarded(item)`` for each item, in order: in-process (where a
+    shared ``obs`` can go along) or across a pool of ``jobs`` workers."""
+    if jobs == 1:
+        for item in items:
+            yield guarded(item, obs=obs)
+        return
+    import multiprocessing
+
+    workers = min(jobs, len(items))
+    with multiprocessing.Pool(processes=workers) as pool:
+        # imap preserves submission order, so results land at their
+        # run's index no matter which worker finished first — this is
+        # what makes jobs=N output identical to jobs=1.  A chunk is a
+        # batch of runs, each still behind its own guard in the worker.
+        yield from pool.imap(guarded, items, _chunksize(len(items), workers))
 
 
 def _envelope(spec: RunSpec, record: Dict[str, Any], version: str) -> Dict[str, Any]:
@@ -385,15 +423,6 @@ def run_campaign(
         ts_dir = os.path.join(store.directory, "timeseries")
         os.makedirs(ts_dir, exist_ok=True)
 
-    def work_item(run: RunSpec) -> _WorkItem:
-        item = (run.scenario, run.kwargs, run.seed, run.collect_metrics)
-        if run.timeseries_interval_s:
-            item += (
-                run.timeseries_interval_s,
-                os.path.join(ts_dir, f"{run.key}.jsonl"),
-                run.label,
-            )
-        return item
     records: List[Optional[Dict[str, Any]]] = [None] * len(runs)
     errors: List[Optional[Dict[str, Any]]] = [None] * len(runs)
     hits: List[bool] = [False] * len(runs)
@@ -469,51 +498,27 @@ def run_campaign(
         if on_run is not None:
             on_run(run, False)
 
+    guarded = partial(
+        execute_run_guarded,
+        timeout_s=run_timeout_s,
+        retries=retries,
+        backoff_s=retry_backoff_s,
+    )
     try:
         if pending:
-            if jobs == 1:
-                for run in pending:
-                    if obs is None:
-                        execute = execute_run
-                    else:
-                        def execute(_item, run: RunSpec = run) -> Dict[str, Any]:
-                            from repro.exp.scenarios import get_scenario
-
-                            obs.begin_run(run.label)
-                            try:
-                                fn = get_scenario(run.scenario)
-                                result = fn(**run.kwargs, seed=run.seed, obs=obs)
-                                return obs.record(result).summary_record()
-                            finally:
-                                # A raising scenario must not leave its
-                                # label on subsequent runs' trace lines.
-                                obs.end_run()
-
-                    outcome = execute_run_guarded(
-                        (work_item(run), run_timeout_s, retries, retry_backoff_s),
-                        execute,
-                    )
+            items = [
+                WorkItem(
+                    run.scenario, run.kwargs, run.seed, run.collect_metrics,
+                    run.timeseries_interval_s,
+                    os.path.join(ts_dir, f"{run.key}.jsonl") if ts_dir else None,
+                    run.label,
+                )
+                for run in pending
+            ]
+            # closing(): a raising absorb must still shut the pool down.
+            with closing(_outcomes(items, guarded, jobs, obs)) as outcomes:
+                for run, outcome in zip(pending, outcomes):
                     absorb(run, outcome)
-            else:
-                import multiprocessing
-
-                items: List[_GuardedItem] = [
-                    (work_item(run), run_timeout_s, retries, retry_backoff_s)
-                    for run in pending
-                ]
-                workers = min(jobs, len(items))
-                chunksize = _chunksize(len(items), workers)
-                with multiprocessing.Pool(processes=workers) as pool:
-                    # imap preserves submission order, so results land at
-                    # their run's index no matter which worker finished
-                    # first — this is what makes jobs=N output identical
-                    # to jobs=1.  A chunk is a batch of runs, each still
-                    # behind its own guard (timeout, retries) in the worker.
-                    for run, outcome in zip(
-                        pending,
-                        pool.imap(execute_run_guarded, items, chunksize),
-                    ):
-                        absorb(run, outcome)
     finally:
         progress.campaign_finished()
 

@@ -28,7 +28,7 @@ which keeps every later tie-break and ``events_scheduled`` unchanged.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional
 
 from repro.sim.events import _INF, NORMAL, AllOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
@@ -77,7 +77,6 @@ class Simulator:
         self._seq = 0
         #: Entry of the latest non-urgent dispatch; run() resets it to None.
         self._dispatching: Optional[tuple] = None
-        self._active_process: Optional[Process] = None
         self.trace: Any = _NULL_TRACE
         if trace is not None:
             self.attach_trace(trace)
@@ -93,11 +92,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     @property
     def events_scheduled(self) -> int:
@@ -148,39 +142,6 @@ class Simulator:
         event._value = value
         self._push(when, NORMAL, event)
         return event
-
-    def bulk_timeouts(self, times: Sequence[float], values: Any = None) -> List[Timeout]:
-        """Batch-create timeouts firing at the given *absolute* times.
-
-        :meth:`timeout_at` for each time in turn, except that the whole
-        batch is checked before anything is queued: ``times`` must be
-        finite, non-decreasing and must not precede the current time.
-        Sequence numbers are assigned in list order, preserving the
-        deterministic same-instant tie-break.
-
-        Parameters
-        ----------
-        times:
-            Absolute fire times, finite, non-decreasing, each ``>= self.now``.
-        values:
-            Optional per-timeout values (same length as ``times``).
-        """
-        if values is None:
-            values = [None] * len(times)
-        elif len(values) != len(times):
-            raise ValueError("values must match times in length")
-        previous = self._now
-        for when in times:
-            if when < previous:
-                raise SimulationError(
-                    f"bulk_timeouts times must be non-decreasing and >= now "
-                    f"(got {when!r} after {previous!r})"
-                )
-            if not when < _INF:
-                raise ValueError(f"bulk_timeouts times must be finite (got {when!r})")
-            previous = when
-        timeout_at = self.timeout_at
-        return [timeout_at(when, value) for when, value in zip(times, values)]
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
         """Start a new :class:`Process` driving ``generator``."""

@@ -170,7 +170,6 @@ class Process(Event):
         throw = self._throw
         resume_cb = self._resume_cb
         validated = self._validated
-        sim._active_process = self
         try:
             while True:
                 if trigger._ok:
@@ -215,8 +214,6 @@ class Process(Event):
                 raise
             # The generator died: fail the process event so waiters see it.
             self.fail(exc)
-        finally:
-            sim._active_process = None
 
     def __repr__(self) -> str:
         status = "alive" if self.is_alive else "finished"

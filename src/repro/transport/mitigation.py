@@ -155,7 +155,8 @@ def run_split_connection(
     def supervisor():
         wired_done = wired_sender.start()
         wireless_done = wireless_sender.start()
-        yield sim.all_of([wired_done, wireless_done])
+        yield wired_done
+        yield wireless_done
         done.succeed(wireless_sender.stats)
 
     sim.process(supervisor(), name="split-connection")

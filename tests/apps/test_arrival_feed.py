@@ -128,7 +128,7 @@ def _world(source_name, seed, lazy, resumed=False):
                 at(plan.choice(later))
 
     def at(when):
-        sim.bulk_timeouts([when])[0].callbacks.append(reader)
+        sim.timeout_at(when).callbacks.append(reader)
 
     def watch():
         while True:
@@ -199,7 +199,7 @@ def test_urgent_wakeup_sees_arrivals_dispatched_at_its_instant(lazy):
 
     watcher = sim.process(watch())
     sim.run(until=0.5)  # the arrival's number is reserved by now
-    sim.bulk_timeouts([1.0])[0].callbacks.append(lambda _e: watcher.interrupt())
+    sim.timeout_at(1.0).callbacks.append(lambda _e: watcher.interrupt())
     sim.run(until=5.0)
     assert seen == [(1.0, 40)]
 
@@ -331,7 +331,7 @@ def _cbr_world(world, cached):
                 if time_s > now:
                     now = now + (time_s - now)
             when = now
-        sim.bulk_timeouts([when])[0].callbacks.append(lambda _t, i=index: read(i))
+        sim.timeout_at(when).callbacks.append(lambda _t, i=index: read(i))
     for start_s, resumed in world["starts"]:
         sim.run(until=start_s)
         log = []

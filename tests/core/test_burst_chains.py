@@ -180,7 +180,7 @@ def _run(world, interface_cls, client_cls):
             resumed.append((number, step, sim.now, value))
 
     def at(when, action):
-        sim.bulk_timeouts([when])[0].callbacks.append(lambda _timer: action())
+        sim.timeout_at(when).callbacks.append(lambda _timer: action())
 
     def fault(interface, kind):
         acts.append(sim.now)
@@ -316,7 +316,7 @@ def test_a_burst_checks_its_interface_at_the_call_not_at_a_bootstrap(edge):
             interface.fail()
         calls = []
         # Both timers fire at 1.0, the burst call's first.
-        call, flip = sim.bulk_timeouts([1.0, 1.0])
+        call, flip = sim.timeout_at(1.0), sim.timeout_at(1.0)
         call.callbacks.append(
             lambda _t: calls.append(client.execute_burst("if0", 1_000))
         )

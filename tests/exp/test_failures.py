@@ -310,16 +310,49 @@ def nan_scenario(seed=0, obs=None):
 register_scenario("test-nan", nan_scenario)
 
 
+def labelled_scenario(gain=1, seed=0, obs=None):
+    """A healthy run whose record carries the session's run label."""
+    result = _Result(gain, seed)
+    label = obs._run_label
+    result.summary_record = lambda: {"run_label": label}
+    return result
+
+
+register_scenario("test-labelled", labelled_scenario)
+
+
 class TestObsLifecycle:
     def test_execute_run_closes_obs_on_failure(self):
-        from repro.exp.runner import execute_run
+        from repro.exp.runner import WorkItem, execute_run
+
+        def item(gain):
+            return WorkItem("test-flaky", {"gain": gain}, 0, True, None, None, "x")
 
         with pytest.raises(ValueError):
-            execute_run(("test-flaky", {"gain": 13}, 0, True))
+            execute_run(item(13))
         # A fresh metrics run must start from a clean registry: the
         # failed run's collector was closed, not leaked.
-        record = execute_run(("test-flaky", {"gain": 1}, 0, True))
+        record = execute_run(item(1))
         assert isinstance(record["metrics"], dict)
+
+    def test_execute_run_on_shared_session_begins_records_and_ends(self):
+        from repro.exp.runner import WorkItem, execute_run
+        from repro.obs import ObsSession
+
+        def item(scenario, gain):
+            return WorkItem(scenario, {"gain": gain}, 0, False, None, None, f"run/{gain}")
+
+        obs = ObsSession()
+        with pytest.raises(ValueError):
+            execute_run(item("test-flaky", 13), obs)
+        assert obs._run_label is None
+        record = execute_run(item("test-labelled", 2), obs)
+        # The run saw its label; only the healthy run was recorded; and
+        # the label was dropped after it.
+        assert record["run_label"] == "run/2"
+        assert [run[0] for run in obs._chrome_runs] == ["flaky[2]"]
+        assert obs._run_label is None
+        obs.close()
 
     def test_shared_obs_run_label_cleared_after_failure(self):
         from repro.obs import ObsSession
@@ -338,5 +371,23 @@ class TestObsLifecycle:
         obs.begin_run("x")
         obs.end_run()
         obs.end_run()
+        assert obs._run_label is None
+        obs.close()
+
+    def test_figure_run_label_cleared_after_failure(self, monkeypatch):
+        import repro.__main__ as cli
+        from repro.obs import ObsSession
+
+        class RaisingBuilder:
+            def __init__(self, spec):
+                pass
+
+            def run(self, obs=None):
+                raise RuntimeError("world failed")
+
+        monkeypatch.setattr(cli, "WorldBuilder", RaisingBuilder)
+        obs = ObsSession()
+        with pytest.raises(RuntimeError):
+            cli._run_world(obs, "fig2/hotspot", spec=None)
         assert obs._run_label is None
         obs.close()

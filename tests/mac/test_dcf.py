@@ -393,7 +393,7 @@ def _run_contention_world(station_cls, world):
     outcomes = []
 
     def traffic(sim):
-        timers = sim.bulk_timeouts([when for when, _ in arrivals])
+        timers = [sim.timeout_at(when) for when, _ in arrivals]
         for index, (timer, (_when, (_instant, source, destination, size))) in (
             enumerate(zip(timers, arrivals))
         ):
@@ -413,7 +413,7 @@ def _run_contention_world(station_cls, world):
             )
 
     def interferer(sim):
-        timers = sim.bulk_timeouts([when for when, _ in injections])
+        timers = [sim.timeout_at(when) for when, _ in injections]
         for timer, (_when, size) in zip(timers, injections):
             yield timer
             medium.transmit(Frame(FrameKind.DATA, "x", BROADCAST, payload_bytes=size))
@@ -490,7 +490,7 @@ def test_busy_edge_triggered_before_a_slot_end_freezes_the_countdown(station_cls
     medium.transmit = recording_transmit
 
     def interferer(sim):
-        yield sim.bulk_timeouts([edge])[0]
+        yield sim.timeout_at(edge)
         yield medium.transmit(interference)
 
     sim.process(interferer(sim))

@@ -192,7 +192,7 @@ def _run_world(flavour, world):
     def reserve(sim):
         # Armed at time 0, so each fires before any frame ending at its
         # instant is delivered.
-        timers = sim.bulk_timeouts([when for when, _, _ in reservations])
+        timers = [sim.timeout_at(when) for when, _, _ in reservations]
         for timer, (_when, index, window) in zip(timers, reservations):
             yield timer
             policy = stations[index % n].power_policy
@@ -200,7 +200,7 @@ def _run_world(flavour, world):
                 policy.on_nav_set(sim.now + window, None)
 
     def traffic(sim):
-        timers = sim.bulk_timeouts([when for when, _ in arrivals])
+        timers = [sim.timeout_at(when) for when, _ in arrivals]
         for index, (timer, (_when, (_instant, source, destination, size))) in (
             enumerate(zip(timers, arrivals))
         ):
@@ -296,7 +296,7 @@ def _nap_kicked_as_data_lands(flavour):
     seen = {}
 
     def reserve(sim):
-        yield sim.bulk_timeouts([lands])[0]
+        yield sim.timeout_at(lands)
         b.power_policy.on_nav_set(sim.now + 3e-3, None)
         seen["napping"] = b.power_policy._napping
 

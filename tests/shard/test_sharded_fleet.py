@@ -122,8 +122,8 @@ class TestMigrationBytePaths:
     # ``sim_events`` may move with a change that is meant to schedule
     # fewer kernel events.
     PINNED = {
-        0: "f787ceaf927fb27cc31e0ae9b02ef11c2c78c3d1f59fa5a4661c91d1fb819e97",
-        1: "4dc66d7464a6409a64585baad99add570305b5c50b3e92e0e1b6fcc019cf1c9d",
+        0: "6ea921ae4596439066ccd2f6dc3e5c3608d45d82942df516a72eec36238c5ec0",
+        1: "2c9e9e1478c9662999eeb2f1c61190281f56520c28d1ca9c050dd4452df40a8d",
     }
 
     @pytest.mark.parametrize("seed", sorted(PINNED))

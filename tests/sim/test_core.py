@@ -64,7 +64,6 @@ _NON_FINITE_TRIGGERS = {
     "_schedule": lambda sim, event, x: sim._schedule(event, x),
     "succeed": lambda sim, event, x: event.succeed(delay=x),
     "fail": lambda sim, event, x: event.fail(RuntimeError("boom"), delay=x),
-    "bulk_timeouts": lambda sim, event, x: sim.bulk_timeouts([sim.now + 1.0, x]),
     "timeout_at": lambda sim, event, x: sim.timeout_at(x),
 }
 
@@ -75,9 +74,6 @@ _NON_FINITE_TRIGGERS = {
         *[("timeout", x, ValueError) for x in (NAN, INF, -INF)],
         *[(name, x, SimulationError) for name in ("_schedule", "succeed", "fail")
           for x in (NAN, INF, -INF)],
-        ("bulk_timeouts", NAN, ValueError),
-        ("bulk_timeouts", INF, ValueError),
-        ("bulk_timeouts", -INF, SimulationError),  # precedes now
         ("timeout_at", NAN, ValueError),
         ("timeout_at", INF, ValueError),
         ("timeout_at", -INF, SimulationError),  # precedes now

@@ -144,43 +144,6 @@ def test_cascading_schedule_matches_reference_heap(roots, spawn_lists):
             assert profiler.steps == len(fired)
 
 
-@given(
-    st.lists(delay_values, min_size=1, max_size=40),
-    st.lists(delay_values, max_size=10),
-)
-@settings(max_examples=60)
-def test_bulk_timeouts_match_individual_timeouts(delays, rival_delays):
-    """bulk_timeouts dispatches exactly like the same Timeouts made singly.
-
-    Rival timeouts created *before* the batch check that tie-breaking by
-    sequence number is preserved (the batch's seqs all come after them).
-    """
-    offsets = sorted(delays)
-
-    sim_a = Simulator()
-    order_a = []
-    for i, delay in enumerate(rival_delays):
-        timeout = sim_a.timeout(delay)
-        timeout.callbacks.append(lambda _e, i=i: order_a.append(("rival", i)))
-    for i, offset in enumerate(offsets):
-        timeout = sim_a.timeout(offset)
-        timeout.callbacks.append(lambda _e, i=i: order_a.append(("bulk", i)))
-    sim_a.run()
-
-    sim_b = Simulator()
-    order_b = []
-    for i, delay in enumerate(rival_delays):
-        timeout = sim_b.timeout(delay)
-        timeout.callbacks.append(lambda _e, i=i: order_b.append(("rival", i)))
-    batch = sim_b.bulk_timeouts([sim_b.now + offset for offset in offsets])
-    for i, timeout in enumerate(batch):
-        timeout.callbacks.append(lambda _e, i=i: order_b.append(("bulk", i)))
-    sim_b.run()
-
-    assert order_a == order_b
-    assert sim_a.events_scheduled == sim_b.events_scheduled
-
-
 @given(st.lists(delay_values, min_size=2, max_size=30), delay_values)
 @settings(max_examples=60)
 def test_run_until_horizon_preserves_pending_order(delays, horizon):

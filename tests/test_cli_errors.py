@@ -47,6 +47,14 @@ PROBES = [
         ["crossval", "--surrogate-fraction", "0.5", "--surrogate-mode", "target"],
         "score_grid.target",
     ),
+    (["crossval", "--suite", "unap", "--listen", "1,2"], "--listen"),
+    (["crossval", "--suite", "unap", "--direction", "uplink"], "--direction"),
+    (["crossval", "--suite", "unap", "--light-duration", "5"], "--light-duration"),
+    (["crossval", "--suite", "unap", "--offered", "1e5,2e5"], "--offered"),
+    (
+        ["crossval", "--suite", "unap", "--surrogate-fraction", "0.5"],
+        "--surrogate-fraction",
+    ),
 ]
 
 
