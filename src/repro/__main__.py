@@ -140,14 +140,15 @@ def _run_campaign_command(
     args: argparse.Namespace,
     spec: CampaignSpec,
     run=run_campaign,
-    obs: ObsSession | None = None,
+    shared_obs: bool = False,
     **options: Any,
 ):
     """Run a campaign-shaped command through ``run`` (:func:`run_campaign`
-    or ``run_crossval``): check every grid point, force ``--jobs 1`` for a
-    shared ``obs`` session, open and close the ``--store``, and print the
-    status and failure lines to stderr."""
+    or ``run_crossval``): check every grid point, open the obs flags' one
+    session when ``shared_obs`` (forcing ``--jobs 1``), open and close the
+    ``--store``, and print the status and failure lines to stderr."""
     _check_points(spec)
+    obs = ObsSession.from_args(args) if shared_obs else None
     jobs = args.jobs
     if obs is not None:
         if jobs != 1:
@@ -278,7 +279,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         derive=derive,
         seeds=[args.seed],
     )
-    report = _run_campaign_command(args, spec, obs=ObsSession.from_args(args))
+    report = _run_campaign_command(args, spec, shared_obs=True)
     rows = [
         [r.params[axis], r.record["wnic_power_w"], r.record["qos_maintained"]]
         for r in report.results

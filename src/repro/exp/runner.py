@@ -400,15 +400,10 @@ def run_campaign(
     )
     if obs is not None and jobs != 1:
         raise ValueError("a shared obs session requires jobs=1")
-    if obs is not None and spec.collect_metrics:
+    if obs is not None and (spec.collect_metrics or spec.timeseries_interval_s is not None):
         raise ValueError(
-            "collect_metrics uses a per-run obs session; "
-            "drop the shared one or the flag"
-        )
-    if obs is not None and spec.timeseries_interval_s is not None:
-        raise ValueError(
-            "campaign timeseries uses a per-run obs session; "
-            "drop the shared one or the interval"
+            "collect_metrics and campaign timeseries use a per-run obs "
+            "session; drop the shared one or the flag"
         )
 
     version = package_version()
