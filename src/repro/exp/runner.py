@@ -52,6 +52,7 @@ from repro.exp.progress import CampaignProgress, ProgressLog, StderrProgress
 from repro.exp.spec import CampaignSpec, RunSpec, canonical_params
 from repro.exp.store import ResultStore
 
+
 class WorkItem(NamedTuple):
     """One pending run as shipped to :func:`execute_run` (pool-picklable);
     ``timeseries_path`` None means the run samples no timeseries."""
