@@ -17,6 +17,7 @@ Run:  python examples/surrogate_refinement.py
 import tempfile
 
 from repro.analytic.crossval import psm_crossval_spec
+from repro.analytic.surrogate import refine_campaign
 from repro.exp import ResultStore, aggregate, run_campaign, summary_table
 
 GRID_KEYS = ("n_clients", "offered_load_bps", "listen_interval")
@@ -33,8 +34,8 @@ def main() -> None:
     # Screen every grid point with the closed-form energy model and keep
     # the 35 % with the steepest per-station power gradient — the knees
     # of the response surface, where simulator seeds earn their cost.
-    refined = spec.refine_with_surrogate(
-        predictor="psm-energy", metric="wnic_power_w", fraction=0.35
+    refined = refine_campaign(
+        spec, predictor="psm-energy", metric="wnic_power_w", fraction=0.35
     )
     print(
         f"surrogate screen: {len(refined.selected)}/{len(refined.scored)} "

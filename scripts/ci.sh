@@ -32,6 +32,18 @@ echo "== survey and ablation benches =="
 # much).  About 6 s.
 python -m pytest benchmarks --ignore=benchmarks/e2e -q
 
+echo "== examples =="
+# Every example must run to a zero exit, so an API change cannot leave
+# one broken.  TMPDIR points their temp dirs (stores and the like) at a
+# dir the EXIT trap removes.  About 5 s.
+examples_tmp="$(mktemp -d /tmp/repro-examples.XXXXXX)"
+tmp_paths+=("$examples_tmp")
+for example in examples/*.py; do
+  TMPDIR="$examples_tmp" python "$example" > /dev/null \
+    || { echo "examples: $example exited non-zero"; exit 1; }
+done
+echo "examples ok: $(ls examples/*.py | wc -l) ran to a zero exit"
+
 echo "== e2e benchmark drivers =="
 # The benchmark's public-call drivers (presets, WorldBuilder, campaigns
 # through the scenario registry) on trimmed workloads.

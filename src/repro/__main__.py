@@ -40,6 +40,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro import package_version
 from repro._domain import SpecError, coerce
+from repro.analytic import PREDICTORS
+from repro.analytic.crossval import DEFAULT_TOLERANCE, SUITES, ToleranceContract, run_crossval
+from repro.analytic.models import predictor_entry
+from repro.analytic.surrogate import SCORE_MODES, refine_campaign
 from repro.build import WorldBuilder
 from repro.build.presets import (
     city_grid_world,
@@ -152,8 +156,13 @@ def _run_campaign_command(
     jobs = args.jobs
     if obs is not None:
         if jobs != 1:
+            flags = ", ".join(
+                "--" + name.replace("_", "-")
+                for name in ObsSession.ARG_NAMES
+                if getattr(args, name)
+            )
             print(
-                "note: tracing requires in-process execution; forcing --jobs 1",
+                f"note: forcing --jobs 1 (in-process execution is needed for {flags})",
                 file=sys.stderr,
             )
             jobs = 1
@@ -426,9 +435,6 @@ def _flatten_record(record: Dict[str, Any], prefix: str = "") -> List[List[objec
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     """List or evaluate the closed-form predictors (no simulator)."""
-    from repro.analytic import PREDICTORS
-    from repro.analytic.models import predictor_entry
-
     if not args.predictor:
         if args.json:
             payload = [
@@ -476,17 +482,6 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     """Cross-validate the analytic models against the simulator."""
     import os
 
-    from repro.analytic.crossval import (
-        DEFAULT_METRICS,
-        DEFAULT_TOLERANCE,
-        UNAP_METRICS,
-        ToleranceContract,
-        psm_crossval_spec,
-        run_crossval,
-        unap_crossval_spec,
-    )
-    from repro.analytic.models import PsmParams, UnapParams
-
     # Only the flags given go on, so each suite's defaults live in its
     # spec builder alone.
     given = {
@@ -496,6 +491,19 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         "first_seed": args.seed,
         "n_seeds": args.seeds,
     }
+    screen_only = {
+        "--surrogate-metric": args.surrogate_metric,
+        "--surrogate-mode": args.surrogate_mode,
+        "--surrogate-target": args.surrogate_target,
+    }
+    # Every flag given where it cannot act; the first one ends the run.
+    errors = [
+        f"{flag} needs --surrogate-fraction"
+        for flag, value in screen_only.items()
+        if value is not None and args.surrogate_fraction is None
+    ]
+    if args.surrogate_target is not None and args.surrogate_mode != "target":
+        errors.append("--surrogate-target needs --surrogate-mode target")
     if args.suite == "unap":
         psm_only = {
             "--listen": args.listen,
@@ -503,18 +511,17 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             "--light-duration": args.light_duration,
             "--surrogate-fraction": args.surrogate_fraction,
         }
-        for flag, value in psm_only.items():
-            if value is not None:
-                print(f"error: {flag} applies to --suite psm only", file=sys.stderr)
-                return 2
+        errors += [
+            f"{flag} applies to --suite psm only"
+            for flag, value in psm_only.items()
+            if value is not None
+        ]
         if args.offered is not None and len(args.offered) != 1:
-            print("error: --offered takes one value with --suite unap", file=sys.stderr)
-            return 2
+            errors.append("--offered takes one value with --suite unap")
         given.update(
             offered_load_bps=args.offered[0] if args.offered else None,
             duration_s=args.saturated_duration,
         )
-        build, metrics, params_type = unap_crossval_spec, UNAP_METRICS, UnapParams
     else:
         given.update(
             offered_load_bps=args.offered,
@@ -523,7 +530,10 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             light_duration_s=args.light_duration,
             saturated_duration_s=args.saturated_duration,
         )
-        build, metrics, params_type = psm_crossval_spec, DEFAULT_METRICS, PsmParams
+    if errors:
+        print(f"error: {errors[0]}", file=sys.stderr)
+        return 2
+    build, metrics = SUITES[args.suite]
     spec = build(**{name: value for name, value in given.items() if value is not None})
     contract = (
         ToleranceContract(
@@ -534,12 +544,12 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     )
     surrogate_payload: Optional[Dict[str, Any]] = None
     if args.surrogate_fraction is not None:
-        refinement = spec.refine_with_surrogate(
-            predictor="psm-energy"
-            if args.surrogate_metric == "wnic_power_w"
-            else "psm-throughput",
-            metric=args.surrogate_metric,
-            mode=args.surrogate_mode,
+        screened = {m.name: m for m in metrics}[args.surrogate_metric or "throughput_bps"]
+        refinement = refine_campaign(
+            spec,
+            predictor=screened.predictor,
+            metric=screened.model_field,
+            mode=args.surrogate_mode or "gradient",
             target=args.surrogate_target,
             fraction=args.surrogate_fraction,
         )
@@ -558,7 +568,6 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         contract=contract,
         metrics=metrics,
         refresh=args.fresh,
-        params_type=params_type,
     )
     payload = report.as_payload()
     if surrogate_payload is not None:
@@ -987,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     crossval.add_argument(
         "--suite",
         default="psm",
-        choices=("psm", "unap"),
+        choices=tuple(SUITES),
         help="which sim-vs-model suite to run (default: psm)",
     )
     crossval.add_argument(
@@ -1060,14 +1069,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crossval.add_argument(
         "--surrogate-metric",
-        default="throughput_bps",
-        choices=("throughput_bps", "wnic_power_w"),
+        choices=tuple(metric.name for metric in SUITES["psm"].metrics),
         help="prediction field the surrogate screen scores on",
     )
     crossval.add_argument(
         "--surrogate-mode",
-        default="gradient",
-        choices=("gradient", "target"),
+        choices=SCORE_MODES,
         help="score by predicted-metric gradient or by target proximity",
     )
     crossval.add_argument(

@@ -1,15 +1,15 @@
 """Sim-vs-model cross-validation: run both sides of one parameter grid.
 
 The simulator and the closed-form predictors of
-:mod:`repro.analytic.models` share one parameter space: the
-``psm-crossval`` scenario's keyword arguments map one-to-one onto
-:class:`~repro.analytic.models.PsmParams` (only ``n_clients`` renames to
-``n_stations``).  :func:`run_crossval` exploits that — it expands a
+:mod:`repro.analytic.models` share one parameter space: a suite
+scenario's keyword arguments map one-to-one onto its predictors'
+parameter type (only ``n_clients`` renames to ``n_stations``).
+:func:`run_crossval` exploits that — it expands a
 :class:`~repro.exp.spec.CampaignSpec`, runs the simulator side through
 the ordinary campaign engine (cached, resumable, parallel), evaluates
 the analytic side at every grid point, and folds both into per-point
 relative-error residuals judged against a declared
-:class:`ToleranceContract`.
+:class:`ToleranceContract`.  :data:`SUITES` declares each suite once.
 
 Predictions are persisted next to the simulator runs: each one becomes a
 store envelope under ``run_key("analytic:<predictor>", model_params, 0)``
@@ -22,19 +22,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro._domain import Domain
-from repro.analytic.models import PsmParams, predict
+from repro.analytic.models import predict, predictor_entry
 from repro.exp.runner import CampaignReport, RunResult, run_campaign
 from repro.exp.spec import CampaignSpec, canonical_params, run_key
 from repro.exp.store import ResultStore
 
 __all__ = [
     "SIM_TO_MODEL",
+    "SUITES",
     "CrossvalMetric",
     "CrossvalPoint",
     "CrossvalReport",
+    "CrossvalSuite",
     "DEFAULT_METRICS",
     "DEFAULT_TOLERANCE",
     "Residual",
@@ -55,32 +57,25 @@ SIM_TO_MODEL: Dict[str, str] = {"n_clients": "n_stations"}
 IGNORED_SIM_PARAMS = frozenset({"seed", "obs", "platform", "label"})
 
 
-def model_overrides(
-    sim_params: Mapping[str, Any],
-    params_type: type = PsmParams,
-    param_map: Optional[Mapping[str, str]] = None,
-) -> Dict[str, Any]:
-    """Translate one grid point's scenario kwargs into model overrides.
+def model_overrides(sim_params: Mapping[str, Any], predictor: str) -> Dict[str, Any]:
+    """Translate one grid point's scenario kwargs into overrides for
+    ``predictor``'s parameter type.
 
     Raises on a scenario parameter the model does not understand — a
     silent drop would let the two sides of the comparison diverge on a
     parameter one of them never saw.
     """
-    mapping = dict(SIM_TO_MODEL)
-    if param_map:
-        mapping.update(param_map)
+    params_type = predictor_entry(predictor).params_type
     known = {f.name for f in dataclass_fields(params_type)}
     overrides: Dict[str, Any] = {}
     for key, value in sim_params.items():
-        name = mapping.get(key, key)
+        name = SIM_TO_MODEL.get(key, key)
         if name in known:
             overrides[name] = value
-        elif key in IGNORED_SIM_PARAMS:
-            continue
-        else:
+        elif key not in IGNORED_SIM_PARAMS:
             raise ValueError(
                 f"scenario parameter {key!r} has no {params_type.__name__} "
-                "counterpart; extend SIM_TO_MODEL or param_map"
+                "counterpart; extend SIM_TO_MODEL"
             )
     return overrides
 
@@ -387,6 +382,21 @@ def unap_crossval_spec(
     )
 
 
+class CrossvalSuite(NamedTuple):
+    """One sim-vs-model suite: its grid builder and the metrics it judges."""
+
+    build: Callable[..., CampaignSpec]
+    metrics: Tuple[CrossvalMetric, ...]
+
+
+#: Every suite ``repro crossval --suite`` runs, by name.  A metric's
+#: predictor fixes the model parameter type its grid translates into.
+SUITES: Dict[str, CrossvalSuite] = {
+    "psm": CrossvalSuite(psm_crossval_spec, DEFAULT_METRICS),
+    "unap": CrossvalSuite(unap_crossval_spec, UNAP_METRICS),
+}
+
+
 def _store_prediction(
     store: ResultStore,
     predictor: str,
@@ -424,36 +434,35 @@ def run_crossval(
     store: Optional[ResultStore] = None,
     jobs: int = 1,
     refresh: bool = False,
-    param_map: Optional[Mapping[str, str]] = None,
-    params_type: type = PsmParams,
 ) -> CrossvalReport:
     """Run ``spec`` through the simulator and the analytic models.
 
     The simulator side goes through :func:`repro.exp.runner.run_campaign`
     unchanged (caching, resume, worker pool, quarantine all apply); the
     analytic side evaluates each metric's predictor at the same grid
-    point.  Residuals compare the prediction against the seed-mean of
-    the simulator metric; a point with failed simulator runs fails the
-    cross-validation outright.  ``params_type`` names the model
-    parameter space the grid translates into (:class:`UnapParams` for
-    the μNap suite) — it must match the predictors in ``metrics``.
+    point.  Every grid point is translated for every metric's predictor
+    before the first simulator run, so a grid the models cannot take
+    fails at once.  Residuals compare the prediction against the
+    seed-mean of the simulator metric; a point with failed simulator
+    runs fails the cross-validation outright.
     """
+    points = spec.points()
+    translated = [
+        [model_overrides(params, metric.predictor) for metric in metrics]
+        for params in points
+    ]
     campaign = run_campaign(
         spec, store=store, jobs=jobs, refresh=refresh
     )
     n_seeds = len(spec.seeds)
-    points = spec.points()
     stored = 0
     cached = 0
     out: List[CrossvalPoint] = []
-    for index, params in enumerate(points):
+    for index, (params, overrides) in enumerate(zip(points, translated)):
         chunk: List[RunResult] = campaign.results[
             index * n_seeds : (index + 1) * n_seeds
         ]
         healthy = [r for r in chunk if r.ok]
-        overrides = model_overrides(
-            params, params_type=params_type, param_map=param_map
-        )
         point = CrossvalPoint(
             index=index,
             params=dict(params),
@@ -461,8 +470,8 @@ def run_crossval(
             seeds=[r.seed for r in healthy],
             failed=len(chunk) - len(healthy),
         )
-        for metric in metrics:
-            prediction = predict(metric.predictor, dict(overrides))
+        for metric, metric_overrides in zip(metrics, overrides):
+            prediction = predict(metric.predictor, metric_overrides)
             point.model_params = prediction["params"]
             if store is not None:
                 if _store_prediction(

@@ -33,7 +33,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro._domain import Domain, SpecError
 from repro.analytic.crossval import model_overrides
 from repro.analytic.models import predict
-from repro.exp.grid import expand_grid
 from repro.exp.spec import CampaignSpec, canonical_params
 
 __all__ = [
@@ -70,7 +69,6 @@ class ScoredPoint:
 class RefinedCampaign:
     """A refined spec plus the screen that produced it."""
 
-    original: CampaignSpec
     spec: CampaignSpec
     scored: List[ScoredPoint] = field(default_factory=list)
     predictor: str = ""
@@ -107,24 +105,18 @@ class RefinedCampaign:
 
 
 def _axis_neighbours(
-    swept: Mapping[str, Any], grid: Mapping[str, Sequence[Any]]
-) -> List[Dict[str, Any]]:
-    """Grid points one step away along a single declared axis."""
-    neighbours: List[Dict[str, Any]] = []
-    for axis, values in grid.items():
+    coords: Tuple[Any, ...], grid: Mapping[str, Sequence[Any]]
+) -> List[Tuple[Any, ...]]:
+    """Grid coordinates one step away along a single declared axis."""
+    neighbours: List[Tuple[Any, ...]] = []
+    for axis, values in enumerate(grid.values()):
         values = list(values)
-        position = values.index(swept[axis])
+        position = values.index(coords[axis])
         for step in (-1, 1):
             other = position + step
             if 0 <= other < len(values):
-                neighbour = dict(swept)
-                neighbour[axis] = values[other]
-                neighbours.append(neighbour)
+                neighbours.append(coords[:axis] + (values[other],) + coords[axis + 1 :])
     return neighbours
-
-
-def _coords(swept: Mapping[str, Any], grid_keys: Sequence[str]) -> Tuple[Any, ...]:
-    return tuple(swept[key] for key in grid_keys)
 
 
 def score_grid(
@@ -133,47 +125,39 @@ def score_grid(
     metric: str,
     mode: str = "gradient",
     target: Optional[float] = None,
-    param_map: Optional[Mapping[str, str]] = None,
 ) -> List[ScoredPoint]:
     """Evaluate the surrogate over the full grid and score every point.
 
     The model sees exactly what the simulator would: base + swept +
-    derived parameters, translated through the shared parameter space
+    derived parameters, translated into ``predictor``'s parameter type
     (:func:`repro.analytic.crossval.model_overrides`).
     """
     Domain(str, choices=SCORE_MODES).check("score_grid.mode", mode)
     if mode == "target" and target is None:
         raise SpecError("score_grid.target must be set for mode='target'; got None")
-    swept_points = (
-        [dict(entry) for entry in spec.points_override]
-        if spec.points_override is not None
-        else expand_grid(spec.grid)
-    )
-    full_points = spec.points()
+    points = spec.points()
+    grid_coords = [tuple(params[key] for key in spec.grid_keys) for params in points]
     values: Dict[Tuple[Any, ...], float] = {}
-    for swept, params in zip(swept_points, full_points):
-        overrides = model_overrides(params, param_map=param_map)
-        record = predict(predictor, overrides)
-        value = record[metric]
+    for coords, params in zip(grid_coords, points):
+        value = predict(predictor, model_overrides(params, predictor))[metric]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(
                 f"predictor {predictor!r} field {metric!r} is not numeric"
             )
-        values[_coords(swept, spec.grid_keys)] = float(value)
+        values[coords] = float(value)
     scored: List[ScoredPoint] = []
-    for index, swept in enumerate(swept_points):
-        value = values[_coords(swept, spec.grid_keys)]
+    for index, coords in enumerate(grid_coords):
+        value = values[coords]
         if mode == "target":
             score = -abs(value - float(target))
         else:
             score = 0.0
-            for neighbour in _axis_neighbours(swept, spec.grid):
-                other = values.get(_coords(neighbour, spec.grid_keys))
+            for neighbour in _axis_neighbours(coords, spec.grid):
+                other = values.get(neighbour)
                 if other is not None:
                     score = max(score, abs(value - other))
-        scored.append(
-            ScoredPoint(index=index, swept=dict(swept), value=value, score=score)
-        )
+        swept = dict(zip(spec.grid_keys, coords))
+        scored.append(ScoredPoint(index=index, swept=swept, value=value, score=score))
     return scored
 
 
@@ -184,7 +168,6 @@ def refine_campaign(
     mode: str = "gradient",
     target: Optional[float] = None,
     fraction: float = 0.35,
-    param_map: Optional[Mapping[str, str]] = None,
 ) -> RefinedCampaign:
     """Screen ``spec``'s grid with the analytic model; keep the top slice.
 
@@ -196,9 +179,7 @@ def refine_campaign(
     every cached result) is shared between the two.
     """
     Domain(float, gt=0, le=1).check("refine_campaign.fraction", fraction)
-    scored = score_grid(
-        spec, predictor, metric, mode=mode, target=target, param_map=param_map
-    )
+    scored = score_grid(spec, predictor, metric, mode=mode, target=target)
     keep = max(1, math.ceil(fraction * len(scored)))
     ranked = sorted(scored, key=lambda p: (-p.score, p.index))
     chosen = {p.index for p in ranked[:keep]}
@@ -206,7 +187,6 @@ def refine_campaign(
     override = [dict(p.swept) for p in scored if p.selected]
     refined = replace(spec, points_override=override)
     return RefinedCampaign(
-        original=spec,
         spec=refined,
         scored=scored,
         predictor=predictor,

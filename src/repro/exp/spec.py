@@ -162,7 +162,7 @@ class CampaignSpec:
         the grid keys).  ``grid`` still declares the axes and their
         value order for labels, tables and CSV columns.  This is how
         surrogate-guided refinement dispatches only the interesting
-        sub-grid (:meth:`refine_with_surrogate`).
+        sub-grid (:func:`repro.analytic.surrogate.refine_campaign`).
     """
 
     name: str = domain(str, nonempty=True)
@@ -271,36 +271,3 @@ class CampaignSpec:
                 canonical_params(dict(entry)) for entry in self.points_override
             ]
         return payload
-
-    def refine_with_surrogate(
-        self,
-        predictor: str,
-        metric: str,
-        mode: str = "gradient",
-        target: Optional[float] = None,
-        fraction: float = 0.35,
-        param_map: Optional[Dict[str, str]] = None,
-    ) -> "RefinedCampaign":
-        """Pre-screen the grid with an analytic model; keep the
-        interesting fraction.
-
-        Evaluates ``predictor`` (a :data:`repro.analytic.PREDICTORS`
-        name) at every grid point, scores points by predicted-metric
-        gradient (``mode="gradient"``) or by proximity to ``target``
-        (``mode="target"``), and returns a
-        :class:`~repro.analytic.surrogate.RefinedCampaign` whose
-        ``spec`` carries only the top-scoring points via
-        ``points_override``.  Pure closed-form evaluation: the screen is
-        deterministic and costs no simulator time.
-        """
-        from repro.analytic.surrogate import refine_campaign
-
-        return refine_campaign(
-            self,
-            predictor=predictor,
-            metric=metric,
-            mode=mode,
-            target=target,
-            fraction=fraction,
-            param_map=param_map,
-        )

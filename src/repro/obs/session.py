@@ -54,6 +54,9 @@ class ObsSession:
         Simulated seconds between samples (default 1.0).
     """
 
+    #: The parsed-argument names of the CLI flags that open a session.
+    ARG_NAMES = ("trace", "chrome_trace", "profile", "metrics", "timeseries")
+
     def __init__(
         self,
         trace_path: Optional[str] = None,
@@ -92,19 +95,14 @@ class ObsSession:
     @classmethod
     def from_args(cls, args) -> Optional["ObsSession"]:
         """Build a session from parsed CLI args; None when no flag is set."""
-        trace_path = getattr(args, "trace", None)
-        chrome_path = getattr(args, "chrome_trace", None)
-        profile = getattr(args, "profile", False)
-        metrics = getattr(args, "metrics", False)
-        timeseries_path = getattr(args, "timeseries", None)
-        if not (trace_path or chrome_path or profile or metrics or timeseries_path):
+        if not any(getattr(args, name, None) for name in cls.ARG_NAMES):
             return None
         return cls(
-            trace_path=trace_path,
-            chrome_trace_path=chrome_path,
-            profile=profile,
-            collect_metrics=metrics,
-            timeseries_path=timeseries_path,
+            trace_path=getattr(args, "trace", None),
+            chrome_trace_path=getattr(args, "chrome_trace", None),
+            profile=getattr(args, "profile", False),
+            collect_metrics=getattr(args, "metrics", False),
+            timeseries_path=getattr(args, "timeseries", None),
             timeseries_interval_s=getattr(args, "timeseries_interval", 1.0),
         )
 

@@ -1,25 +1,32 @@
 """Cross-validation harness: parameter mapping, tolerance semantics and
 one fast end-to-end sim-vs-model run."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.analytic import PREDICTORS
 from repro.analytic.crossval import (
+    DEFAULT_METRICS,
     DEFAULT_TOLERANCE,
+    SUITES,
     Residual,
     ToleranceContract,
     model_overrides,
     psm_crossval_spec,
     run_crossval,
+    unap_crossval_spec,
 )
+from repro.exp import scenarios
 from repro.exp.store import ResultStore
 
 
 class TestModelOverrides:
     def test_maps_n_clients_to_n_stations(self):
         out = model_overrides(
-            {"n_clients": 3, "offered_load_bps": 1e5, "listen_interval": 2}
+            {"n_clients": 3, "offered_load_bps": 1e5, "listen_interval": 2},
+            "psm-energy",
         )
         assert out == {
             "n_stations": 3,
@@ -29,19 +36,31 @@ class TestModelOverrides:
 
     def test_drops_bookkeeping_params(self):
         out = model_overrides({"n_clients": 1, "seed": 7, "obs": "x",
-                               "label": "run", "platform": "p"})
+                               "label": "run", "platform": "p"},
+                              "psm-energy")
         assert out == {"n_stations": 1}
 
     def test_unknown_param_raises(self):
         with pytest.raises(ValueError, match="no PsmParams counterpart"):
-            model_overrides({"n_clients": 1, "mystery_knob": 3})
+            model_overrides({"n_clients": 1, "mystery_knob": 3}, "psm-energy")
 
-    def test_custom_param_map_extends_translation(self):
-        out = model_overrides(
-            {"n_clients": 1, "mystery_knob": 3},
-            param_map={"mystery_knob": "listen_interval"},
-        )
-        assert out["listen_interval"] == 3
+    def test_params_type_follows_the_predictor(self):
+        point = {"n_clients": 2, "rts_threshold_bytes": 500}
+        assert model_overrides(point, "unap-energy") == {
+            "n_stations": 2, "rts_threshold_bytes": 500,
+        }
+        with pytest.raises(ValueError, match="no PsmParams counterpart"):
+            model_overrides(point, "psm-energy")
+
+
+class TestSuites:
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_default_point_translates_for_every_metric(self, name):
+        suite = SUITES[name]
+        for params in suite.build().points():
+            for metric in suite.metrics:
+                overrides = model_overrides(params, metric.predictor)
+                PREDICTORS[metric.predictor].params_type(**overrides)
 
 
 class TestToleranceContract:
@@ -155,3 +174,23 @@ class TestRunCrossval:
         assert len(rows) == 1
         assert all(len(row) == len(header) for row in rows)
         assert "ok" in header
+
+    def test_untranslatable_grid_fails_before_any_scenario_call(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counting_scenario(**params):
+            calls.append(params)
+            raise RuntimeError("the grid should have been rejected first")
+
+        entry = scenarios.scenario_entry("unap-hotspot")
+        monkeypatch.setitem(
+            scenarios._SCENARIOS, "unap-hotspot",
+            dataclasses.replace(entry, fn=counting_scenario),
+        )
+        # The μNap grid carries rts_threshold_bytes, which PsmParams lacks.
+        spec = unap_crossval_spec(duration_s=1.0, n_seeds=1)
+        with pytest.raises(ValueError, match="'rts_threshold_bytes'"):
+            run_crossval(spec, metrics=DEFAULT_METRICS)
+        assert calls == []

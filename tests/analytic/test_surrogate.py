@@ -5,7 +5,6 @@ import pytest
 
 from repro.analytic.crossval import psm_crossval_spec
 from repro.analytic.surrogate import (
-    RefinedCampaign,
     ScoredPoint,
     refine_campaign,
     score_grid,
@@ -178,18 +177,6 @@ class TestRefineCampaign:
             for p in refined.spec.points()
         ]
         assert positions == sorted(positions)
-
-    def test_spec_convenience_method_matches_free_function(self):
-        spec = grid_spec()
-        via_method = spec.refine_with_surrogate(
-            predictor="psm-energy", metric="wnic_power_w", fraction=0.35
-        )
-        assert isinstance(via_method, RefinedCampaign)
-        via_function = refine_campaign(
-            spec, predictor="psm-energy", metric="wnic_power_w",
-            fraction=0.35,
-        )
-        assert via_method.as_payload() == via_function.as_payload()
 
     def test_payload_reports_budget_bookkeeping(self):
         spec = grid_spec()

@@ -5,11 +5,11 @@ import pytest
 from repro.analytic import PREDICTORS, UnapParams, unap_station_energy
 from repro.analytic.crossval import (
     UNAP_METRICS,
-    DEFAULT_TOLERANCE,
     model_overrides,
     run_crossval,
     unap_crossval_spec,
 )
+from repro.analytic.surrogate import refine_campaign
 
 
 class TestUnapParams:
@@ -40,7 +40,7 @@ class TestUnapParams:
                 "duration_s": 10.0,
                 "seed": 0,
             },
-            params_type=UnapParams,
+            "unap-energy",
         )
         assert out["n_stations"] == 4
         assert "seed" not in out
@@ -105,12 +105,7 @@ class TestUnapCrossval:
         spec = unap_crossval_spec(
             name="unap-crossval-tiny", duration_s=3.0, n_seeds=1
         )
-        report = run_crossval(
-            spec,
-            contract=DEFAULT_TOLERANCE,
-            metrics=UNAP_METRICS,
-            params_type=UnapParams,
-        )
+        report = run_crossval(spec, metrics=UNAP_METRICS)
         assert report.ok
         assert len(report.points) == 2
         for point in report.points:
@@ -118,3 +113,11 @@ class TestUnapCrossval:
             assert residual.metric == "wnic_power_w"
             assert residual.limit == 0.10
             assert residual.rel_err < 0.10
+
+    def test_surrogate_screens_the_unap_grid(self):
+        refined = refine_campaign(
+            unap_crossval_spec(), predictor="unap-energy",
+            metric="wnic_power_w", fraction=0.5,
+        )
+        assert len(refined.spec.points()) == 1
+        assert len(refined.scored) == 2

@@ -166,6 +166,17 @@ class TestCliSweeps:
         assert "Scheduler sweep" in out
         assert "edf" in out and "wfq" in out
 
+    def test_forced_serial_note_names_its_flag(self, capsys):
+        from repro.__main__ import main
+
+        code = main(["sweep-schedulers", "--duration", "2", "--clients", "1",
+                     "--metrics", "--jobs", "2"])
+        assert code == 0
+        err = capsys.readouterr().err
+        (note,) = [line for line in err.splitlines() if line.startswith("note:")]
+        assert "--metrics" in note and "--jobs 1" in note
+        assert "tracing" not in note
+
     def test_sweep_bursts_runs(self, capsys):
         from repro.__main__ import main
 

@@ -55,6 +55,32 @@ PROBES = [
         ["crossval", "--suite", "unap", "--surrogate-fraction", "0.5"],
         "--surrogate-fraction",
     ),
+    (
+        ["crossval", "--surrogate-metric", "wnic_power_w"],
+        "--surrogate-metric needs --surrogate-fraction",
+    ),
+    (
+        ["crossval", "--surrogate-mode", "target"],
+        "--surrogate-mode needs --surrogate-fraction",
+    ),
+    (
+        ["crossval", "--surrogate-target", "0.5"],
+        "--surrogate-target needs --surrogate-fraction",
+    ),
+    (
+        ["crossval", "--suite", "unap", "--surrogate-mode", "target",
+         "--surrogate-target", "0.5"],
+        "--surrogate-mode needs --surrogate-fraction",
+    ),
+    (
+        ["crossval", "--surrogate-fraction", "0.5", "--surrogate-target", "0.5"],
+        "--surrogate-target needs --surrogate-mode target",
+    ),
+    (
+        ["crossval", "--surrogate-fraction", "0.5", "--surrogate-mode",
+         "gradient", "--surrogate-target", "0.5"],
+        "--surrogate-target needs --surrogate-mode target",
+    ),
 ]
 
 

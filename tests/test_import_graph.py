@@ -165,6 +165,27 @@ def test_analytic_models_load_no_mac_stations():
     assert result == []
 
 
+def test_exp_never_imports_the_analytic_layer():
+    # The analytic layer builds on the campaign engine (crossval runs
+    # campaigns, the surrogate refines specs), never the other way round.
+    offenders = []
+    for path in sorted((ROOT / "src/repro/exp").glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(m.split(".")[:2] == ["repro", "analytic"] for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "repro.exp imports repro.analytic at " + ", ".join(
+        offenders
+    )
+
+
 @pytest.mark.parametrize(
     "package, registry",
     [
