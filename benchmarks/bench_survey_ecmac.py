@@ -90,7 +90,7 @@ SEEDS = (3, 17, 29)
 
 def run_comparison():
     """Replicated across seeds; Poisson traffic makes single runs noisy."""
-    from repro.exp.aggregate import FieldStats
+    from repro.exp import FieldStats
 
     def replicate(network):
         runs = [network(seed) for seed in SEEDS]

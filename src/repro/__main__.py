@@ -28,49 +28,27 @@ The sweep commands and ``campaign`` run through the
 :mod:`repro.exp` engine: add ``--jobs N`` to fan runs out across a
 worker pool and ``--store DIR`` to cache completed runs on disk, so an
 interrupted or repeated invocation only computes what is missing.
+
+Each command imports the stack it runs, and an option whose choices
+come from a registry reads it only to check a value or print help, so
+``repro --version`` loads no simulator.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro import package_version
-from repro._domain import SpecError, coerce
-from repro.analytic import PREDICTORS
-from repro.analytic.crossval import DEFAULT_TOLERANCE, SUITES, ToleranceContract, run_crossval
-from repro.analytic.models import predictor_entry
-from repro.analytic.surrogate import SCORE_MODES, refine_campaign
-from repro.build import WorldBuilder
-from repro.build.presets import (
-    city_grid_world,
-    fleet_hotspot_world,
-    hotspot_world,
-    unscheduled_world,
-)
-from repro.core.scheduling import scheduler_names
-from repro.exp import (
-    DEFAULT_FIELDS,
-    CampaignReport,
-    CampaignSpec,
-    ResultStore,
-    aggregate,
-    campaign_payload,
-    dumps_strict,
-    recorded_run,
-    run_campaign,
-    scenario_entries,
-    scenario_entry,
-    scenario_names,
-    summary_rows,
-    write_csv,
-)
-from repro.metrics import format_table, render_schedule_timeline
-from repro.metrics.energy import wnic_power_saving_fraction
-from repro.obs import ObsSession, radio_dwell_table, top_kinds_table
+from repro.exp.jsonio import dumps_strict
+from repro.metrics.report import format_table
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.exp import CampaignReport, CampaignSpec
+    from repro.obs import ObsSession
 
 
 def _finish_obs(obs: ObsSession | None) -> None:
@@ -128,6 +106,11 @@ def _report_failures(report: CampaignReport) -> None:
 def _check_points(spec: CampaignSpec) -> None:
     """Build every grid point's world once, before any run is dispatched,
     so that a bad value raises :class:`SpecError` here, not in a worker."""
+    import inspect
+
+    from repro._domain import SpecError
+    from repro.exp import scenario_entry
+
     factory = scenario_entry(spec.scenario).spec_factory
     if factory is None:
         return
@@ -143,14 +126,18 @@ def _check_points(spec: CampaignSpec) -> None:
 def _run_campaign_command(
     args: argparse.Namespace,
     spec: CampaignSpec,
-    run=run_campaign,
+    run=None,
     shared_obs: bool = False,
     **options: Any,
 ):
     """Run a campaign-shaped command through ``run`` (:func:`run_campaign`
-    or ``run_crossval``): check every grid point, open the obs flags' one
-    session when ``shared_obs`` (forcing ``--jobs 1``), open and close the
-    ``--store``, and print the status and failure lines to stderr."""
+    by default, or ``run_crossval``): check every grid point, open the obs
+    flags' one session when ``shared_obs`` (forcing ``--jobs 1``), open
+    and close the ``--store``, and print the status and failure lines to
+    stderr."""
+    from repro.exp import ResultStore, run_campaign
+    from repro.obs import ObsSession
+
     _check_points(spec)
     obs = ObsSession.from_args(args) if shared_obs else None
     jobs = args.jobs
@@ -169,7 +156,7 @@ def _run_campaign_command(
         options["obs"] = obs
     store = ResultStore(args.store) if args.store else None
     try:
-        report = run(spec, store=store, jobs=jobs, **options)
+        report = (run or run_campaign)(spec, store=store, jobs=jobs, **options)
     finally:
         if store is not None:
             store.close()
@@ -184,12 +171,17 @@ def _run_campaign_command(
 def _run_world(obs: ObsSession | None, label: str, spec):
     """Build and run ``spec`` as run ``label`` of ``obs``, as a campaign
     runs a scenario on a shared session."""
+    from repro.build.builder import WorldBuilder
+    from repro.exp.runner import recorded_run
+
     return recorded_run(obs, label, lambda: WorldBuilder(spec).run(obs=obs))
 
 
 def _figure_world(args: argparse.Namespace, switch_s: float):
     """The figures' Hotspot world: Bluetooth quality drops from 1.0 to
     0.2 at ``switch_s``, which forces the switchover to WLAN."""
+    from repro.build.presets import hotspot_world
+
     return hotspot_world(
         n_clients=args.clients,
         duration_s=args.duration,
@@ -200,6 +192,9 @@ def _figure_world(args: argparse.Namespace, switch_s: float):
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
+    from repro.metrics.timeline import render_schedule_timeline
+    from repro.obs import ObsSession
+
     obs = ObsSession.from_args(args)
     result = _run_world(obs, "fig1/hotspot", _figure_world(args, args.duration * 2 / 3))
     print(render_schedule_timeline(result.radios, 0.0, args.duration, columns=96))
@@ -209,6 +204,10 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
+    from repro.build.presets import unscheduled_world
+    from repro.metrics.energy import wnic_power_saving_fraction
+    from repro.obs import ObsSession
+
     obs = ObsSession.from_args(args)
     wlan, bt = [
         _run_world(
@@ -260,12 +259,18 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scheduler_names() -> List[str]:
+    from repro.core.scheduling import scheduler_names
+
+    return scheduler_names()
+
+
 #: The ablation sweeps over the Hotspot scenario, by command: the grid
 #: axis, its values, fixed parameters beyond the workload's, derived
 #: parameters, the axis's table header and the table title.
 _SWEEPS = {
     "sweep-schedulers": (
-        "scheduler", scheduler_names, {}, None, "scheduler", "Scheduler sweep"
+        "scheduler", _scheduler_names, {}, None, "scheduler", "Scheduler sweep"
     ),
     "sweep-bursts": (
         "burst_bytes",
@@ -279,6 +284,8 @@ _SWEEPS = {
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.exp import CampaignSpec
+
     axis, values, fixed, derive, header, title = _SWEEPS[args.command]
     spec = CampaignSpec(
         name=args.command,
@@ -360,6 +367,15 @@ def _parse_float_list(text: str) -> List[float]:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.exp import (
+        DEFAULT_FIELDS,
+        CampaignSpec,
+        aggregate,
+        campaign_payload,
+        summary_rows,
+        write_csv,
+    )
+
     grid: Dict[str, List[Any]] = {}
     for option in args.param or []:
         name, values = _parse_axis(option)
@@ -435,6 +451,10 @@ def _flatten_record(record: Dict[str, Any], prefix: str = "") -> List[List[objec
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     """List or evaluate the closed-form predictors (no simulator)."""
+    from repro._domain import coerce
+    from repro.analytic import PREDICTORS
+    from repro.analytic.models import predictor_entry
+
     if not args.predictor:
         if args.json:
             payload = [
@@ -481,6 +501,14 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 def cmd_crossval(args: argparse.Namespace) -> int:
     """Cross-validate the analytic models against the simulator."""
     import os
+
+    from repro.analytic.crossval import (
+        DEFAULT_TOLERANCE,
+        SUITES,
+        ToleranceContract,
+        run_crossval,
+    )
+    from repro.analytic.surrogate import refine_campaign
 
     # Only the flags given go on, so each suite's defaults live in its
     # spec builder alone.
@@ -644,6 +672,8 @@ def _parse_grid(value: str) -> tuple:
 
 
 def _fleet_spec_from_args(args: argparse.Namespace):
+    from repro.build.presets import city_grid_world, fleet_hotspot_world
+
     if args.grid:
         rows, cols = args.grid
         return city_grid_world(
@@ -697,6 +727,8 @@ def _print_fleet_record(record: Dict[str, Any], shards: int) -> None:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run the multi-AP fleet scenario and summarise roaming + energy."""
+    from repro.obs import ObsSession
+
     spec = _fleet_spec_from_args(args)
     obs = None
     if args.shards:
@@ -724,6 +756,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
     """List registered scenarios with their spec-introspected parameters."""
+    from repro.exp import scenario_entries, scenario_entry
+
     entries = (
         [scenario_entry(args.scenario)] if args.scenario else scenario_entries()
     )
@@ -747,6 +781,8 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run the hotspot scenario fully traced and summarise the stream."""
+    from repro.obs import ObsSession, radio_dwell_table, top_kinds_table
+
     # The trace subcommand always collects metrics (they feed the top-N
     # table); the registry report itself still hinges on --metrics.
     obs = ObsSession(
@@ -764,13 +800,51 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Choices:
+    """An option's choices, read from a registry on first use.
+
+    argparse reads ``choices`` only to check a given value and to print
+    usage or help, so a parser built with these imports no registry.
+    """
+
+    def __init__(self, module: str, read: Callable[[Any], Iterable[str]]) -> None:
+        self._module = module
+        self._read = read
+        self._names: Optional[tuple] = None
+
+    def _resolve(self) -> tuple:
+        if self._names is None:
+            self._names = tuple(self._read(import_module(self._module)))
+        return self._names
+
+    def __iter__(self):
+        return iter(self._resolve())
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._resolve()
+
+
+def _add_choice(
+    parser: argparse.ArgumentParser, flag: str, choices: _Choices, **kwargs: Any
+) -> None:
+    """``parser.add_argument(flag, choices=choices, **kwargs)``, except
+    that argparse does not read ``choices`` while adding the option (it
+    formats the option once to check its metavar)."""
+    parser.add_argument(flag, **kwargs).choices = choices
+
+
+def _scenario_choices() -> _Choices:
+    return _Choices("repro.exp.scenarios", lambda m: m.scenario_names())
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0, help="experiment seed")
-    shared.add_argument(
+    _add_choice(
+        shared,
         "--scheduler",
+        _Choices("repro.core.scheduling", lambda m: m.scheduler_names()),
         default="edf",
-        choices=scheduler_names(),
         help="burst scheduler for the Hotspot",
     )
     shared.add_argument(
@@ -879,10 +953,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--param burst_bytes=20000,40000 --param n_clients=1,2 "
         "--set duration_s=20 --seeds 3 --jobs 4 --store .campaigns/demo",
     )
-    campaign.add_argument(
+    _add_choice(
+        campaign,
         "--scenario",
+        _scenario_choices(),
         default="hotspot",
-        choices=scenario_names(),
         help="registered scenario to sweep",
     )
     campaign.add_argument(
@@ -993,10 +1068,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-clients 1,2 --offered 128e3,6e6 --listen 1 --seeds 2 "
         "--store .campaigns/crossval",
     )
-    crossval.add_argument(
+    _add_choice(
+        crossval,
         "--suite",
+        _Choices("repro.analytic.crossval", lambda m: m.SUITES),
         default="psm",
-        choices=tuple(SUITES),
         help="which sim-vs-model suite to run (default: psm)",
     )
     crossval.add_argument(
@@ -1067,14 +1143,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-screen the grid with the model and simulate only the "
         "top FRAC of points",
     )
-    crossval.add_argument(
+    _add_choice(
+        crossval,
         "--surrogate-metric",
-        choices=tuple(metric.name for metric in SUITES["psm"].metrics),
+        _Choices(
+            "repro.analytic.crossval",
+            lambda m: [metric.name for metric in m.SUITES["psm"].metrics],
+        ),
         help="prediction field the surrogate screen scores on",
     )
-    crossval.add_argument(
+    _add_choice(
+        crossval,
         "--surrogate-mode",
-        choices=SCORE_MODES,
+        _Choices("repro.analytic.surrogate", lambda m: m.SCORE_MODES),
         help="score by predicted-metric gradient or by target proximity",
     )
     crossval.add_argument(
@@ -1166,9 +1247,10 @@ def build_parser() -> argparse.ArgumentParser:
         "parameters and defaults introspected from its declarative spec "
         "factory (repro.build.presets).",
     )
-    scenarios_parser.add_argument(
+    _add_choice(
+        scenarios_parser,
         "--scenario",
-        choices=scenario_names(),
+        _scenario_choices(),
         help="show a single scenario instead of all of them",
     )
     trace_parser = sub.add_parser(
@@ -1200,6 +1282,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    from repro._domain import SpecError
+
     try:
         return _COMMANDS[args.command](args)
     except SpecError as exc:

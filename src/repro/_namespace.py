@@ -37,11 +37,8 @@ def lazy_namespace(
     ``__all__``.  A resolved name is cached on the package, so each is
     looked up once.  Any other submodule resolves on attribute access.
 
-    A name shared with the submodule that defines it
-    (``repro.exp.aggregate``) is bound at once: a later direct import
-    of that submodule rebinds the package attribute to the module, and
-    a bound attribute never reaches ``__getattr__``.  Binding it first
-    keeps the import system from rebinding it, as an eager import did.
+    No exported name may equal a submodule's name: importing that
+    submodule would rebind the package attribute to the module.
     """
     module = sys.modules[package]
     origin = {name: sub for sub, names in exports.items() for name in names}
@@ -64,7 +61,4 @@ def lazy_namespace(
     def __dir__() -> List[str]:
         return sorted(set(vars(module)) | set(origin))
 
-    for name, sub in origin.items():
-        if name == sub:
-            __getattr__(name)
     return __getattr__, __dir__, sorted([*origin, *eager])

@@ -31,40 +31,28 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.apps.traffic import ArrivalFeed, TrafficSource, build_source
 from repro.build.spec import InterfaceSpec, NodeSpec, WorldSpec
-from repro.core.client import HotspotClient
-from repro.core.interfaces import (
-    ManagedInterface,
-    bluetooth_interface,
-    gprs_interface,
-    wlan_interface,
-)
 from repro.core.outcome import (
     MP3_DECODE_BUSY_FRACTION,
     ClientOutcome,
     ScenarioResult,
     make_stream_contract,
 )
-from repro.core.server import ClientSession, HotspotServer
 from repro.devices import ipaq_3970, wlan_cf_card
-from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.energy import ClientEnergyReport, EnergyBreakdown
 from repro.metrics.qos import PlayoutBuffer, QosSummary
-from repro.phy.channel import ScriptedLinkQuality
 from repro.phy.radio import Radio
 from repro.sim import RandomStreams, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.client import HotspotClient
+    from repro.core.interfaces import ManagedInterface
+    from repro.core.server import ClientSession, HotspotServer
+    from repro.faults import FaultInjector, FaultPlan
     from repro.mac.psm import PsmStation
 
 #: ``fn(node, interface_spec) -> quality signal or None`` — how a world
 #: flavour wires link quality into the interfaces it builds.
 QualityResolver = Callable[[NodeSpec, InterfaceSpec], Optional[Callable[[float], float]]]
-
-_INTERFACE_FACTORIES = {
-    "wlan": wlan_interface,
-    "bluetooth": bluetooth_interface,
-    "gprs": gprs_interface,
-}
 
 
 class World:
@@ -223,19 +211,11 @@ def _sleep_probe(sim, radio):
 # -- shared per-client assembly ------------------------------------------------
 
 
-def _make_interface(
-    world: World, node: NodeSpec, ispec: InterfaceSpec, quality
-) -> ManagedInterface:
-    factory = _INTERFACE_FACTORIES[ispec.kind]  # the spec checked the kind
-    kwargs = {"name": f"{node.name}/{ispec.kind}", "quality": quality}
-    if ispec.effective_rate_bps is not None:
-        kwargs["effective_rate_bps"] = ispec.effective_rate_bps
-    return factory(world.sim, **kwargs)
-
-
 def scripted_quality(node: NodeSpec, ispec: InterfaceSpec):
     """Default quality resolver: honour the spec's quality script."""
     if ispec.quality_script:
+        from repro.phy.channel import ScriptedLinkQuality
+
         return ScriptedLinkQuality(ispec.quality_script).quality
     return None
 
@@ -252,11 +232,20 @@ def build_managed_client(
     cells) — interface construction order follows the spec, which fixes
     event tie-breaking and therefore the determinism contract.
     """
+    from repro.core import interfaces
+    from repro.core.client import HotspotClient
+
     available: Dict[str, ManagedInterface] = {}
     for ispec in node.interfaces:
-        available[ispec.kind] = _make_interface(
-            world, node, ispec, quality_for(node, ispec)
-        )
+        # The spec checked the kind: one of wlan_, bluetooth_, gprs_interface.
+        factory = getattr(interfaces, f"{ispec.kind}_interface")
+        kwargs = {
+            "name": f"{node.name}/{ispec.kind}",
+            "quality": quality_for(node, ispec),
+        }
+        if ispec.effective_rate_bps is not None:
+            kwargs["effective_rate_bps"] = ispec.effective_rate_bps
+        available[ispec.kind] = factory(world.sim, **kwargs)
     contract = make_stream_contract(
         node.name,
         node.contract_rate_bps,
@@ -300,6 +289,10 @@ def feed_traffic(world: World, node: NodeSpec, session: ClientSession) -> None:
 
 def _resolve_fault_plan(world: World) -> Optional[FaultPlan]:
     plan = world.spec.fault_plan
+    if plan is None:
+        return None
+    from repro.faults import FaultPlan
+
     if callable(plan) and not isinstance(plan, FaultPlan):
         plan = plan(world.streams)
     return plan
@@ -570,6 +563,8 @@ class _HotspotMode(_DeliveryMode):
     manager, clients parking their WNICs between bursts."""
 
     def assemble(self, world: World) -> None:
+        from repro.core.server import HotspotServer
+
         spec = world.spec
         world.server = HotspotServer(
             world.sim,
@@ -593,15 +588,18 @@ class _HotspotMode(_DeliveryMode):
                     int(node.prefetch_s * node.contract_rate_bps / 8.0),
                 )
             feed_traffic(world, node, world.server.sessions[node.name])
-
-    def start(self, world: World) -> None:
-        world.server.start()
         plan = world.fault_plan
         if plan is not None and len(plan):
+            from repro.faults import FaultInjector
+
             world.injector = FaultInjector(world.sim, plan)
             for client in world.clients:
                 world.injector.bind_client(client)
             world.injector.bind_server(world.server)
+
+    def start(self, world: World) -> None:
+        world.server.start()
+        if world.injector is not None:
             world.injector.start()
 
     def collect(self, world: World) -> ScenarioResult:
@@ -675,24 +673,24 @@ class _PsmMode(_DeliveryMode):
     reservations (``"cam"``: the same world, never napping)."""
 
     def assemble(self, world: World) -> None:
-        from repro.devices.profiles import unap_wlan_card
-        from repro.mac import (
-            AccessPoint,
-            DcfConfig,
-            DcfStation,
-            Medium,
-            MicroNapPolicy,
-            PsmConfig,
-            PsmStation,
-            SpatialMedium,
-        )
+        from repro.mac.dcf import DcfConfig, DcfStation
+        from repro.mac.psm import AccessPoint, PsmConfig, PsmStation
 
         sim = world.sim
         spec = world.spec
         extras = spec.extras
         unap = spec.power_policy in ("unap", "cam")
         uplink = unap or extras.get("psm_direction") == "uplink"
-        world.medium = SpatialMedium(sim) if unap else Medium(sim)
+        if unap:
+            from repro.devices.profiles import unap_wlan_card
+            from repro.mac.powersave import MicroNapPolicy
+            from repro.mac.spatial import SpatialMedium
+
+            world.medium = SpatialMedium(sim)
+        else:
+            from repro.mac.medium import Medium
+
+            world.medium = Medium(sim)
         if uplink:
             index_of = {n.name: i for i, n in enumerate(spec.clients)}
 

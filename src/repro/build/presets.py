@@ -26,8 +26,6 @@ from repro.build.spec import (
     WorldSpec,
     uniform_nodes,
 )
-from repro.core.server import InterfaceSelectionPolicy
-from repro.faults import ClientChurn, FaultPlan, RadioOutage
 
 _POSITIVE = Domain(float, gt=0)
 _NON_NEGATIVE = Domain(float, ge=0)
@@ -118,6 +116,9 @@ def faulty_hotspot_world(
     world's seeded streams — churn and interference times come from
     ``faults/*`` substreams, so plans are insensitive to foreign draws.
     """
+    from repro.core.server import InterfaceSelectionPolicy
+    from repro.faults import ClientChurn, FaultPlan, RadioOutage
+
     _NON_NEGATIVE.check("faulty_hotspot_world.outage_start_s", outage_start_s)
     _NON_NEGATIVE.check("faulty_hotspot_world.outage_duration_s", outage_duration_s)
     if not 0 <= churn_clients <= n_clients:

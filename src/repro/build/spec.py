@@ -350,6 +350,7 @@ class WorldSpec:
 
 
 _COUNT = Domain(int, ge=1)
+_NODE_NAME = next(f for f in fields(NodeSpec) if f.name == "name").metadata["domain"]
 
 
 def uniform_nodes(
@@ -362,15 +363,22 @@ def uniform_nodes(
     """A homogeneous population: ``count`` identical nodes.
 
     The common case for paper-style experiments — every client streams
-    the same workload over the same interface set.
+    the same workload over the same interface set.  The first node is
+    validated whole; the others differ from it only in ``name``, so they
+    copy it and check just their names.
     """
     _COUNT.check("uniform_nodes.count", count)
-    return tuple(
-        NodeSpec(
-            name=name_format.format(index=index),
-            interfaces=tuple(interfaces),
-            traffic=traffic,
-            **node_kwargs,
-        )
-        for index in range(count)
+    first = NodeSpec(
+        name=name_format.format(index=0),
+        interfaces=tuple(interfaces),
+        traffic=traffic,
+        **node_kwargs,
     )
+    nodes = [first]
+    for index in range(1, count):
+        name = name_format.format(index=index)
+        _NODE_NAME.check("NodeSpec.name", name)
+        node = object.__new__(NodeSpec)
+        vars(node).update(vars(first), name=name)  # frozen: no __setattr__
+        nodes.append(node)
+    return tuple(nodes)

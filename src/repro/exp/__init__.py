@@ -12,7 +12,7 @@ The engine behind ``repro campaign`` and the rebuilt sweep commands:
 - :mod:`repro.exp.runner` — :func:`run_campaign`: cache lookup, fan-out
   over a ``multiprocessing`` pool, order-preserving assembly (``jobs=1``
   and ``jobs=N`` give byte-identical campaign artifacts);
-- :mod:`repro.exp.aggregate` — mean/stdev/95 % CI across seeds per grid
+- :mod:`repro.exp.aggregation` — mean/stdev/95 % CI across seeds per grid
   point, metrics-snapshot merging, table/JSON/CSV rendering;
 - :mod:`repro.exp.scenarios` — the name → scenario-function registry
   campaign specs reference.
@@ -38,7 +38,7 @@ from repro._namespace import lazy_namespace
 __getattr__, __dir__, __all__ = lazy_namespace(
     __name__,
     {
-        "aggregate": (
+        "aggregation": (
             "DEFAULT_FIELDS",
             "FieldStats",
             "GridPointSummary",

@@ -23,7 +23,7 @@ Failure semantics
 A raising run no longer aborts the campaign.  Each run executes behind
 a guard that converts exceptions into a structured *error envelope*
 (exception type, message, shortened traceback) and the campaign
-completes with partial results; :func:`~repro.exp.aggregate.aggregate`
+completes with partial results; :func:`~repro.exp.aggregation.aggregate`
 folds only the healthy runs and reports the failed count.  Failed runs
 are *quarantined* in the store: their envelope is persisted (so the
 failure is attributable after the fact) but never served as a cache

@@ -54,6 +54,22 @@ def canonical_json(obj: Any) -> str:
         ) from exc
 
 
+def _first_repeat(values: Sequence[Any]) -> Optional[Any]:
+    """The first of ``values`` that repeats an earlier one as a run
+    parameter (equal canonical JSON), or None.  A value with no JSON
+    form is left to the spec or run that reads it."""
+    seen = set()
+    for value in values:
+        try:
+            text = canonical_json(value)
+        except TypeError:
+            continue
+        if text in seen:
+            return value
+        seen.add(text)
+    return None
+
+
 def key_prefix(scenario: str, params: Mapping[str, Any], metrics: bool = False) -> str:
     """The head of a run's key JSON, shared by every seed of a grid point.
 
@@ -187,9 +203,22 @@ class CampaignSpec:
                         "points_override entries must provide exactly the "
                         f"grid keys {sorted(expected)}; got {sorted(entry)}"
                     )
+            repeat = _first_repeat([dict(entry) for entry in self.points_override])
+            if repeat is not None:
+                raise SpecError(
+                    "CampaignSpec.points_override must not repeat a point; "
+                    f"got {repeat!r} twice"
+                )
         for key, values in self.grid.items():
             if not values:
                 raise SpecError(f"grid axis {key!r} has no values")
+            repeat = _first_repeat(values)
+            if repeat is not None:
+                # Both copies would be the same run, simulated twice.
+                raise SpecError(
+                    f"CampaignSpec.grid[{key!r}] must not repeat a value; "
+                    f"got {repeat!r} twice"
+                )
             if key in self.base:
                 raise SpecError(f"{key!r} is both a grid axis and a base param")
         for reserved in ("seed", "obs"):

@@ -243,7 +243,7 @@ def merge_partials(
     snapshots = [p["metrics"] for p in parts if p.get("metrics")]
     merged_metrics = None
     if snapshots:
-        from repro.exp.aggregate import merge_metric_snapshots
+        from repro.exp.aggregation import merge_metric_snapshots
 
         merged_metrics = merge_metric_snapshots(snapshots)
     return {"record": record, "clients": clients, "metrics": merged_metrics}

@@ -201,3 +201,40 @@ class TestUniformNodes:
             1, [InterfaceSpec("wlan")], TrafficSpec(), buffer_bytes=12_345
         )
         assert nodes[0].buffer_bytes == 12_345
+
+    def test_copies_equal_nodes_built_one_by_one(self):
+        interfaces = [InterfaceSpec("bluetooth"), InterfaceSpec("wlan")]
+        kwargs = dict(buffer_bytes=50_000, prefetch_s=2.0, weight=3.0)
+        nodes = uniform_nodes(3, interfaces, TrafficSpec(), **kwargs)
+        built = tuple(
+            NodeSpec(f"client{i}", tuple(interfaces), TrafficSpec(), **kwargs)
+            for i in range(3)
+        )
+        assert nodes == built
+        assert [hash(n) for n in nodes] == [hash(n) for n in built]
+        assert [n.describe() for n in nodes] == [n.describe() for n in built]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(buffer_bytes=0), "NodeSpec.buffer_bytes must be an integer > 0; got 0"),
+            (dict(prefetch_s=math.nan), "NodeSpec.prefetch_s must be finite and >= 0; got nan"),
+            (dict(name_format=""), "NodeSpec.name must be a non-empty string; got ''"),
+        ],
+    )
+    def test_bad_field_message_is_the_node_spec_one(self, kwargs, message):
+        with pytest.raises(SpecError) as info:
+            uniform_nodes(3, [InterfaceSpec("wlan")], TrafficSpec(), **kwargs)
+        assert str(info.value) == message
+
+    def test_each_generated_name_is_checked(self):
+        class FirstOnly(str):
+            """Names only index 0; a copied node must still check its name."""
+
+            def format(self, index):
+                return "" if index else "client0"
+
+        with pytest.raises(SpecError, match="NodeSpec.name must be a non-empty string; got ''"):
+            uniform_nodes(
+                2, [InterfaceSpec("wlan")], TrafficSpec(), name_format=FirstOnly()
+            )

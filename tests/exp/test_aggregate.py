@@ -6,16 +6,16 @@ import math
 
 import pytest
 
-from repro.exp.aggregate import (
+from repro.exp import (
     FieldStats,
     aggregate,
     dump_json,
-    flatten_numeric_fields,
     merge_metric_snapshots,
     summary_table,
     t_critical_95,
     write_csv,
 )
+from repro.exp.aggregation import flatten_numeric_fields
 from repro.exp.runner import RunResult
 from repro.exp.spec import RunSpec
 

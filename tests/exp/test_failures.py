@@ -385,7 +385,7 @@ class TestObsLifecycle:
             def run(self, obs=None):
                 raise RuntimeError("world failed")
 
-        monkeypatch.setattr(cli, "WorldBuilder", RaisingBuilder)
+        monkeypatch.setattr("repro.build.builder.WorldBuilder", RaisingBuilder)
         obs = ObsSession()
         with pytest.raises(RuntimeError):
             cli._run_world(obs, "fig2/hotspot", spec=None)

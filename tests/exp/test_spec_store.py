@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro._domain import SpecError
 from repro.exp.spec import CampaignSpec, canonical_json, canonical_params, run_key
 from repro.exp.store import ResultStore
 
@@ -93,7 +95,8 @@ def campaigns(draw):
             st.one_of(st.text(min_size=1), st.sampled_from(['h"ot\\', "séance ☃"]))
         ),
         grid={
-            name: draw(st.lists(values, min_size=1, max_size=2))
+            # A repeated axis value is a SpecError (one run, run twice).
+            name: draw(st.lists(values, min_size=1, max_size=2, unique_by=canonical_json))
             for name in names[:swept]
         },
         base={name: draw(values) for name in names[swept:]},
@@ -175,6 +178,33 @@ class TestCampaignSpec:
             self.spec(base={"burst_bytes": 1})
         with pytest.raises(ValueError, match="managed by the engine"):
             self.spec(base={"seed": 1, "duration_s": 5.0})
+
+    def test_repeated_axis_value_rejected(self):
+        # Both copies would be one run key, simulated twice.
+        with pytest.raises(
+            SpecError,
+            match=r"CampaignSpec.grid\['n_clients'\] must not repeat a value; got 1 twice",
+        ):
+            self.spec(grid={"burst_bytes": [10, 20], "n_clients": [1, 2, 1]})
+        # Run-key identity: a tuple repeats the equal list.
+        with pytest.raises(SpecError, match=r"got \('wlan',\) twice"):
+            self.spec(grid={"interfaces": [["wlan"], ("wlan",)]})
+        # Values a run key tells apart are distinct.
+        assert len(self.spec(grid={"x": [1, 1.0, True]}).runs()) == 6
+
+    def test_repeated_override_point_rejected(self):
+        # The same point in another key order is still the same run.
+        repeat = {"n_clients": 1, "burst_bytes": 10}
+        with pytest.raises(
+            SpecError,
+            match="CampaignSpec.points_override must not repeat a point; got "
+            + re.escape(repr(repeat)) + " twice",
+        ):
+            self.spec(points_override=[
+                {"burst_bytes": 10, "n_clients": 1},
+                {"burst_bytes": 10, "n_clients": 2},
+                repeat,
+            ])
 
     def test_describe_is_json_ready(self):
         text = json.dumps(self.spec().describe())

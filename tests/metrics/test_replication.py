@@ -1,8 +1,8 @@
-"""Seed-replication confidence intervals (``exp.aggregate.FieldStats``)."""
+"""Seed-replication confidence intervals (``exp.aggregation.FieldStats``)."""
 
 import pytest
 
-from repro.exp.aggregate import FieldStats
+from repro.exp import FieldStats
 
 
 class TestReplication:

@@ -42,6 +42,14 @@ PROBES = [
     (["analytic", "psm-energy", "--set", "bogus=1"], "PsmParams has no field 'bogus'"),
     (["analytic", "bogus"], "predictor"),
     (["campaign", "--set", "bogus=1"], "'bogus'"),
+    (
+        ["crossval", "--n-clients", "1,1"],
+        "CampaignSpec.grid['n_clients'] must not repeat a value; got 1 twice",
+    ),
+    (
+        ["campaign", "--param", "n_clients=1,1"],
+        "CampaignSpec.grid['n_clients'] must not repeat a value; got 1 twice",
+    ),
     (["fleet", "--utilisation-cap", "2"], "WorldSpec.utilisation_cap"),
     (
         ["crossval", "--surrogate-fraction", "0.5", "--surrogate-mode", "target"],

@@ -1,5 +1,5 @@
-"""Import graph: lazy namespaces behave like eager ones, and campaign
-paths load only the modules they use.
+"""Import graph: lazy namespaces behave like eager ones, and campaign,
+world and CLI paths load only the modules they use.
 
 Most package ``__init__`` modules resolve their re-exported names on
 first use (:mod:`repro._namespace`).  Whatever the package, a name in
@@ -9,14 +9,18 @@ attributes, and a registry must be complete whichever name loaded it.
 
 A campaign served from its store, and every reader of its records,
 must not load the simulator; a cold campaign's parent leaves the
-scenario stack to the pool workers that run it.  Import checks run in
-a fresh interpreter, since this test process has long since imported
-everything.
+scenario stack to the pool workers that run it.  A packet-level MAC
+world loads no Hotspot, fault or campaign module, and ``repro
+--version`` loads no simulator.  Import checks run in a fresh
+interpreter, since this test process has long since imported
+everything.  The CLI's help and invalid-choice output are pinned
+against snapshots in ``tests/cli_snapshots``.
 """
 
 import ast
 import importlib
 import json
+import os
 import pathlib
 import pkgutil
 import subprocess
@@ -74,6 +78,14 @@ def run_fresh(source: str, *args: str) -> dict:
     return json.loads(completed.stdout.splitlines()[-1])
 
 
+def loaded_under(loaded, prefixes):
+    """The names in ``loaded`` that are one of ``prefixes`` or inside one."""
+    return [
+        name for name in loaded
+        if any(name == p or name.startswith(p + ".") for p in prefixes)
+    ]
+
+
 @pytest.mark.parametrize("name", PACKAGES)
 def test_all_names_are_their_submodules_objects(name):
     package = importlib.import_module(name)
@@ -113,8 +125,6 @@ def test_submodules_resolve_as_attributes(name):
     package = importlib.import_module(name)
     for module in submodules(package):
         child = module.__name__.rsplit(".", 1)[1]
-        if child in package.__all__:
-            continue  # ``repro.exp.aggregate`` is the function
         assert getattr(package, child) is module
         lazy = getattr(package, "__getattr__", None)
         if lazy is not None:
@@ -129,14 +139,17 @@ def test_unknown_name_raises_attribute_error(name):
     assert str(info.value) == f"module {name!r} has no attribute 'no_such_name'"
 
 
-def test_name_shared_with_its_submodule_stays_the_export():
-    result = run_fresh("""
-        import json
-        import repro.exp.aggregate
-        from repro.exp import aggregate
-        print(json.dumps({"function": callable(aggregate)}))
-    """)
-    assert result == {"function": True}
+def test_no_export_shares_a_submodule_name():
+    # Importing such a submodule would rebind the package attribute
+    # from the export to the module.
+    shared = []
+    for package, names in namespace_tables().items():
+        children = {
+            info.name
+            for info in pkgutil.iter_modules(importlib.import_module(package).__path__)
+        }
+        shared += [f"{package}.{name}" for name in names if name in children]
+    assert not shared, "exported under a submodule's name: " + ", ".join(shared)
 
 
 FULL_IMPORT = """
@@ -244,10 +257,7 @@ def test_warm_campaign_and_record_readers_load_no_simulator(tmp_path):
     loaded = result["loaded"]
     assert "multiprocessing" not in loaded
     assert "importlib.metadata" not in loaded
-    assert [
-        name for name in loaded
-        if any(name == p or name.startswith(p + ".") for p in SIMULATOR)
-    ] == []
+    assert loaded_under(loaded, SIMULATOR) == []
 
 
 def test_cold_parallel_parent_stays_lean_and_matches_serial(tmp_path):
@@ -349,3 +359,124 @@ def test_every_namespace_export_has_a_user():
         if name not in used
     ]
     assert not dead, "re-exported with no user: " + ", ".join(dead)
+
+
+def test_jsonio_loads_no_other_campaign_module():
+    loaded = run_fresh("""
+        import json
+        import sys
+
+        import repro.exp.jsonio
+        print(json.dumps({"loaded": sorted(sys.modules)}))
+    """)["loaded"]
+    assert loaded_under(loaded, ["repro.exp"]) == ["repro.exp", "repro.exp.jsonio"]
+
+
+#: Modules no packet-level MAC world (psm, μNap) builds or runs.
+NOT_MAC_WORLD = (
+    "repro.core.server", "repro.core.client", "repro.core.interfaces",
+    "repro.faults", "repro.mac.bluetooth",
+)
+
+
+@pytest.mark.parametrize(
+    "preset, unused",
+    [
+        ("psm_baseline_world", NOT_MAC_WORLD + ("repro.mac.spatial", "repro.mac.powersave")),
+        ("unap_hotspot_world", NOT_MAC_WORLD),
+    ],
+)
+def test_mac_world_loads_only_its_stack(preset, unused):
+    # As a benchmark child does: the JSON writer, then build and run.
+    loaded = run_fresh(f"""
+        import json
+        import sys
+
+        import repro.exp.jsonio
+        from repro.build import presets
+        from repro.build.builder import WorldBuilder
+
+        WorldBuilder(presets.{preset}(n_clients=2, duration_s=1.0)).run()
+        print(json.dumps({{"loaded": sorted(sys.modules)}}))
+    """)["loaded"]
+    assert loaded_under(loaded, unused) == []
+    assert loaded_under(loaded, ["repro.exp"]) == ["repro.exp", "repro.exp.jsonio"]
+
+
+def test_cli_version_loads_no_simulator():
+    loaded = run_fresh("""
+        import json
+        import runpy
+        import sys
+
+        sys.argv = ["repro", "--version"]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit:
+            pass
+        print(json.dumps({"loaded": sorted(sys.modules)}))
+    """)["loaded"]
+    assert loaded_under(
+        loaded, SIMULATOR + ("repro.analytic", "repro.exp.runner")
+    ) == []
+
+
+SNAPSHOTS = ROOT / "tests" / "cli_snapshots"
+
+#: ``repro`` and every subcommand, as ``help-<name>.txt`` names them.
+HELP_PAGES = [
+    "repro", "fig1", "fig2", "sweep-schedulers", "sweep-bursts", "campaign",
+    "analytic", "crossval", "report", "fleet", "scenarios", "trace",
+]
+
+#: ``invalid-<name>.txt``: one bad value for each registry-backed choice.
+INVALID_CHOICES = {
+    "command": ["nope"],
+    "fig2-scheduler": ["fig2", "--scheduler", "nope"],
+    "campaign-scenario": ["campaign", "--scenario", "nope"],
+    "scenarios-scenario": ["scenarios", "--scenario", "nope"],
+    "crossval-suite": ["crossval", "--suite", "nope"],
+    "crossval-surrogate-metric": ["crossval", "--surrogate-metric", "nope"],
+    "crossval-surrogate-mode": ["crossval", "--surrogate-mode", "nope"],
+}
+
+
+def cli(argv):
+    """``python -m repro *argv`` on an 80-column terminal."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=dict(os.environ, COLUMNS="80"),
+    )
+
+
+def same_layout(text):
+    """``text`` with what argparse words differently by Python version
+    put back as 3.11 words it: 3.10 heads the options "optional
+    arguments", and newer versions list invalid choices unquoted."""
+    text = text.replace("optional arguments:", "options:")
+    head, sep, choices = text.partition("(choose from ")
+    return head + sep + choices.replace("'", "")
+
+
+needs_snapshot_layout = pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="argparse lays out help differently from Python 3.13 on",
+)
+
+
+@needs_snapshot_layout
+@pytest.mark.parametrize("page", HELP_PAGES)
+def test_help_matches_its_snapshot(page):
+    completed = cli(["--help"] if page == "repro" else [page, "--help"])
+    assert completed.returncode == 0, completed.stderr
+    expected = (SNAPSHOTS / f"help-{page}.txt").read_text(encoding="utf-8")
+    assert same_layout(completed.stdout) == same_layout(expected)
+
+
+@needs_snapshot_layout
+@pytest.mark.parametrize("name", sorted(INVALID_CHOICES))
+def test_invalid_choice_matches_its_snapshot(name):
+    completed = cli(INVALID_CHOICES[name])
+    assert (completed.returncode, completed.stdout) == (2, "")
+    expected = (SNAPSHOTS / f"invalid-{name}.txt").read_text(encoding="utf-8")
+    assert same_layout(completed.stderr) == same_layout(expected)
