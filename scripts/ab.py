@@ -8,11 +8,12 @@ Run from the repository root::
 Each side is a git revision of this repository or a directory holding a
 checkout.  Both are copied fresh into a temporary directory (a revision
 with ``git archive``, a directory without ``.git``, ``__pycache__``,
-``.work`` and the other caches), and their sources are byte-compiled
-there, so neither side runs against stale bytecode.  Then every pair
-runs ``benchmarks/e2e/run.py --trace 0`` once on each side, the first
-side alternating from pair to pair, so drift of the host hits both
-alike.
+``.work`` and the other caches).  Then every pair runs
+``benchmarks/e2e/run.py --trace 0`` once on each side, the first side
+alternating from pair to pair, so drift of the host hits both alike.
+Every run has ``PYTHONDONTWRITEBYTECODE=1`` and so does its benchmark
+children: no side ever runs from bytecode, and each run compiles what
+it imports, as a fresh checkout of the benchmark does.
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` the table
 shows both medians over the pairs, the parent's interquartile range,
@@ -47,28 +48,22 @@ IGNORED = shutil.ignore_patterns(
 
 
 def materialise(side: str, dest: Path) -> str:
-    """Copy ``side`` (a directory or a git revision) into ``dest``, compile
-    its bytecode, and return how it was resolved."""
+    """Copy ``side`` (a directory or a git revision) into ``dest`` and
+    return how it was resolved."""
     if os.path.isdir(side):
         shutil.copytree(side, dest, ignore=IGNORED)
-        source = f"directory {os.path.abspath(side)}"
-    else:
-        commit = subprocess.run(
-            ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{side}^{{commit}}"],
-            check=True, capture_output=True, text=True,
-        ).stdout.strip()
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
-            check=True, capture_output=True,
-        ).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(dest, filter="data")
-        source = f"commit {commit}"
-    subprocess.run(
-        [sys.executable, "-m", "compileall", "-q", "src", "benchmarks"],
-        cwd=dest, check=True, stdout=subprocess.DEVNULL,
-    )
-    return source
+        return f"directory {os.path.abspath(side)}"
+    commit = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{side}^{{commit}}"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return f"commit {commit}"
 
 
 def run_side(checkout: Path, args) -> dict:
@@ -80,7 +75,10 @@ def run_side(checkout: Path, args) -> dict:
     ]
     for workload in args.workload:
         command += ["--workload", workload]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    done = subprocess.run(
+        command, cwd=checkout, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
     lines = done.stdout.strip().splitlines()
     try:
         summary = json.loads(lines[-1])

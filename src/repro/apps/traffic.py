@@ -16,7 +16,6 @@ from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.sim.events import NORMAL
 from repro.sim.streams import Random
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -156,7 +155,7 @@ class ArrivalFeed:
     The lazy twin of :meth:`TrafficSource.start` for a sink that only
     adds bytes up (the Hotspot proxy's per-client backlog).  The feed
     draws arrivals in the pump's chunks, at the pump's instants, and
-    gives each arrival the calendar entry ``(fire, NORMAL, seq)`` of the
+    gives each arrival the calendar entry ``(fire, seq)`` of the
     pump dispatch that would have sunk it.  It queues only the pump's
     bootstrap and, per chunk, the timeout at the chunk's last fire
     instant (where the pump draws the next chunk); the other sequence
@@ -234,15 +233,13 @@ class ArrivalFeed:
         if entry is None:
             end = bisect_right(fires, sim._now, start)
         else:
-            when = entry[0]
+            when, seq, _event = entry
             end = bisect_left(fires, when, start)
             offsets = self._offsets
             base = self._base
-            # A 3-tuple equal to the 4-tuple entry's head sorts before it,
-            # so the dispatching entry's own arrivals count too.
-            while end < len(fires) and fires[end] == when and (
-                when, NORMAL, base + offsets[end]
-            ) < entry:
+            # Arrivals of this instant sorting at or before the dispatching
+            # entry (its own included) have been dispatched.
+            while end < len(fires) and fires[end] == when and base + offsets[end] <= seq:
                 end += 1
         landed = self._landed + self._sums[end] - self._sums[start]
         self._landed = 0

@@ -195,6 +195,12 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         validate(self)
+        repeat = _first_repeat(self.seeds)
+        if repeat is not None:
+            # Both copies would be one run key, simulated twice.
+            raise SpecError(
+                f"CampaignSpec.seeds must not repeat a value; got {repeat!r} twice"
+            )
         if self.points_override is not None:
             expected = set(self.grid)
             for entry in self.points_override:

@@ -40,7 +40,6 @@ from repro.mac.medium import Medium
 from repro.sim.events import Event
 from repro.sim.events import FirstOf as _FirstOf
 from repro.sim.events import Timeout as _Timeout
-from repro.sim.process import Interrupt
 from repro.sim.streams import Random
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,24 +96,10 @@ class AccessPoint(DcfStation):
 
     # -- PSM bookkeeping ---------------------------------------------------
 
-    def set_ps_mode(self, station_address: str, enabled: bool) -> None:
-        """Record a station's power-management mode.
-
-        Disabling PS mode flushes that station's buffered frames into the
-        transmit queue.
-        """
-        if enabled:
-            self._ps_stations.add(station_address)
-            return
-        self._ps_stations.discard(station_address)
-        buffered = self._buffers.pop(station_address, None)
-        if buffered:
-            while buffered:
-                frame, done = buffered.popleft()
-                self._transmit_buffered(frame, done)
-
-    def is_ps_station(self, station_address: str) -> bool:
-        return station_address in self._ps_stations
+    def set_ps_mode(self, station_address: str) -> None:
+        """Put a station in power-save mode: from now on its downlink
+        frames wait in a buffer until it polls for them."""
+        self._ps_stations.add(station_address)
 
     def buffered_count(self, station_address: str) -> int:
         """Number of frames currently buffered for ``station_address``."""
@@ -296,18 +281,8 @@ class PsmStation(DcfStation):
         self.beacons_heard = 0
         self.polls_sent = 0
         self.doze_cycles = 0
-        ap.set_ps_mode(address, True)
-        self._ps_loop = sim.process(self._power_save_loop(), name=f"psm:{address}")
-
-    def stop_power_save(self) -> None:
-        """Leave power-save mode: wake the radio and stay awake.
-
-        The AP is told to stop buffering (flushing anything pending) and
-        the sleep/wake loop terminates after restoring the radio to idle.
-        """
-        self.ap.set_ps_mode(self.address, False)
-        if self._ps_loop.is_alive:
-            self._ps_loop.interrupt("stop-power-save")
+        ap.set_ps_mode(address)
+        sim.process(self._cycles(), name=f"psm:{address}")
 
     # -- frame hooks ---------------------------------------------------------
 
@@ -326,16 +301,6 @@ class PsmStation(DcfStation):
             super()._deliver(frame)
 
     # -- the sleep/wake cycle ----------------------------------------------------
-
-    def _power_save_loop(self):
-        try:
-            yield from self._cycles()
-        except Interrupt:
-            # Clean shutdown: settle any in-flight transition, then wake.
-            while self.radio.in_transition:
-                yield _Timeout(self.sim, self.timing.slot_s)
-            if self.radio.state != "idle":
-                yield self.radio.transition_to("idle")
 
     def _cycles(self):
         """Doze between listened beacons; PS-Poll the AP on a TIM hit."""

@@ -26,7 +26,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
     __name__,
     {
         "events": ("AllOf", "Event", "FirstOf", "Timeout"),
-        "process": ("Interrupt", "Process"),
+        "process": ("Process",),
         "core": ("Simulator", "SimulationError"),
         "resources": ("Store",),
         "stats": ("RunningStat", "TimeSeries", "TimeWeightedStat"),

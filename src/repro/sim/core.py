@@ -1,28 +1,25 @@
 """The simulator: event queue and run loop.
 
 Scheduling is deterministic: queue entries are ordered by
-``(time, priority, sequence)`` where the sequence number increases
-monotonically, so events scheduled for the same instant fire in the order
-they were scheduled (kernel-internal wakeups first).
+``(time, sequence)`` where the sequence number increases monotonically,
+so events scheduled for the same instant fire in the order they were
+scheduled.
 
-The pending set is one binary heap of ``(time, priority, sequence,
-event)`` entries.  Every entry enters it through :meth:`Simulator._push`
-and leaves it through :meth:`Simulator.step`; there is no other insert or
+The pending set is one binary heap of ``(time, sequence, event)``
+entries.  Every entry enters it through :meth:`Simulator._push` and
+leaves it through :meth:`Simulator.step`; there is no other insert or
 dispatch path.
 
 The dispatching entry
 ---------------------
 ``Simulator._dispatching`` publishes the heap entry
-``(time, priority, sequence, event)`` of the latest non-urgent dispatch;
-:meth:`Simulator.run` resets it to ``None`` when it returns.  Consumers that settle
-deferred work lazily (:class:`repro.apps.traffic.ArrivalFeed`) compare
-their own would-be entries against it: anything sorting at or before it
-has been dispatched.  Urgent entries are never published — an urgent
-wakeup sorts before normal entries of its own instant that already ran,
-so publishing it would hide them; the last normal entry stays the
-high-water mark instead.  Sequence numbers may be *reserved* (``_seq``
-advanced without a push) for entries a consumer settles arithmetically,
-which keeps every later tie-break and ``events_scheduled`` unchanged.
+``(time, sequence, event)`` of the latest dispatch; :meth:`Simulator.run`
+resets it to ``None`` when it returns.  Consumers that settle deferred
+work lazily (:class:`repro.apps.traffic.ArrivalFeed`) compare their own
+would-be entries against it: anything sorting at or before it has been
+dispatched.  Sequence numbers may be *reserved* (``_seq`` advanced
+without a push) for entries a consumer settles arithmetically, which
+keeps every later tie-break and ``events_scheduled`` unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Iterable, List, Optional
 
-from repro.sim.events import _INF, NORMAL, AllOf, Event, Timeout
+from repro.sim.events import _INF, AllOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 
@@ -72,10 +69,10 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0, trace: Any = None) -> None:
         self._now = float(start_time)
-        #: Heap of pending ``(time, priority, seq, event)`` entries.
+        #: Heap of pending ``(time, seq, event)`` entries.
         self._heap: List[tuple] = []
         self._seq = 0
-        #: Entry of the latest non-urgent dispatch; run() resets it to None.
+        #: Entry of the latest dispatch; run() resets it to None.
         self._dispatching: Optional[tuple] = None
         self.trace: Any = _NULL_TRACE
         if trace is not None:
@@ -140,7 +137,7 @@ class Simulator:
         event._state = 1  # _TRIGGERED: fire time fixed at creation
         event._ok = True
         event._value = value
-        self._push(when, NORMAL, event)
+        self._push(when, event)
         return event
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
@@ -153,21 +150,21 @@ class Simulator:
 
     # -- scheduling (kernel use) -----------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if not 0.0 <= delay < _INF:
             raise SimulationError(
                 f"delay must be finite and non-negative (delay={delay!r})"
             )
-        self._push(self._now + delay, priority, event)
+        self._push(self._now + delay, event)
 
-    def _push(self, when: float, priority: int, event: Event) -> None:
+    def _push(self, when: float, event: Event) -> None:
         """Insert an entry into the heap: the kernel's only insert.
 
         Callers validate ``when``.
         """
         seq = self._seq + 1
         self._seq = seq
-        heappush(self._heap, (when, priority, seq, event))
+        heappush(self._heap, (when, seq, event))
 
     # -- run loop ----------------------------------------------------------------
 
@@ -179,7 +176,7 @@ class Simulator:
     def _peek_event(self) -> Optional[Event]:
         """The next event to dispatch, without dispatching it (profilers)."""
         heap = self._heap
-        return heap[0][3] if heap else None
+        return heap[0][2] if heap else None
 
     def step(self) -> None:
         """Process exactly one event.
@@ -196,11 +193,9 @@ class Simulator:
         heap = self._heap
         if not heap:
             raise SimulationError("step() on an empty event queue")
-        entry = heappop(heap)
-        when, priority, _seq, event = entry
+        entry = self._dispatching = heappop(heap)
+        when, _seq, event = entry
         self._now = when
-        if priority:
-            self._dispatching = entry
         if self.trace.enabled:
             self.trace.emit(
                 "sim",

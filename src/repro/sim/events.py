@@ -21,11 +21,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.core import Simulator
 
-#: Scheduling priority for ordinary events.
-NORMAL = 1
-#: Scheduling priority for kernel-internal wakeups (processed first at a tick).
-URGENT = 0
-
 _PENDING = 0
 _TRIGGERED = 1
 _PROCESSED = 2
@@ -84,9 +79,9 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         sim = self.sim
         if delay:
-            sim._schedule(self, delay, NORMAL)
+            sim._schedule(self, delay)
         else:
-            sim._push(sim._now, NORMAL, self)
+            sim._push(sim._now, self)
         self._state = _TRIGGERED
         self._ok = True
         self._value = value
@@ -98,7 +93,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        self.sim._schedule(self, delay, NORMAL)
+        self.sim._schedule(self, delay)
         self._state = _TRIGGERED
         self._ok = False
         self._value = exception
@@ -135,7 +130,7 @@ class Timeout(Event):
         self._state = _TRIGGERED  # the firing time is fixed at creation
         self._ok = True
         self._value = value
-        sim._push(sim._now + delay, NORMAL, self)
+        sim._push(sim._now + delay, self)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
@@ -192,7 +187,7 @@ class FirstOf(Event):
             self._ok = False
             self._value = winner._value
         sim = self.sim
-        sim._push(sim._now, NORMAL, self)
+        sim._push(sim._now, self)
 
 
 class Condition(Event):

@@ -30,7 +30,7 @@ from repro.apps.traffic import (
     _cbr_plans,
 )
 from repro.core.server import ClientSession
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 UNTIL_S = 16.0
 
@@ -94,8 +94,8 @@ def _world(source_name, seed, lazy, resumed=False):
     Both worlds see the same reader program, drawn from ``seed``: timers
     at random instants and at exact arrival fire instants, queued before
     the source starts (so before its reservations) or during the run
-    (after them), some of which drain the backlog, create same-instant
-    readers, or interrupt a watcher that reads from an urgent wakeup.
+    (after them), some of which drain the backlog or create same-instant
+    readers.
     ``resumed`` starts a resumed feed, or pumps the source with its
     arrivals up to the start dropped.
     """
@@ -111,10 +111,7 @@ def _world(source_name, seed, lazy, resumed=False):
 
     def reader(_event):
         roll = plan.random()
-        if roll > 0.7 and watcher.target is not None:
-            watcher.interrupt()  # the watcher reads first, from urgent
-        else:
-            read("timer")
+        read("timer")
         if roll < 0.2:
             session.backlog_bytes -= min(session.backlog_bytes, plan.randint(0, 3000))
             read("drained")
@@ -130,14 +127,6 @@ def _world(source_name, seed, lazy, resumed=False):
     def at(when):
         sim.timeout_at(when).callbacks.append(reader)
 
-    def watch():
-        while True:
-            try:
-                yield sim.timeout(1e9)
-            except Interrupt:
-                read("urgent")
-
-    watcher = sim.process(watch())
     for _ in range(12):
         at(plan.uniform(0.0, UNTIL_S + 1.0))
     for when in plan.sample(fires, min(len(fires), 25)):
@@ -172,36 +161,6 @@ def test_feed_reads_match_the_eager_pump(source_name, seed):
         seen, events = _world(source_name, seed, lazy=True, resumed=resumed)
         assert seen == reference, f"resumed={resumed}"
         assert events == reference_events, f"resumed={resumed}"
-
-
-@pytest.mark.parametrize("lazy", [False, True])
-def test_urgent_wakeup_sees_arrivals_dispatched_at_its_instant(lazy):
-    """An interrupt carrier sorts before normal entries of its instant,
-    yet runs after those already dispatched: the arrival at 1.0 counts."""
-    sim = Simulator()
-    session = ClientSession(client=None)
-    source = TraceTraffic([(1.0, 40, "x"), (2.0, 2, "x")])
-    if lazy:
-        session.feed = ArrivalFeed(source, sim, until_s=5.0)
-    else:
-
-        def sink(nbytes, _kind):
-            session.backlog_bytes += nbytes
-
-        source.start(sim, sink, until_s=5.0)
-    seen = []
-
-    def watch():
-        try:
-            yield sim.timeout(10.0)
-        except Interrupt:
-            seen.append((sim.now, session.backlog_bytes))
-
-    watcher = sim.process(watch())
-    sim.run(until=0.5)  # the arrival's number is reserved by now
-    sim.timeout_at(1.0).callbacks.append(lambda _e: watcher.interrupt())
-    sim.run(until=5.0)
-    assert seen == [(1.0, 40)]
 
 
 def test_feed_queues_one_event_per_chunk():

@@ -35,7 +35,8 @@ UNTYPED: Dict[tuple, st.SearchStrategy] = {
         st.sampled_from([InterfaceSpec("wlan"), InterfaceSpec("bluetooth")]),
         min_size=1,
     ).map(tuple),
-    (CampaignSpec, "seeds"): st.lists(st.integers(0, BIG), min_size=1),
+    # A repeated seed is rejected (one run key, simulated twice).
+    (CampaignSpec, "seeds"): st.lists(st.integers(0, BIG), min_size=1, unique=True),
 }
 
 #: Cross-field rules a valid keyword set must also satisfy.

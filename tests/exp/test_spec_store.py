@@ -100,9 +100,10 @@ def campaigns(draw):
             for name in names[:swept]
         },
         base={name: draw(values) for name in names[swept:]},
+        # A repeated seed is a SpecError (one run, run twice).
         seeds=draw(st.lists(
             st.one_of(st.integers(-(2**70), 2**70), st.just(2**63 + 1)),
-            min_size=1, max_size=3,
+            min_size=1, max_size=3, unique=True,
         )),
         collect_metrics=draw(st.booleans()),
         timeseries_interval_s=draw(
@@ -191,6 +192,17 @@ class TestCampaignSpec:
             self.spec(grid={"interfaces": [["wlan"], ("wlan",)]})
         # Values a run key tells apart are distinct.
         assert len(self.spec(grid={"x": [1, 1.0, True]}).runs()) == 6
+
+    def test_repeated_seed_rejected(self):
+        # Both copies would be one run key, simulated twice.
+        with pytest.raises(
+            SpecError, match="CampaignSpec.seeds must not repeat a value; got 0 twice"
+        ):
+            CampaignSpec(
+                name="d", scenario="hotspot", base={"duration_s": 2.0}, seeds=[0, 0]
+            )
+        with pytest.raises(SpecError, match="got 7 twice"):
+            self.spec(seeds=[7, 3, 7])
 
     def test_repeated_override_point_rejected(self):
         # The same point in another key order is still the same run.

@@ -94,21 +94,25 @@ def test_dcf_frames_without_notify_save_one_event_each(n_frames):
 
 def _psm_world(notify, n_buffered, n_direct):
     """``n_buffered`` downlink frames for a dozing station, ``n_direct``
-    for a station that left power save, sent by the AP."""
+    for a plain DCF station that is not in power save, sent by the AP."""
     sim = Simulator()
     medium = Medium(sim)
     streams = RandomStreams(seed=3)
     ap = AccessPoint(sim, medium, "ap", rng=streams.stream("ap"))
     received = {"doze": [], "awake": []}
+    def sink(name):
+        return lambda frame: received[name].append(frame.payload)
+
     stations = [
         PsmStation(
-            sim, medium, name, ap, Radio(sim, wlan_cf_card(), name=name),
-            rng=streams.stream(name),
-            on_receive=lambda frame, name=name: received[name].append(frame.payload),
-        )
-        for name in ("doze", "awake")
+            sim, medium, "doze", ap, Radio(sim, wlan_cf_card(), name="doze"),
+            rng=streams.stream("doze"), on_receive=sink("doze"),
+        ),
+        DcfStation(
+            sim, medium, "awake", rng=streams.stream("awake"),
+            radio=Radio(sim, wlan_cf_card(), name="awake"), on_receive=sink("awake"),
+        ),
     ]
-    stations[1].stop_power_save()
     returned = []
 
     def traffic(sim):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.devices import wlan_cf_card
-from repro.mac import AccessPoint, Medium, PsmConfig, PsmStation
+from repro.mac import AccessPoint, DcfStation, Medium, PsmConfig, PsmStation
 from repro.phy import Radio
 from repro.sim import RandomStreams, Simulator
 
@@ -36,7 +36,6 @@ def test_ap_buffers_for_ps_station():
     sim, medium, ap, stations, radios, received = make_network()
     ap.send_data("sta0", 1000)
     assert ap.buffered_count("sta0") == 1
-    assert ap.is_ps_station("sta0")
 
 
 def test_buffered_frame_delivered_after_beacon():
@@ -104,36 +103,25 @@ def test_tim_lists_only_buffered_stations():
 
 
 def test_non_ps_station_gets_immediate_delivery():
-    sim, medium, ap, stations, radios, received = make_network()
+    sim, medium, ap, stations, radios, received = make_network(n_stations=0)
+    payloads = []
+    DcfStation(
+        sim, medium, "sta0", radio=Radio(sim, wlan_cf_card(), name="sta0"),
+        on_receive=lambda frame: payloads.append(frame.payload),
+    )
     times = {}
 
     def traffic(sim):
         yield sim.timeout(0.005)
-        stations[0].stop_power_save()
-        yield sim.timeout(0.005)  # let the radio settle awake
-        ok = yield ap.send_data("sta0", 1000)
+        ok = yield ap.send_data("sta0", 1000, payload="direct")
         times["done"] = sim.now
         assert ok is True
 
     sim.process(traffic(sim))
     sim.run(until=0.5)
+    assert ap.buffered_count("sta0") == 0
     assert times["done"] < 0.1  # no beacon wait
-
-
-def test_disabling_ps_mode_flushes_buffer():
-    sim, medium, ap, stations, radios, received = make_network()
-
-    def traffic(sim):
-        yield sim.timeout(0.005)
-        ap.send_data("sta0", 700, payload="flush me")
-        assert ap.buffered_count("sta0") == 1
-        stations[0].stop_power_save()
-        assert ap.buffered_count("sta0") == 0
-        yield sim.timeout(0.0)
-
-    sim.process(traffic(sim))
-    sim.run(until=0.5)
-    assert [f.payload for f in received["sta0"]] == ["flush me"]
+    assert payloads == ["direct"]
 
 
 def test_listen_interval_skips_beacons():

@@ -114,6 +114,15 @@ class TestCrossShardRoaming:
         assert record["handoffs"] == classic.extras["handoffs"]
         assert record["bursts"] == classic.summary_record()["bursts"]
 
+    def test_record_keys_follow_the_classic_summary_record(self, results):
+        # merge_partials writes the record's keys by hand; they must stay
+        # the classic record's, in its order, less the wall-clock fields.
+        _spec, classic, sharded = results
+        expected = [
+            key for key in classic.summary_record() if key not in VOLATILE_TIMING_FIELDS
+        ]
+        assert list(sharded["record"]) == expected
+
 
 class TestMigrationBytePaths:
     # The merged payload of ``tight_spec`` at shards=1, pinned byte for

@@ -2,11 +2,11 @@
 
 Each generated world runs a few racer processes.  Every racer races
 two sides, a few rounds in a row, and logs each resume: when, which
-round, and the winner (or the failure or interrupt it got).  The sides
-are timers that may expire in the same instant, shared plain events
-succeeded or failed by timers of that same instant, events that are
-already processed when the race starts, the same event on both sides,
-and events that never fire.  Interrupters may cut a racer's wait.
+round, and the winner (or the failure it got).  The sides are timers
+that may expire in the same instant, shared plain events succeeded or
+failed by timers of that same instant, events that are already
+processed when the race starts, the same event on both sides, and
+events that never fire.
 
 The world runs once with ``FirstOf(sim, a, b)`` and once with the
 reference ``AnyOf(sim, (a, b))``.  Both runs must log the same resumes
@@ -18,7 +18,7 @@ either side.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FirstOf, Interrupt, Simulator
+from repro.sim import FirstOf, Simulator
 from tests.sim.any_of_reference import AnyOf
 
 INSTANTS = (0.0, 1.0, 2.0, 3.0)
@@ -37,7 +37,6 @@ racers = st.fixed_dictionaries(
         "a": sides,
         "b": sides,
         "rounds": st.integers(1, 3),
-        "interrupt": st.one_of(st.none(), st.sampled_from(INSTANTS)),
     }
 )
 
@@ -126,10 +125,7 @@ def _run(race_of, world):
         return event
 
     def racer(sim, index, spec):
-        try:
-            yield sim.timeout(spec["start"])
-        except Interrupt:
-            log.append((sim.now, index, "interrupted before racing"))
+        yield sim.timeout(spec["start"])
         for round_ in range(spec["rounds"]):
             a = make_side(spec["a"], index, round_, "a")
             b = make_side(spec["b"], index, round_, "b")
@@ -137,27 +133,13 @@ def _run(race_of, world):
             races.append((race, a, b))
             try:
                 value = yield race
-            except Interrupt as interrupt:
-                log.append((sim.now, index, round_, "interrupt", interrupt.cause))
             except RuntimeError as exc:
                 log.append((sim.now, index, round_, "fail", str(exc)))
             else:
                 log.append((sim.now, index, round_, "won", tags[_winner(race, value)]))
 
-    processes = [
+    for index, spec in enumerate(world["racers"]):
         sim.process(racer(sim, index, spec))
-        for index, spec in enumerate(world["racers"])
-    ]
-    for process, spec in zip(processes, world["racers"]):
-        if spec["interrupt"] is None:
-            continue
-
-        def interrupter(sim, process=process, when=spec["interrupt"]):
-            yield sim.timeout(when)
-            if process.is_alive:
-                process.interrupt("cut")
-
-        sim.process(interrupter(sim))
     try:
         sim.run()
         error = None
@@ -195,9 +177,9 @@ def test_same_instant_timers_resume_in_the_reference_order():
     world = {
         "racers": [
             {"start": 0.0, "a": ("timeout", 1.0), "b": ("shared", 0),
-             "rounds": 2, "interrupt": None},
+             "rounds": 2},
             {"start": 0.0, "a": ("shared", 0), "b": ("timeout_at", 1.0),
-             "rounds": 1, "interrupt": None},
+             "rounds": 1},
         ],
         "shared": [(1.0, True, False), None, None],
         "bystanders": [1.0],

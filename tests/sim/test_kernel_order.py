@@ -1,7 +1,7 @@
 """Kernel-ordering property tests: ``Simulator`` vs a reference heap.
 
 ``Simulator`` must dispatch in *exactly* the total order a single global
-heap over ``(time, priority, seq)`` produces — the scenario goldens
+heap over ``(time, seq)`` produces — the scenario goldens
 byte-pin this, and these tests pin it at the kernel level with random
 schedules, cascading (run-time) schedules and bulk timeouts, with and
 without a trace and a profiler attached.
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.obs import KernelProfiler, TraceBus
 from repro.sim import Simulator
-from repro.sim.events import NORMAL, URGENT, Event
+from repro.sim.events import Event
 from repro.sim.resources import Store
 
 # Sub-slot, frame-scale and long delays, with exact ties among them.
@@ -25,11 +25,7 @@ delay_values = st.one_of(
     st.sampled_from([0.0, 1e-3, 2e-3, 0.5e-3, 1.0, 1.0 + 1e-3, 123.456]),
 )
 
-schedule_entries = st.lists(
-    st.tuples(delay_values, st.sampled_from([URGENT, NORMAL])),
-    min_size=1,
-    max_size=60,
-)
+schedule_entries = st.lists(delay_values, min_size=1, max_size=60)
 
 
 class ReferenceKernel:
@@ -41,25 +37,25 @@ class ReferenceKernel:
         self.now = 0.0
         self.fired = []
 
-    def schedule(self, tag, delay, priority):
+    def schedule(self, tag, delay):
         when = self.now + delay
-        heapq.heappush(self._heap, (when, priority, next(self._seq), tag))
+        heapq.heappush(self._heap, (when, next(self._seq), tag))
 
     def run(self, program):
         while self._heap:
-            when, _priority, _seq, tag = heapq.heappop(self._heap)
+            when, _seq, tag = heapq.heappop(self._heap)
             self.now = when
             self.fired.append(tag)
-            for child_tag, delay, priority in program.get(tag, ()):
-                self.schedule(child_tag, delay, priority)
+            for child_tag, delay in program.get(tag, ()):
+                self.schedule(child_tag, delay)
 
 
-def _trigger(sim, delay, priority, callback):
+def _trigger(sim, delay, callback):
     """Schedule a bare event the way the kernel does internally."""
     event = Event(sim)
     event.callbacks.append(callback)
     event._state = 1  # triggered
-    sim._schedule(event, delay, priority)
+    sim._schedule(event, delay)
     return event
 
 
@@ -70,13 +66,13 @@ def _run_program(sim, initial, program):
     def make_callback(tag):
         def on_fire(_event):
             fired.append(tag)
-            for child_tag, delay, priority in program.get(tag, ()):
-                _trigger(sim, delay, priority, make_callback(child_tag))
+            for child_tag, delay in program.get(tag, ()):
+                _trigger(sim, delay, make_callback(child_tag))
 
         return on_fire
 
-    for tag, delay, priority in initial:
-        _trigger(sim, delay, priority, make_callback(tag))
+    for tag, delay in initial:
+        _trigger(sim, delay, make_callback(tag))
     sim.run()
     return fired
 
@@ -88,20 +84,17 @@ def test_flat_schedule_matches_reference_heap(entries):
     sim = Simulator()
     reference = ReferenceKernel()
     fired = []
-    for tag, (delay, priority) in enumerate(entries):
-        _trigger(sim, delay, priority, lambda _e, tag=tag: fired.append(tag))
-        reference.schedule(tag, delay, priority)
+    for tag, delay in enumerate(entries):
+        _trigger(sim, delay, lambda _e, tag=tag: fired.append(tag))
+        reference.schedule(tag, delay)
     sim.run()
     reference.run({})
     assert fired == reference.fired
 
 
 @given(
-    st.lists(st.tuples(delay_values, st.sampled_from([URGENT, NORMAL])),
-             min_size=1, max_size=12),
-    st.lists(st.lists(st.tuples(delay_values, st.sampled_from([URGENT, NORMAL])),
-                      max_size=4),
-             min_size=1, max_size=12),
+    st.lists(delay_values, min_size=1, max_size=12),
+    st.lists(st.lists(delay_values, max_size=4), min_size=1, max_size=12),
 )
 @settings(max_examples=60)
 def test_cascading_schedule_matches_reference_heap(roots, spawn_lists):
@@ -116,18 +109,16 @@ def test_cascading_schedule_matches_reference_heap(roots, spawn_lists):
     next_tag = len(roots)
     for tag, spawns in enumerate(spawn_lists[: len(roots)]):
         children = []
-        for delay, priority in spawns:
-            children.append((next_tag, delay, priority))
+        for delay in spawns:
+            children.append((next_tag, delay))
             next_tag += 1
         program[tag] = children
 
-    initial = [
-        (tag, delay, priority) for tag, (delay, priority) in enumerate(roots)
-    ]
+    initial = list(enumerate(roots))
 
     reference = ReferenceKernel()
-    for tag, delay, priority in initial:
-        reference.schedule(tag, delay, priority)
+    for tag, delay in initial:
+        reference.schedule(tag, delay)
     reference.run(program)
 
     for traced, profiled in itertools.product((False, True), repeat=2):

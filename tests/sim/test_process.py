@@ -1,8 +1,6 @@
-"""Tests for Process semantics: interrupts, liveness, errors."""
+"""Tests for Process semantics: liveness, results, ordering."""
 
-import pytest
-
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_process_is_alive_until_generator_returns():
@@ -26,80 +24,6 @@ def test_process_name_defaults_to_generator_name():
     proc = sim.process(my_station(sim))
     assert proc.name == "my_station"
     sim.run()
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    seen = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            seen.append((sim.now, interrupt.cause))
-
-    def interrupter(sim, victim):
-        yield sim.timeout(2.0)
-        victim.interrupt("wake up")
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert seen == [(2.0, "wake up")]
-
-
-def test_interrupt_detaches_from_waited_event():
-    sim = Simulator()
-    resumed = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(5.0)
-            resumed.append("timeout")
-        except Interrupt:
-            yield sim.timeout(100.0)
-            resumed.append("after-interrupt")
-
-    def interrupter(sim, victim):
-        yield sim.timeout(1.0)
-        victim.interrupt()
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run(until=50.0)
-    # The original 5 s timeout fires at t=5 but must NOT resume the process.
-    assert resumed == []
-    sim.run()
-    assert resumed == ["after-interrupt"]
-
-
-def test_interrupting_finished_process_raises():
-    sim = Simulator()
-
-    def body(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.process(body(sim))
-    sim.run()
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
-
-
-def test_uncaught_interrupt_fails_process():
-    sim = Simulator()
-
-    def sleeper(sim):
-        yield sim.timeout(100.0)
-
-    def interrupter(sim, victim):
-        yield sim.timeout(1.0)
-        victim.interrupt("boom")
-
-    sim.process(sleeper(sim))
-    victim = sim.process(sleeper(sim), name="victim")
-    sim.process(interrupter(sim, victim))
-    with pytest.raises(Interrupt):
-        sim.run()
 
 
 def test_process_can_wait_on_another_process_result():
@@ -159,58 +83,3 @@ def test_two_processes_interleave_deterministically():
         (4.0, "slow"),
         (4.0, "fast"),
     ]
-
-
-def test_same_tick_interrupt_is_not_double_delivered():
-    """An interrupt fired while the waited-on event is already dispatching
-    must not let the victim resume from that event *and* receive the
-    Interrupt later against a different wait."""
-    sim = Simulator()
-    log = []
-    evt = sim.event()
-
-    def attacker(sim):
-        yield evt
-        victim_proc.interrupt("race")
-
-    def victim(sim):
-        try:
-            value = yield evt
-            log.append(("resumed", value, sim.now))
-            yield sim.timeout(5.0)
-            log.append(("slept", sim.now))
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, sim.now))
-
-    # The attacker subscribes to ``evt`` first, so during the event's
-    # dispatch it interrupts the victim before the victim's own resume
-    # callback runs — the victim's detach from ``evt`` comes too late
-    # because the callback list has already been snapshotted.
-    sim.process(attacker(sim))
-    victim_proc = sim.process(victim(sim))
-    evt.succeed("payload", delay=1.0)
-    sim.run()
-    assert log == [("interrupted", "race", 1.0)]
-
-
-def test_interrupts_queued_before_resume_all_deliver():
-    """Two interrupts issued back-to-back both reach the generator."""
-    sim = Simulator()
-    log = []
-
-    def victim(sim):
-        for _ in range(2):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((sim.now, interrupt.cause))
-
-    def attacker(sim, proc):
-        yield sim.timeout(1.0)
-        proc.interrupt("first")
-        proc.interrupt("second")
-
-    proc = sim.process(victim(sim))
-    sim.process(attacker(sim, proc))
-    sim.run(until=10.0)
-    assert log == [(1.0, "first"), (1.0, "second")]

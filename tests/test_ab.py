@@ -1,6 +1,8 @@
 """``scripts/ab.py``: the verdict over pairs of benchmark runs."""
 
+import argparse
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -84,3 +86,39 @@ def test_no_samples_is_unresolved():
 def test_iqr_matches_run_py_quartiles():
     assert ab.iqr([1.0]) == 0.0
     assert ab.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(3.0)
+
+
+def test_runs_write_and_read_no_bytecode(tmp_path, monkeypatch):
+    """Every run.py child runs with PYTHONDONTWRITEBYTECODE=1 from a copy
+    that holds no bytecode, as a fresh checkout of the benchmark does."""
+    side = tmp_path / "side"
+    for part in ("src/pkg", "benchmarks", "src/pkg/__pycache__"):
+        (side / part).mkdir(parents=True)
+    (side / "src/pkg/mod.py").write_text("VALUE = 1\n")
+    (side / "benchmarks/bench.py").write_text("VALUE = 2\n")
+    (side / "src/pkg/__pycache__/mod.cpython-311.pyc").write_bytes(b"stale")
+    calls = []
+
+    def fake_run(command, **kwargs):
+        calls.append((command, kwargs))
+        summary = {"correct": True, "failed": 0,
+                   "metrics": {"ms_per_sta_s": {"value": 1.0, "unit": "ms/sta-s"}}}
+        return ab.subprocess.CompletedProcess(command, 0, json.dumps(summary) + "\n", "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    checkout = tmp_path / "copy"
+    assert ab.materialise(str(side), checkout) == f"directory {side}"
+    assert calls == []  # nothing is compiled
+    assert sorted(p.name for p in checkout.rglob("*")) == [
+        "bench.py", "benchmarks", "mod.py", "pkg", "src"
+    ]
+    args = argparse.Namespace(repeats=2, seed=3, workload=["psm-downlink"])
+    summary = ab.run_side(checkout, args)
+    assert summary["metrics"] == {KEY: 1.0}
+    ((command, kwargs),) = calls
+    assert command[1:] == [
+        "benchmarks/e2e/run.py", "--trace", "0", "--repeats", "2", "--seed", "3",
+        "--workload", "psm-downlink",
+    ]
+    assert kwargs["cwd"] == checkout
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
